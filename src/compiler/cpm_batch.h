@@ -12,10 +12,12 @@
  * pairs over and over: the distance-only placement family is even
  * measurement-independent, so its layouts repeat across every subset.
  *
- * CpmRecompiler exploits this: it routes the measureless prefix once
+ * CpmRecompiler exploits this: it builds the placement tables and the
+ * distance-only placements once, routes the measureless prefix once
  * per distinct initial layout (memoized), computes the gate-success
- * probability once per routing, and per subset only re-emits the
- * measurement gates and recomputes the (cheap) readout success. The
+ * probability once per routing, and per subset only places the
+ * noise-aware family and scores each candidate's readout success from
+ * its final layout. Only the winner's physical circuit is built. The
  * selected CompiledCircuit is identical to what transpile() would
  * return for the CPM circuit with the same options.
  */
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "compiler/placement.h"
 #include "compiler/transpiler.h"
 #include "device/device_model.h"
 
@@ -72,20 +75,21 @@ class CpmRecompiler
     struct RoutedPrefix
     {
         circuit::QuantumCircuit physical; ///< Routed gates, no measures.
+        Layout initialLayout;             ///< Placement it was routed from.
         Layout finalLayout;               ///< Layout after the last gate.
         int swapCount;                    ///< SWAPs inserted by routing.
         double gateSuccess;               ///< Gate-only success prob.
     };
 
     const RoutedPrefix &routedFor(const Layout &initial);
-    CompiledCircuit finishCandidate(const Layout &initial,
-                                    const std::vector<int> &logical_qubits);
 
-    circuit::QuantumCircuit logical_;       ///< Fully measured program.
     circuit::QuantumCircuit logicalPrefix_; ///< Measures stripped.
     device::DeviceModel dev_;
     TranspileOptions options_;
     std::vector<int> starts_; ///< Placement seeds (already truncated).
+    PlacementContext placement_;
+    /** Distance-only placement per start: measurement-independent. */
+    std::vector<Layout> tightByStart_;
     std::map<std::vector<int>, RoutedPrefix> routedByLayout_;
     std::uint64_t routingsComputed_ = 0;
     std::uint64_t routingsReused_ = 0;

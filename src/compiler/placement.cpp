@@ -60,92 +60,107 @@ rankedStartQubits(const device::DeviceModel &dev, bool noise_aware)
     return order;
 }
 
-Layout
-greedyPlacement(const circuit::QuantumCircuit &logical,
-                const device::DeviceModel &dev, int start_physical,
-                bool noise_aware)
+PlacementContext::PlacementContext(const circuit::QuantumCircuit &logical,
+                                   const device::DeviceModel &dev)
+    : nLogical_(logical.nQubits()), nPhysical_(dev.nQubits())
 {
-    const device::Topology &topo = dev.topology();
-    const int n_logical = logical.nQubits();
-    fatalIf(n_logical > topo.nQubits(),
+    fatalIf(nLogical_ > nPhysical_,
             "greedyPlacement: program larger than device");
+    const device::Topology &topo = dev.topology();
+    const auto n_physical = static_cast<std::size_t>(nPhysical_);
 
-    // Interaction weights and the set of measured logical qubits.
+    edgeCost_.resize(n_physical);
+    readoutCost_.resize(n_physical);
+    distance_.resize(n_physical * n_physical);
+    for (int p = 0; p < nPhysical_; ++p) {
+        const auto row = static_cast<std::size_t>(p);
+        edgeCost_[row] = errorToHops * incidentEdgeError(dev, p);
+        readoutCost_[row] =
+            errorToHops * dev.calibration().qubit(p).meanReadoutError();
+        const std::vector<int> &distances = topo.distanceRow(p);
+        std::copy(distances.begin(), distances.end(),
+                  distance_.begin() +
+                      static_cast<std::ptrdiff_t>(row * n_physical));
+    }
+
+    // Interaction weights.
+    const auto n_logical = static_cast<std::size_t>(nLogical_);
     std::vector<std::vector<double>> weight(
-        static_cast<std::size_t>(n_logical),
-        std::vector<double>(static_cast<std::size_t>(n_logical), 0.0));
-    std::vector<bool> is_measured(static_cast<std::size_t>(n_logical),
-                                  false);
+        n_logical, std::vector<double>(n_logical, 0.0));
     for (const circuit::Gate &g : logical.gates()) {
         if (g.isTwoQubit()) {
             weight[static_cast<std::size_t>(g.qubits[0])]
                   [static_cast<std::size_t>(g.qubits[1])] += 1.0;
             weight[static_cast<std::size_t>(g.qubits[1])]
                   [static_cast<std::size_t>(g.qubits[0])] += 1.0;
-        } else if (g.isMeasure()) {
-            is_measured[static_cast<std::size_t>(g.qubits[0])] = true;
         }
     }
 
     // Place logical qubits in order of total interaction weight.
-    std::vector<int> logical_order(static_cast<std::size_t>(n_logical));
-    std::iota(logical_order.begin(), logical_order.end(), 0);
-    std::vector<double> total_weight(static_cast<std::size_t>(n_logical),
-                                     0.0);
-    for (int l = 0; l < n_logical; ++l) {
-        total_weight[static_cast<std::size_t>(l)] = std::accumulate(
-            weight[static_cast<std::size_t>(l)].begin(),
-            weight[static_cast<std::size_t>(l)].end(), 0.0);
-    }
-    std::sort(logical_order.begin(), logical_order.end(),
-              [&total_weight](int a, int b) {
-                  const double wa = total_weight[static_cast<std::size_t>(a)];
-                  const double wb = total_weight[static_cast<std::size_t>(b)];
-                  if (wa != wb)
-                      return wa > wb;
-                  return a < b;
-              });
-
-    std::vector<int> physical_of(static_cast<std::size_t>(n_logical), -1);
-    std::vector<bool> used(static_cast<std::size_t>(topo.nQubits()), false);
-
-    auto qubit_cost = [&](int l, int p) {
-        double c = 0.0;
-        if (noise_aware) {
-            c += errorToHops * incidentEdgeError(dev, p);
-            if (is_measured[static_cast<std::size_t>(l)]) {
-                c += errorToHops *
-                     dev.calibration().qubit(p).meanReadoutError();
-            }
+    order_.resize(n_logical);
+    std::iota(order_.begin(), order_.end(), 0);
+    std::vector<double> total_weight(n_logical, 0.0);
+    partners_.resize(n_logical);
+    for (std::size_t l = 0; l < n_logical; ++l) {
+        total_weight[l] =
+            std::accumulate(weight[l].begin(), weight[l].end(), 0.0);
+        for (std::size_t m = 0; m < n_logical; ++m) {
+            if (weight[l][m] > 0.0)
+                partners_[l].emplace_back(static_cast<int>(m), weight[l][m]);
         }
-        return c;
-    };
+    }
+    std::sort(order_.begin(), order_.end(), [&total_weight](int a, int b) {
+        const double wa = total_weight[static_cast<std::size_t>(a)];
+        const double wb = total_weight[static_cast<std::size_t>(b)];
+        if (wa != wb)
+            return wa > wb;
+        return a < b;
+    });
+}
 
-    bool first = true;
-    for (int l : logical_order) {
-        if (first) {
-            fatalIf(start_physical < 0 ||
-                    start_physical >= topo.nQubits(),
+Layout
+PlacementContext::place(int start_physical, bool noise_aware,
+                        const std::vector<bool> &measured) const
+{
+    fatalIf(static_cast<int>(measured.size()) != nLogical_,
+            "greedyPlacement: measured mask does not match the program");
+    const auto n_physical = static_cast<std::size_t>(nPhysical_);
+    std::vector<int> physical_of(static_cast<std::size_t>(nLogical_), -1);
+    std::vector<bool> used(n_physical, false);
+
+    const int *start_row = nullptr;
+    for (int l : order_) {
+        if (!start_row) {
+            fatalIf(start_physical < 0 || start_physical >= nPhysical_,
                     "greedyPlacement: invalid start qubit");
             physical_of[static_cast<std::size_t>(l)] = start_physical;
             used[static_cast<std::size_t>(start_physical)] = true;
-            first = false;
+            start_row = &distance_[static_cast<std::size_t>(start_physical) *
+                                   n_physical];
             continue;
         }
+        const bool l_measured = measured[static_cast<std::size_t>(l)];
+        const auto &partners = partners_[static_cast<std::size_t>(l)];
         double best_cost = std::numeric_limits<double>::infinity();
         int best_p = -1;
-        for (int p = 0; p < topo.nQubits(); ++p) {
-            if (used[static_cast<std::size_t>(p)])
+        for (int p = 0; p < nPhysical_; ++p) {
+            const auto pi = static_cast<std::size_t>(p);
+            if (used[pi])
                 continue;
-            double c = qubit_cost(l, p);
+            double base = 0.0;
+            if (noise_aware) {
+                base += edgeCost_[pi];
+                if (l_measured)
+                    base += readoutCost_[pi];
+            }
+            const int *row = &distance_[pi * n_physical];
+            double c = base;
             bool reachable = true;
-            for (int m = 0; m < n_logical; ++m) {
-                const double w = weight[static_cast<std::size_t>(l)]
-                                       [static_cast<std::size_t>(m)];
+            for (const auto &[m, w] : partners) {
                 const int pm = physical_of[static_cast<std::size_t>(m)];
-                if (w <= 0.0 || pm < 0)
+                if (pm < 0)
                     continue;
-                const int d = topo.distance(p, pm);
+                const int d = row[static_cast<std::size_t>(pm)];
                 if (d < 0) {
                     reachable = false;
                     break;
@@ -155,10 +170,13 @@ greedyPlacement(const circuit::QuantumCircuit &logical,
             if (!reachable)
                 continue;
             // Anchor isolated qubits near the start to keep the
-            // program in one region of the device.
-            if (c == qubit_cost(l, p)) {
-                c += 0.01 * static_cast<double>(
-                                topo.distance(p, start_physical));
+            // program in one region of the device — never in a
+            // component the start cannot reach.
+            if (c == base) {
+                const int d_start = start_row[pi];
+                if (d_start < 0)
+                    continue;
+                c += 0.01 * static_cast<double>(d_start);
             }
             if (c < best_cost) {
                 best_cost = c;
@@ -170,7 +188,28 @@ greedyPlacement(const circuit::QuantumCircuit &logical,
         used[static_cast<std::size_t>(best_p)] = true;
     }
 
-    return Layout(std::move(physical_of), topo.nQubits());
+    return Layout(std::move(physical_of), nPhysical_);
+}
+
+std::vector<bool>
+measuredMask(const circuit::QuantumCircuit &logical)
+{
+    std::vector<bool> measured(static_cast<std::size_t>(logical.nQubits()),
+                               false);
+    for (const circuit::Gate &g : logical.gates()) {
+        if (g.isMeasure())
+            measured[static_cast<std::size_t>(g.qubits[0])] = true;
+    }
+    return measured;
+}
+
+Layout
+greedyPlacement(const circuit::QuantumCircuit &logical,
+                const device::DeviceModel &dev, int start_physical,
+                bool noise_aware)
+{
+    return PlacementContext(logical, dev)
+        .place(start_physical, noise_aware, measuredMask(logical));
 }
 
 } // namespace compiler

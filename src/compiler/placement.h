@@ -13,6 +13,7 @@
 #ifndef JIGSAW_COMPILER_PLACEMENT_H
 #define JIGSAW_COMPILER_PLACEMENT_H
 
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -31,8 +32,47 @@ std::vector<int> rankedStartQubits(const device::DeviceModel &dev,
                                    bool noise_aware);
 
 /**
+ * Everything greedy placement reads that depends only on the program's
+ * two-qubit gates and the device: per-physical-qubit incident-edge and
+ * mean readout error, per-logical interaction partners, the placement
+ * order, and the hop-distance matrix. Built once per (program prefix,
+ * device) and shared by every start qubit and measurement subset. Owns
+ * copies of all device data, so it never dangles when the device it
+ * was built from moves.
+ */
+class PlacementContext
+{
+  public:
+    /** Measurements in @p logical are ignored; pass the measured set
+     *  to place() instead. */
+    PlacementContext(const circuit::QuantumCircuit &logical,
+                     const device::DeviceModel &dev);
+
+    /**
+     * Greedy placement anchored at @p start_physical. @p measured
+     * (indexed by logical qubit) selects whose readout error counts
+     * when @p noise_aware; distance-only placement ignores it.
+     */
+    Layout place(int start_physical, bool noise_aware,
+                 const std::vector<bool> &measured) const;
+
+  private:
+    int nLogical_;
+    int nPhysical_;
+    std::vector<double> edgeCost_;    ///< errorToHops x incident edge error.
+    std::vector<double> readoutCost_; ///< errorToHops x mean readout error.
+    /** Per logical qubit: (partner, interaction weight), by partner. */
+    std::vector<std::vector<std::pair<int, double>>> partners_;
+    std::vector<int> order_;    ///< Logical qubits, heaviest first.
+    std::vector<int> distance_; ///< Row-major hop distances (-1: none).
+};
+
+/** Mask of the logical qubits @p logical measures. */
+std::vector<bool> measuredMask(const circuit::QuantumCircuit &logical);
+
+/**
  * Greedy placement of @p logical onto @p dev anchored at
- * @p start_physical.
+ * @p start_physical (a one-shot PlacementContext).
  */
 Layout greedyPlacement(const circuit::QuantumCircuit &logical,
                        const device::DeviceModel &dev, int start_physical,

@@ -44,6 +44,8 @@ compileCandidates(const circuit::QuantumCircuit &logical,
                       static_cast<int>(starts.size()));
     fatalIf(n_candidates < 1, "transpile: need at least one candidate");
 
+    const PlacementContext placement(logical, dev);
+    const std::vector<bool> measured = measuredMask(logical);
     std::vector<CompiledCircuit> candidates;
     candidates.reserve(static_cast<std::size_t>(2 * n_candidates));
     for (int i = 0; i < n_candidates; ++i) {
@@ -53,13 +55,12 @@ compileCandidates(const circuit::QuantumCircuit &logical,
         // the routing tight; with spatially scattered good qubits
         // either one can win, so the selector sees both.
         const Layout aware =
-            greedyPlacement(logical, dev, start, options.noiseAware);
+            placement.place(start, options.noiseAware, measured);
         candidates.push_back(finishCandidate(
             sabreRoute(logical, dev.topology(), aware, options.sabre),
             dev));
         if (options.noiseAware) {
-            const Layout tight =
-                greedyPlacement(logical, dev, start, false);
+            const Layout tight = placement.place(start, false, measured);
             if (tight.logicalToPhysical() !=
                 aware.logicalToPhysical()) {
                 candidates.push_back(finishCandidate(
@@ -301,15 +302,13 @@ clearTranspileCache()
     transpileCache.clear();
 }
 
-CompiledCircuit
-transpile(const circuit::QuantumCircuit &logical,
-          const device::DeviceModel &dev, const TranspileOptions &options)
+std::size_t
+selectCandidate(const std::vector<CandidateScore> &candidates,
+                const TranspileOptions &options)
 {
-    std::vector<CompiledCircuit> candidates =
-        compileCandidates(logical, dev, options);
-
-    auto better = [&options](const CompiledCircuit &a,
-                             const CompiledCircuit &b) {
+    fatalIf(candidates.empty(), "selectCandidate: no candidates");
+    auto better = [&options](const CandidateScore &a,
+                             const CandidateScore &b) {
         if (options.noiseAware)
             return a.eps > b.eps;
         if (a.swapCount != b.swapCount)
@@ -322,9 +321,9 @@ transpile(const circuit::QuantumCircuit &logical,
     // best EPS wins, which for a CPM is dominated by where its few
     // measurements land; fall back to best-overall EPS when no
     // candidate fits the budget.
-    const CompiledCircuit *best = nullptr;
+    const CandidateScore *best = nullptr;
     if (options.maxSwaps) {
-        for (const CompiledCircuit &c : candidates) {
+        for (const CandidateScore &c : candidates) {
             if (c.swapCount <= *options.maxSwaps &&
                 (!best || better(c, *best))) {
                 best = &c;
@@ -332,12 +331,25 @@ transpile(const circuit::QuantumCircuit &logical,
         }
     }
     if (!best) {
-        for (const CompiledCircuit &c : candidates) {
+        for (const CandidateScore &c : candidates) {
             if (!best || better(c, *best))
                 best = &c;
         }
     }
-    return *best;
+    return static_cast<std::size_t>(best - candidates.data());
+}
+
+CompiledCircuit
+transpile(const circuit::QuantumCircuit &logical,
+          const device::DeviceModel &dev, const TranspileOptions &options)
+{
+    std::vector<CompiledCircuit> candidates =
+        compileCandidates(logical, dev, options);
+    std::vector<CandidateScore> scores;
+    scores.reserve(candidates.size());
+    for (const CompiledCircuit &c : candidates)
+        scores.push_back({c.swapCount, c.eps});
+    return std::move(candidates[selectCandidate(scores, options)]);
 }
 
 std::vector<CompiledCircuit>

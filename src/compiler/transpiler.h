@@ -12,6 +12,7 @@
 #ifndef JIGSAW_COMPILER_TRANSPILER_H
 #define JIGSAW_COMPILER_TRANSPILER_H
 
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -46,6 +47,23 @@ struct TranspileOptions
     std::optional<int> maxSwaps;
     SabreOptions sabre;         ///< Routing parameters.
 };
+
+/** What candidate selection reads of one compiled candidate. */
+struct CandidateScore
+{
+    int swapCount = 0;
+    double eps = 0.0;
+};
+
+/**
+ * Index into @p candidates of the one transpile() keeps: the best EPS
+ * (fewest SWAPs first when not noise-aware), restricted to candidates
+ * within options.maxSwaps when any fits (the CPM recompilation rule);
+ * ties keep the earlier candidate. The batched CPM recompiler selects
+ * through this too, so global and CPM selection cannot drift.
+ */
+std::size_t selectCandidate(const std::vector<CandidateScore> &candidates,
+                            const TranspileOptions &options);
 
 /** Compile @p logical for @p dev, returning the best candidate. */
 CompiledCircuit transpile(const circuit::QuantumCircuit &logical,

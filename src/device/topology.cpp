@@ -51,6 +51,13 @@ Topology::distance(int a, int b) const
                     [static_cast<std::size_t>(b)];
 }
 
+const std::vector<int> &
+Topology::distanceRow(int a) const
+{
+    fatalIf(a < 0 || a >= nQubits_, "Topology: qubit out of range");
+    return distance_[static_cast<std::size_t>(a)];
+}
+
 bool
 Topology::isConnected() const
 {

@@ -39,6 +39,9 @@ class Topology
     /** Hop distance between @p a and @p b (BFS; -1 if disconnected). */
     int distance(int a, int b) const;
 
+    /** Hop distances from @p a to every qubit (distance(a, .)). */
+    const std::vector<int> &distanceRow(int a) const;
+
     /** True when every qubit can reach every other qubit. */
     bool isConnected() const;
 

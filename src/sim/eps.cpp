@@ -51,16 +51,24 @@ double
 measurementSuccessProbability(const circuit::QuantumCircuit &qc,
                               const device::DeviceModel &dev)
 {
-    const device::Calibration &cal = dev.calibration();
-    const int simultaneous = qc.countMeasurements();
-    double success = 1.0;
+    std::vector<int> measured;
     for (const Gate &g : qc.gates()) {
-        if (!g.isMeasure())
-            continue;
-        const double e0 = cal.effectiveReadoutError(g.qubits[0],
-                                                    simultaneous, 0);
-        const double e1 = cal.effectiveReadoutError(g.qubits[0],
-                                                    simultaneous, 1);
+        if (g.isMeasure())
+            measured.push_back(g.qubits[0]);
+    }
+    return measurementSuccessProbability(measured, dev);
+}
+
+double
+measurementSuccessProbability(const std::vector<int> &physical_qubits,
+                              const device::DeviceModel &dev)
+{
+    const device::Calibration &cal = dev.calibration();
+    const int simultaneous = static_cast<int>(physical_qubits.size());
+    double success = 1.0;
+    for (int q : physical_qubits) {
+        const double e0 = cal.effectiveReadoutError(q, simultaneous, 0);
+        const double e1 = cal.effectiveReadoutError(q, simultaneous, 1);
         success *= 1.0 - 0.5 * (e0 + e1);
     }
     return success;

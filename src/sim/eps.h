@@ -10,6 +10,8 @@
 #ifndef JIGSAW_SIM_EPS_H
 #define JIGSAW_SIM_EPS_H
 
+#include <vector>
+
 #include "circuit/circuit.h"
 #include "device/device_model.h"
 
@@ -31,6 +33,15 @@ double gateSuccessProbability(const circuit::QuantumCircuit &qc,
  * crosstalk for the number of simultaneous measurements in @p qc.
  */
 double measurementSuccessProbability(const circuit::QuantumCircuit &qc,
+                                     const device::DeviceModel &dev);
+
+/**
+ * measurementSuccessProbability of a circuit whose measurement gates
+ * target @p physical_qubits, in this order — the readout term of a
+ * routed prefix scored for a measurement subset without building the
+ * measured circuit.
+ */
+double measurementSuccessProbability(const std::vector<int> &physical_qubits,
                                      const device::DeviceModel &dev);
 
 /** Full EPS: gate success times measurement success. */

@@ -6,16 +6,20 @@
  * recompilation rules, and EDM ensembles.
  */
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "compiler/placement.h"
 #include "compiler/sabre.h"
 #include "compiler/transpiler.h"
 #include "device/library.h"
 #include "sim/eps.h"
 #include "sim/simulators.h"
+#include "workloads/registry.h"
 
 namespace jigsaw {
 namespace compiler {
@@ -225,6 +229,228 @@ TEST(Placement, RejectsOversizedProgram)
     qc.h(0);
     EXPECT_THROW(greedyPlacement(qc, dev, 0, true),
                  std::invalid_argument);
+}
+
+TEST(Placement, IsolatedQubitsStayInTheStartComponent)
+{
+    // Two components {0,1,2} and {3,4,5}. Logical 2 has no partners,
+    // so only the anchor decides its qubit: it must stay next to the
+    // start, never jump to the component the start cannot reach.
+    Topology topo(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
+    device::Calibration cal(6, 4);
+    const DeviceModel dev("split", std::move(topo), std::move(cal));
+    QuantumCircuit qc(3, 3);
+    qc.cx(0, 1);
+    qc.h(2);
+    qc.measureAll();
+    for (bool aware : {true, false}) {
+        const Layout layout = greedyPlacement(qc, dev, 0, aware);
+        EXPECT_EQ(layout.physicalOf(0), 0);
+        EXPECT_EQ(layout.physicalOf(1), 1);
+        EXPECT_EQ(layout.physicalOf(2), 2);
+        for (int start = 0; start < 6; ++start) {
+            const Layout placed = greedyPlacement(qc, dev, start, aware);
+            for (int l = 0; l < 3; ++l) {
+                EXPECT_GE(dev.topology().distance(start,
+                                                  placed.physicalOf(l)),
+                          0);
+            }
+        }
+    }
+}
+
+// ------------------------------------------- frozen placement reference
+
+/*
+ * Verbatim copy of greedyPlacement as it was before PlacementContext
+ * (per-call interaction matrix, per-pair incident-edge error). Kept
+ * as an executable specification; do not optimize. It predates the
+ * start-component anchor fix, which only changes placements on
+ * disconnected coupling maps, so it is compared on connected devices.
+ */
+namespace reference {
+
+double
+incidentEdgeError(const device::DeviceModel &dev, int p)
+{
+    const device::Topology &topo = dev.topology();
+    const auto &neighbors = topo.neighbors(p);
+    if (neighbors.empty())
+        return 1.0;
+    double total = 0.0;
+    for (int nb : neighbors)
+        total += dev.calibration().edgeError(topo.edgeIndex(p, nb));
+    return total / static_cast<double>(neighbors.size());
+}
+
+constexpr double errorToHops = 10.0;
+
+Layout
+greedyPlacement(const circuit::QuantumCircuit &logical,
+                const device::DeviceModel &dev, int start_physical,
+                bool noise_aware)
+{
+    const device::Topology &topo = dev.topology();
+    const int n_logical = logical.nQubits();
+    fatalIf(n_logical > topo.nQubits(),
+            "greedyPlacement: program larger than device");
+
+    // Interaction weights and the set of measured logical qubits.
+    std::vector<std::vector<double>> weight(
+        static_cast<std::size_t>(n_logical),
+        std::vector<double>(static_cast<std::size_t>(n_logical), 0.0));
+    std::vector<bool> is_measured(static_cast<std::size_t>(n_logical),
+                                  false);
+    for (const circuit::Gate &g : logical.gates()) {
+        if (g.isTwoQubit()) {
+            weight[static_cast<std::size_t>(g.qubits[0])]
+                  [static_cast<std::size_t>(g.qubits[1])] += 1.0;
+            weight[static_cast<std::size_t>(g.qubits[1])]
+                  [static_cast<std::size_t>(g.qubits[0])] += 1.0;
+        } else if (g.isMeasure()) {
+            is_measured[static_cast<std::size_t>(g.qubits[0])] = true;
+        }
+    }
+
+    // Place logical qubits in order of total interaction weight.
+    std::vector<int> logical_order(static_cast<std::size_t>(n_logical));
+    std::iota(logical_order.begin(), logical_order.end(), 0);
+    std::vector<double> total_weight(static_cast<std::size_t>(n_logical),
+                                     0.0);
+    for (int l = 0; l < n_logical; ++l) {
+        total_weight[static_cast<std::size_t>(l)] = std::accumulate(
+            weight[static_cast<std::size_t>(l)].begin(),
+            weight[static_cast<std::size_t>(l)].end(), 0.0);
+    }
+    std::sort(logical_order.begin(), logical_order.end(),
+              [&total_weight](int a, int b) {
+                  const double wa = total_weight[static_cast<std::size_t>(a)];
+                  const double wb = total_weight[static_cast<std::size_t>(b)];
+                  if (wa != wb)
+                      return wa > wb;
+                  return a < b;
+              });
+
+    std::vector<int> physical_of(static_cast<std::size_t>(n_logical), -1);
+    std::vector<bool> used(static_cast<std::size_t>(topo.nQubits()), false);
+
+    auto qubit_cost = [&](int l, int p) {
+        double c = 0.0;
+        if (noise_aware) {
+            c += errorToHops * incidentEdgeError(dev, p);
+            if (is_measured[static_cast<std::size_t>(l)]) {
+                c += errorToHops *
+                     dev.calibration().qubit(p).meanReadoutError();
+            }
+        }
+        return c;
+    };
+
+    bool first = true;
+    for (int l : logical_order) {
+        if (first) {
+            fatalIf(start_physical < 0 ||
+                    start_physical >= topo.nQubits(),
+                    "greedyPlacement: invalid start qubit");
+            physical_of[static_cast<std::size_t>(l)] = start_physical;
+            used[static_cast<std::size_t>(start_physical)] = true;
+            first = false;
+            continue;
+        }
+        double best_cost = std::numeric_limits<double>::infinity();
+        int best_p = -1;
+        for (int p = 0; p < topo.nQubits(); ++p) {
+            if (used[static_cast<std::size_t>(p)])
+                continue;
+            double c = qubit_cost(l, p);
+            bool reachable = true;
+            for (int m = 0; m < n_logical; ++m) {
+                const double w = weight[static_cast<std::size_t>(l)]
+                                       [static_cast<std::size_t>(m)];
+                const int pm = physical_of[static_cast<std::size_t>(m)];
+                if (w <= 0.0 || pm < 0)
+                    continue;
+                const int d = topo.distance(p, pm);
+                if (d < 0) {
+                    reachable = false;
+                    break;
+                }
+                c += w * static_cast<double>(d - 1);
+            }
+            if (!reachable)
+                continue;
+            // Anchor isolated qubits near the start to keep the
+            // program in one region of the device.
+            if (c == qubit_cost(l, p)) {
+                c += 0.01 * static_cast<double>(
+                                topo.distance(p, start_physical));
+            }
+            if (c < best_cost) {
+                best_cost = c;
+                best_p = p;
+            }
+        }
+        fatalIf(best_p < 0, "greedyPlacement: no physical qubit available");
+        physical_of[static_cast<std::size_t>(l)] = best_p;
+        used[static_cast<std::size_t>(best_p)] = true;
+    }
+
+    return Layout(std::move(physical_of), topo.nQubits());
+}
+
+} // namespace reference
+
+TEST(PlacementReference, ContextMatchesFrozenGreedyPlacement)
+{
+    // One context per (program, device) must place exactly like the
+    // per-call original for every start, both placement families, and
+    // every measured set a CPM can ask for: all, none, and windows.
+    const auto suite = workloads::paperBenchmarks();
+    for (const DeviceModel &dev : {device::toronto(), device::manhattan()}) {
+        for (const auto &workload : suite) {
+            const QuantumCircuit &logical = workload->circuit();
+            const std::vector<int> qubit_of_clbit = logical.measuredQubits();
+            const int n_measured = static_cast<int>(qubit_of_clbit.size());
+
+            // (reference input circuit, measured mask) pairs.
+            std::vector<std::pair<QuantumCircuit, std::vector<bool>>> cases;
+            cases.emplace_back(logical, measuredMask(logical));
+            cases.emplace_back(
+                logical.withoutMeasurements(),
+                std::vector<bool>(
+                    static_cast<std::size_t>(logical.nQubits()), false));
+            for (int size : {2, 3}) {
+                for (int first : {size - 2, n_measured / 2 + size - 2}) {
+                    std::vector<int> lqs;
+                    std::vector<bool> mask(
+                        static_cast<std::size_t>(logical.nQubits()), false);
+                    for (int k = 0; k < size; ++k) {
+                        const int q = qubit_of_clbit[static_cast<std::size_t>(
+                            (first + k) % n_measured)];
+                        lqs.push_back(q);
+                        mask[static_cast<std::size_t>(q)] = true;
+                    }
+                    cases.emplace_back(logical.withMeasurementSubset(lqs),
+                                       std::move(mask));
+                }
+            }
+
+            const PlacementContext context(logical, dev);
+            for (bool aware : {true, false}) {
+                for (int start : rankedStartQubits(dev, aware)) {
+                    for (const auto &[circuit, mask] : cases) {
+                        EXPECT_EQ(context.place(start, aware, mask)
+                                      .logicalToPhysical(),
+                                  reference::greedyPlacement(circuit, dev,
+                                                             start, aware)
+                                      .logicalToPhysical())
+                            << workload->name() << " on " << dev.name()
+                            << " start " << start << " aware " << aware;
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------ transpiler

@@ -23,6 +23,7 @@
 #include "sim/simulators.h"
 #include "workloads/bv.h"
 #include "workloads/ghz.h"
+#include "workloads/registry.h"
 
 namespace jigsaw {
 namespace {
@@ -490,47 +491,67 @@ TEST(Pipeline, FromGlobalCpmsReuseTheGlobalGateSuccess)
 
 TEST(CpmRecompiler, MatchesFullTranspilePerSubset)
 {
-    const device::DeviceModel dev = device::toronto();
-    for (const circuit::QuantumCircuit &logical :
-         {workloads::Ghz(6).circuit(),
-          workloads::BernsteinVazirani(6).circuit()}) {
-        const compiler::CompiledCircuit global =
-            compiler::transpile(logical, dev);
-        compiler::TranspileOptions cpm_options;
-        cpm_options.maxSwaps = global.swapCount;
+    // Every paper benchmark on both devices, every JigSaw-M subset
+    // size, both selector modes: the batched recompiler must return
+    // bit for bit what a full transpile of the CPM circuit returns.
+    const auto suite = workloads::paperBenchmarks();
+    for (const device::DeviceModel &dev :
+         {device::toronto(), device::manhattan()}) {
+        for (const auto &workload : suite) {
+            const circuit::QuantumCircuit &logical = workload->circuit();
+            for (bool noise_aware : {true, false}) {
+                compiler::TranspileOptions options;
+                options.noiseAware = noise_aware;
+                const compiler::CompiledCircuit global =
+                    compiler::transpile(logical, dev, options);
+                compiler::TranspileOptions cpm_options = options;
+                cpm_options.maxSwaps = global.swapCount;
 
-        compiler::CpmRecompiler recompiler(logical, dev, cpm_options);
-        const std::vector<int> qubit_of_clbit = logical.measuredQubits();
-        for (const Subset &subset :
-             core::slidingWindowSubsets(logical.countMeasurements(), 2)) {
-            std::vector<int> lqs;
-            for (int c : subset)
-                lqs.push_back(qubit_of_clbit[static_cast<std::size_t>(c)]);
+                compiler::CpmRecompiler recompiler(logical, dev,
+                                                   cpm_options);
+                const std::vector<int> qubit_of_clbit =
+                    logical.measuredQubits();
+                for (int size : {2, 3, 4, 5}) {
+                    for (const Subset &subset : core::slidingWindowSubsets(
+                             logical.countMeasurements(), size)) {
+                        std::vector<int> lqs;
+                        for (int c : subset) {
+                            lqs.push_back(qubit_of_clbit[
+                                static_cast<std::size_t>(c)]);
+                        }
 
-            const compiler::CompiledCircuit batched =
-                recompiler.recompile(lqs);
-            const compiler::CompiledCircuit reference =
-                compiler::transpile(logical.withMeasurementSubset(lqs),
-                                    dev, cpm_options);
-            EXPECT_EQ(batched.physical.structuralHash(),
-                      reference.physical.structuralHash());
-            EXPECT_EQ(batched.initialLayout.logicalToPhysical(),
-                      reference.initialLayout.logicalToPhysical());
-            EXPECT_EQ(batched.finalLayout.logicalToPhysical(),
-                      reference.finalLayout.logicalToPhysical());
-            EXPECT_EQ(batched.swapCount, reference.swapCount);
-            EXPECT_EQ(batched.gateSuccess, reference.gateSuccess);
-            EXPECT_EQ(batched.measurementSuccess,
-                      reference.measurementSuccess);
-            EXPECT_EQ(batched.eps, reference.eps);
+                        const compiler::CompiledCircuit batched =
+                            recompiler.recompile(lqs);
+                        const compiler::CompiledCircuit reference =
+                            compiler::transpile(
+                                logical.withMeasurementSubset(lqs), dev,
+                                cpm_options);
+                        SCOPED_TRACE(workload->name() + " on " +
+                                     dev.name() + " size " +
+                                     std::to_string(size) + " aware " +
+                                     std::to_string(noise_aware));
+                        EXPECT_EQ(batched.physical.structuralHash(),
+                                  reference.physical.structuralHash());
+                        EXPECT_EQ(batched.initialLayout.logicalToPhysical(),
+                                  reference.initialLayout
+                                      .logicalToPhysical());
+                        EXPECT_EQ(batched.finalLayout.logicalToPhysical(),
+                                  reference.finalLayout.logicalToPhysical());
+                        EXPECT_EQ(batched.swapCount, reference.swapCount);
+                        EXPECT_EQ(batched.gateSuccess,
+                                  reference.gateSuccess);
+                        EXPECT_EQ(batched.measurementSuccess,
+                                  reference.measurementSuccess);
+                        EXPECT_EQ(batched.eps, reference.eps);
+                    }
+                }
+                // Sharing must actually happen: the distance-only
+                // placement family is measurement-independent, so
+                // across a whole sliding-window sweep the routing memo
+                // gets reused.
+                EXPECT_GT(recompiler.routingsReused(), 0u);
+            }
         }
-        // Sharing must actually happen: the distance-only placement
-        // family is measurement-independent, so across a whole
-        // sliding-window sweep the routing memo gets reused.
-        EXPECT_GT(recompiler.routingsReused(), 0u);
-        EXPECT_LT(recompiler.routingsComputed(),
-                  recompiler.routingsComputed() +
-                      recompiler.routingsReused());
     }
 }
 
