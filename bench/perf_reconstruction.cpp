@@ -803,14 +803,14 @@ main(int argc, char **argv)
                   << " ms -> " << opt_ms << " ms\n";
     }
 
-    // --- 3b. Reconstruction: >1M-outcome sharded rounds ------------
+    // --- 3b. Reconstruction: >1M-outcome fused rounds --------------
     {
-        // The large-support regime the sharded path exists for, with
-        // the round loops pinned to the scalar kernel table vs the
-        // active one (ReconstructionOptions::kernels): identical shard
+        // The large-support regime (dozens of shards), with the fused
+        // round loop pinned to the scalar kernel table vs the active
+        // one (ReconstructionOptions::kernels): identical shard
         // boundaries and reduction order, so the delta is the SIMD
-        // reconstruction kernels alone. Fixed rounds (tolerance 0) so
-        // both paths do the same work.
+        // reweightRound kernel alone. Fixed rounds (tolerance 0) so
+        // both runs do the same work.
         const int gq = n_qubits >= 16 ? 21 : 15;
         const std::size_t support =
             n_qubits >= 16 ? (1ULL << 20) : (1ULL << 14);
@@ -829,7 +829,6 @@ main(int argc, char **argv)
         core::ReconstructionOptions options;
         options.maxRounds = 6;
         options.tolerance = 0.0;
-        options.shardMode = core::ShardMode::Always;
 
         options.kernels = &simd::scalarKernels();
         auto start = std::chrono::steady_clock::now();
@@ -843,10 +842,11 @@ main(int argc, char **argv)
             core::bayesianReconstruct(global, marginals, options);
         const double opt_ms = msSince(start);
 
+        // Backends agree bitwise, so any drift at all is a bug.
         const double drift =
             totalVariationDistance(scalar_out, simd_out);
-        if (drift > 1e-9) {
-            std::cerr << "ERROR: SIMD reconstruction kernels diverged "
+        if (drift > 0.0) {
+            std::cerr << "ERROR: SIMD reconstruction kernel diverged "
                          "from scalar (total variation "
                       << drift << ")\n";
             return 1;

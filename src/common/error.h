@@ -24,12 +24,31 @@ fatalIf(bool condition, const std::string &message)
         throw std::invalid_argument(message);
 }
 
+/**
+ * fatalIf() for a literal message: the string is only built when the
+ * check fails, so hot accessors pay nothing for passing checks.
+ */
+inline void
+fatalIf(bool condition, const char *message)
+{
+    if (condition)
+        throw std::invalid_argument(message);
+}
+
 /** Abort when an internal invariant is violated (a library bug). */
 inline void
 panicIf(bool condition, const std::string &message)
 {
     if (condition)
         throw std::logic_error("internal error: " + message);
+}
+
+/** panicIf() for a literal message (no allocation when it passes). */
+inline void
+panicIf(bool condition, const char *message)
+{
+    if (condition)
+        throw std::logic_error(std::string("internal error: ") + message);
 }
 
 /**

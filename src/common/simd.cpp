@@ -27,12 +27,7 @@ constexpr const char *kKernelNames[kKernelCount] = {
     "stratum_phase_table",
     "phase_table",
     "norm2",
-    "accumulate_buckets",
-    "posterior_update",
-    "axpy",
-    "scale",
-    "sum",
-    "normalize_bhattacharyya",
+    "reweight_round",
 };
 
 constexpr const char *kBackendNames[kBackendCount] = {
@@ -213,75 +208,30 @@ scalarNorm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
-void
-scalarAccumulateBuckets(const std::uint32_t *bucket_of, const double *w,
-                        U64 lo, U64 hi, double *mass)
-{
-    detail::countDispatch(kAccumulateBuckets, kBackendScalar);
-    for (U64 i = lo; i < hi; ++i)
-        mass[bucket_of[i]] += w[i];
-}
-
 double
-scalarPosteriorUpdate(const std::uint32_t *bucket_of, const double *odds,
-                      const double *mass, const double *w, double *post,
-                      U64 lo, U64 hi)
+scalarReweightRound(const double *cur, double *next,
+                    const ReweightTerm *terms, U64 n_terms, double c0,
+                    U64 lo, U64 hi)
 {
-    detail::countDispatch(kPosteriorUpdate, kBackendScalar);
-    double sum = 0.0;
+    detail::countDispatch(kReweightRound, kBackendScalar);
+    double bc[kReweightLanes] = {};
     for (U64 i = lo; i < hi; ++i) {
-        const std::uint32_t b = bucket_of[i];
-        const double o = odds[b];
-        double v;
-        if (o < 0.0 || mass[b] <= 0.0)
-            v = w[i];
-        else
-            v = (w[i] / mass[b]) * o;
-        post[i] = v;
-        sum += v;
+        double factor = c0;
+        for (U64 t = 0; t < n_terms; ++t)
+            factor += terms[t].weight[terms[t].bucketOf[i]];
+        const double v = cur[i] * factor;
+        next[i] = v;
+        const U64 lane = (i - lo) % kReweightLanes;
+        for (U64 t = 0; t < n_terms; ++t)
+            terms[t].mass[lane * terms[t].stride + terms[t].bucketOf[i]] +=
+                v;
+        if (cur[i] > 0.0 && v > 0.0)
+            bc[lane] += std::sqrt(cur[i] * v);
     }
-    return sum;
-}
-
-void
-scalarAxpy(double *y, const double *x, double a, U64 lo, U64 hi)
-{
-    detail::countDispatch(kAxpy, kBackendScalar);
-    for (U64 i = lo; i < hi; ++i)
-        y[i] += a * x[i];
-}
-
-void
-scalarScale(double *x, double a, U64 lo, U64 hi)
-{
-    detail::countDispatch(kScale, kBackendScalar);
-    for (U64 i = lo; i < hi; ++i)
-        x[i] *= a;
-}
-
-double
-scalarSum(const double *x, U64 lo, U64 hi)
-{
-    detail::countDispatch(kSum, kBackendScalar);
     double total = 0.0;
-    for (U64 i = lo; i < hi; ++i)
-        total += x[i];
+    for (double lane : bc)
+        total += lane;
     return total;
-}
-
-double
-scalarNormalizeBhattacharyya(double *v, const double *ref,
-                             double inv_total, U64 lo, U64 hi)
-{
-    detail::countDispatch(kNormalizeBhattacharyya, kBackendScalar);
-    double bc = 0.0;
-    for (U64 i = lo; i < hi; ++i) {
-        const double scaled = v[i] * inv_total;
-        v[i] = scaled;
-        if (ref[i] > 0.0 && scaled > 0.0)
-            bc += std::sqrt(ref[i] * scaled);
-    }
-    return bc;
 }
 
 const KernelTable scalarTable = {
@@ -294,12 +244,7 @@ const KernelTable scalarTable = {
     scalarStratumPhaseTable,
     scalarPhaseTable,
     scalarNorm2,
-    scalarAccumulateBuckets,
-    scalarPosteriorUpdate,
-    scalarAxpy,
-    scalarScale,
-    scalarSum,
-    scalarNormalizeBhattacharyya,
+    scalarReweightRound,
 };
 
 bool

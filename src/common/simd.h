@@ -52,6 +52,19 @@ struct Mat2Split
     double im[4];
 };
 
+/** Lanes of reweightRound's lane-split reductions. */
+constexpr std::uint64_t kReweightLanes = 8;
+
+/** One marginal's buckets in a reweightRound pass. */
+struct ReweightTerm
+{
+    const std::uint32_t *bucketOf; ///< Outcome index -> bucket.
+    const double *weight;          ///< Bucket -> additive weight.
+    /** kReweightLanes rows of @c stride bucket masses, accumulated. */
+    double *mass;
+    std::uint64_t stride; ///< Buckets per lane row.
+};
+
 /**
  * One implementation of every amplitude kernel. All kernels operate on
  * split real/imaginary arrays and cover the half-open index range
@@ -139,62 +152,28 @@ struct KernelTable
     double (*norm2)(const double *re, const double *im, std::uint64_t lo,
                     std::uint64_t hi);
 
-    /** @name Reconstruction kernels.
+    /**
+     * One fused Bayesian reconstruction round (core/bayesian.cpp) over
+     * the outcome range [lo, hi):
      *
-     * The Bayesian reconstruction round loops (core/bayesian.cpp)
-     * expressed as flat-vector kernels so the per-marginal and
-     * sharded paths dispatch through the same table as the amplitude
-     * kernels — and so a future distributed tier (ROADMAP item 1) or
-     * fourth backend can swap all of them at one seam. All cover
-     * [lo, hi) half-open ranges; every backend computes bitwise-
-     * identical per-element outputs (multiply/divide only, no FMA
-     * contraction), while the returned reductions may group sums
-     * differently per backend and agree only to tolerance.
-     * @{ */
-
-    /**
-     * Bucket-mass accumulate: mass[bucket_of[i]] += w[i]. The scatter
-     * has intra-lane conflicts (many outcomes share a bucket), so
-     * every current backend runs it scalar; it lives in the table as
-     * the seam a conflict-detecting or distributed version plugs into.
+     *   next[i] = cur[i] * (c0 + w_0[b_0(i)] + ... + w_{n-1}[b_{n-1}(i)])
+     *
+     * with w_t = terms[t].weight, b_t(i) = terms[t].bucketOf[i], and
+     * the weights added left to right. The same pass accumulates
+     * next[i] into every term's lane-split bucket masses,
+     * mass[l * stride + b_t(i)] with lane l = (i - lo) mod
+     * kReweightLanes (the next round's masses), and returns the
+     * Bhattacharyya sum of sqrt(cur[i] * next[i]) over the elements
+     * where both are positive, accumulated per lane and reduced in
+     * lane order. Lanes keep runs of outcomes in one bucket off a
+     * single store-to-load chain. Every backend adds in the same
+     * order without FMA contraction, so next, the masses and the
+     * returned sum are bitwise identical across backends.
      */
-    void (*accumulateBuckets)(const std::uint32_t *bucket_of,
-                              const double *w, std::uint64_t lo,
-                              std::uint64_t hi, double *mass);
-
-    /**
-     * Unnormalized Bayesian posterior: for each outcome i with bucket
-     * b = bucket_of[i], post[i] = (w[i] / mass[b]) * odds[b], except
-     * that outcomes whose bucket carries no evidence (odds[b] < 0) or
-     * no prior mass (mass[b] <= 0) keep their prior value w[i].
-     * Returns the sum of post over the range (the normalizer
-     * contribution).
-     */
-    double (*posteriorUpdate)(const std::uint32_t *bucket_of,
-                              const double *odds, const double *mass,
-                              const double *w, double *post,
-                              std::uint64_t lo, std::uint64_t hi);
-
-    /** y[i] += a * x[i] over [lo, hi) (posterior sum into the prior). */
-    void (*axpy)(double *y, const double *x, double a, std::uint64_t lo,
-                 std::uint64_t hi);
-
-    /** x[i] *= a over [lo, hi) (posterior/prior normalization). */
-    void (*scale)(double *x, double a, std::uint64_t lo, std::uint64_t hi);
-
-    /** Sum of x over [lo, hi). */
-    double (*sum)(const double *x, std::uint64_t lo, std::uint64_t hi);
-
-    /**
-     * Fused normalize + Bhattacharyya term: v[i] *= inv_total, and the
-     * return value accumulates sqrt(ref[i] * v[i]) over the elements
-     * where both factors are positive — the convergence measure of one
-     * reconstruction round against the previous round's output @p ref.
-     */
-    double (*normalizeBhattacharyya)(double *v, const double *ref,
-                                     double inv_total, std::uint64_t lo,
-                                     std::uint64_t hi);
-    /** @} */
+    double (*reweightRound)(const double *cur, double *next,
+                            const ReweightTerm *terms,
+                            std::uint64_t n_terms, double c0,
+                            std::uint64_t lo, std::uint64_t hi);
 };
 
 /** The portable scalar kernels (always available). */
@@ -247,12 +226,7 @@ enum Kernel : int
     kStratumPhaseTable,
     kPhaseTable,
     kNorm2,
-    kAccumulateBuckets,
-    kPosteriorUpdate,
-    kAxpy,
-    kScale,
-    kSum,
-    kNormalizeBhattacharyya,
+    kReweightRound,
     kKernelCount
 };
 
@@ -265,7 +239,7 @@ enum Backend : int
     kBackendCount
 };
 
-/** Short stable name for JSON keys ("phase_table", "axpy", ...). */
+/** Short stable name for JSON keys ("phase_table", ...). */
 const char *kernelName(int kernel);
 
 /** Short stable name ("scalar", "avx2", "avx512"). */

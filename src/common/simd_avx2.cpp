@@ -698,139 +698,69 @@ avx2Norm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
-void
-avx2AccumulateBuckets(const std::uint32_t *bucket_of, const double *w,
-                      U64 lo, U64 hi, double *mass)
-{
-    // Scatter-accumulate with intra-lane bucket conflicts: scalar on
-    // every backend; the table entry is the dispatch seam.
-    detail::countDispatch(kAccumulateBuckets, kBackendAvx2);
-    for (U64 i = lo; i < hi; ++i)
-        mass[bucket_of[i]] += w[i];
-}
-
 double
-avx2PosteriorUpdate(const std::uint32_t *bucket_of, const double *odds,
-                    const double *mass, const double *w, double *post,
-                    U64 lo, U64 hi)
+avx2ReweightRound(const double *cur, double *next, const ReweightTerm *terms,
+                  U64 n_terms, double c0, U64 lo, U64 hi)
 {
-    detail::countDispatch(kPosteriorUpdate, kBackendAvx2);
+    detail::countDispatch(kReweightRound, kBackendAvx2);
+    // One 8-outcome block per iteration as two 4-wide halves: element
+    // l of a block is lane l of the lane-split reductions (halves
+    // hold lanes 0-3 and 4-7), matching the scalar lane grouping.
+    const __m256d vc0 = _mm256_set1_pd(c0);
     const __m256d zero = _mm256_setzero_pd();
-    __m256d acc = zero;
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    __m256d acc[2] = {zero, zero};
+    alignas(32) double v[8];
     U64 i = lo;
-    for (; i + 4 <= hi; i += 4) {
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(bucket_of + i));
-        const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-        const __m256d vo = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                                    odds, b, ones, 8);
-        const __m256d vm = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                                    mass, b, ones, 8);
-        const __m256d vw = _mm256_loadu_pd(w + i);
-        // Keep the prior where the bucket carries no evidence or no
-        // mass; the blended-away lanes may divide by zero (benign).
-        const __m256d keep =
-            _mm256_or_pd(_mm256_cmp_pd(vo, zero, _CMP_LT_OQ),
-                         _mm256_cmp_pd(vm, zero, _CMP_LE_OQ));
-        const __m256d upd = _mm256_mul_pd(_mm256_div_pd(vw, vm), vo);
-        const __m256d v = _mm256_blendv_pd(upd, vw, keep);
-        _mm256_storeu_pd(post + i, v);
-        acc = _mm256_add_pd(acc, v);
+    for (; i + 8 <= hi; i += 8) {
+        for (U64 h = 0; h < 2; ++h) {
+            const U64 j = i + 4 * h;
+            __m256d factor = vc0;
+            for (U64 t = 0; t < n_terms; ++t) {
+                const __m128i b = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(terms[t].bucketOf +
+                                                      j));
+                factor = _mm256_add_pd(
+                    factor, _mm256_mask_i32gather_pd(zero, terms[t].weight,
+                                                     b, all, 8));
+            }
+            const __m256d vc = _mm256_loadu_pd(cur + j);
+            const __m256d vn = _mm256_mul_pd(vc, factor);
+            _mm256_storeu_pd(next + j, vn);
+            _mm256_store_pd(v + 4 * h, vn);
+            const __m256d pos =
+                _mm256_and_pd(_mm256_cmp_pd(vc, zero, _CMP_GT_OQ),
+                              _mm256_cmp_pd(vn, zero, _CMP_GT_OQ));
+            const __m256d term = _mm256_sqrt_pd(_mm256_mul_pd(vc, vn));
+            acc[h] = _mm256_add_pd(acc[h], _mm256_and_pd(term, pos));
+        }
+        for (U64 t = 0; t < n_terms; ++t) {
+            const std::uint32_t *b = terms[t].bucketOf + i;
+            double *mass = terms[t].mass;
+            const U64 stride = terms[t].stride;
+            for (U64 l = 0; l < 8; ++l)
+                mass[l * stride + b[l]] += v[l];
+        }
     }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    double sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+    alignas(32) double lanes[8];
+    _mm256_store_pd(lanes, acc[0]);
+    _mm256_store_pd(lanes + 4, acc[1]);
     for (; i < hi; ++i) {
-        const std::uint32_t b = bucket_of[i];
-        const double o = odds[b];
-        double v;
-        if (o < 0.0 || mass[b] <= 0.0)
-            v = w[i];
-        else
-            v = (w[i] / mass[b]) * o;
-        post[i] = v;
-        sum += v;
+        double factor = c0;
+        for (U64 t = 0; t < n_terms; ++t)
+            factor += terms[t].weight[terms[t].bucketOf[i]];
+        const double vi = cur[i] * factor;
+        next[i] = vi;
+        const U64 lane = (i - lo) % kReweightLanes;
+        for (U64 t = 0; t < n_terms; ++t)
+            terms[t].mass[lane * terms[t].stride + terms[t].bucketOf[i]] +=
+                vi;
+        if (cur[i] > 0.0 && vi > 0.0)
+            lanes[lane] += std::sqrt(cur[i] * vi);
     }
-    return sum;
-}
-
-void
-avx2Axpy(double *y, const double *x, double a, U64 lo, U64 hi)
-{
-    detail::countDispatch(kAxpy, kBackendAvx2);
-    const __m256d va = _mm256_set1_pd(a);
-    U64 i = lo;
-    for (; i + 4 <= hi; i += 4) {
-        const __m256d vy = _mm256_loadu_pd(y + i);
-        const __m256d vx = _mm256_loadu_pd(x + i);
-        // mul + add rather than FMA: per-element parity with the
-        // scalar backend (only reductions regroup across backends).
-        _mm256_storeu_pd(y + i,
-                         _mm256_add_pd(vy, _mm256_mul_pd(va, vx)));
-    }
-    for (; i < hi; ++i)
-        y[i] += a * x[i];
-}
-
-void
-avx2Scale(double *x, double a, U64 lo, U64 hi)
-{
-    detail::countDispatch(kScale, kBackendAvx2);
-    const __m256d va = _mm256_set1_pd(a);
-    U64 i = lo;
-    for (; i + 4 <= hi; i += 4)
-        _mm256_storeu_pd(x + i,
-                         _mm256_mul_pd(_mm256_loadu_pd(x + i), va));
-    for (; i < hi; ++i)
-        x[i] *= a;
-}
-
-double
-avx2Sum(const double *x, U64 lo, U64 hi)
-{
-    detail::countDispatch(kSum, kBackendAvx2);
-    __m256d acc = _mm256_setzero_pd();
-    U64 i = lo;
-    for (; i + 4 <= hi; i += 4)
-        acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    double total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < hi; ++i)
-        total += x[i];
-    return total;
-}
-
-double
-avx2NormalizeBhattacharyya(double *v, const double *ref, double inv_total,
-                           U64 lo, U64 hi)
-{
-    detail::countDispatch(kNormalizeBhattacharyya, kBackendAvx2);
-    const __m256d vinv = _mm256_set1_pd(inv_total);
-    const __m256d zero = _mm256_setzero_pd();
-    __m256d acc = zero;
-    U64 i = lo;
-    for (; i + 4 <= hi; i += 4) {
-        const __m256d scaled =
-            _mm256_mul_pd(_mm256_loadu_pd(v + i), vinv);
-        _mm256_storeu_pd(v + i, scaled);
-        const __m256d vr = _mm256_loadu_pd(ref + i);
-        const __m256d pos =
-            _mm256_and_pd(_mm256_cmp_pd(vr, zero, _CMP_GT_OQ),
-                          _mm256_cmp_pd(scaled, zero, _CMP_GT_OQ));
-        const __m256d term =
-            _mm256_sqrt_pd(_mm256_mul_pd(vr, scaled));
-        acc = _mm256_add_pd(acc, _mm256_and_pd(term, pos));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    double bc = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < hi; ++i) {
-        const double scaled = v[i] * inv_total;
-        v[i] = scaled;
-        if (ref[i] > 0.0 && scaled > 0.0)
-            bc += std::sqrt(ref[i] * scaled);
-    }
+    double bc = 0.0;
+    for (double lane : lanes)
+        bc += lane;
     return bc;
 }
 
@@ -844,12 +774,7 @@ const KernelTable avx2Table = {
     avx2StratumPhaseTable,
     avx2PhaseTable,
     avx2Norm2,
-    avx2AccumulateBuckets,
-    avx2PosteriorUpdate,
-    avx2Axpy,
-    avx2Scale,
-    avx2Sum,
-    avx2NormalizeBhattacharyya,
+    avx2ReweightRound,
 };
 
 } // namespace

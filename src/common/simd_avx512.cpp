@@ -478,149 +478,67 @@ avx512Norm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
-void
-avx512AccumulateBuckets(const std::uint32_t *bucket_of, const double *w,
-                        U64 lo, U64 hi, double *mass)
-{
-    // The scatter-accumulate has intra-lane bucket conflicts, so this
-    // backend runs it scalar too; the table entry is the dispatch
-    // seam, not a speedup yet.
-    detail::countDispatch(kAccumulateBuckets, kBackendAvx512);
-    for (U64 i = lo; i < hi; ++i)
-        mass[bucket_of[i]] += w[i];
-}
-
 double
-avx512PosteriorUpdate(const std::uint32_t *bucket_of, const double *odds,
-                      const double *mass, const double *w, double *post,
-                      U64 lo, U64 hi)
+avx512ReweightRound(const double *cur, double *next,
+                    const ReweightTerm *terms, U64 n_terms, double c0,
+                    U64 lo, U64 hi)
 {
-    detail::countDispatch(kPosteriorUpdate, kBackendAvx512);
+    detail::countDispatch(kReweightRound, kBackendAvx512);
+    // One 8-outcome block per iteration: element l of a block is lane
+    // l of the lane-split reductions, so the vector accumulator is the
+    // lane array and a block's mass updates never share a row.
+    const __m512d vc0 = _mm512_set1_pd(c0);
     const __m512d zero = _mm512_setzero_pd();
     __m512d acc = zero;
+    alignas(64) double v[8];
     U64 i = lo;
     for (; i + 8 <= hi; i += 8) {
-        const __m256i b = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(bucket_of + i));
-        const __m512d vo = _mm512_mask_i32gather_pd(
-            _mm512_setzero_pd(), 0xFF, b, odds, 8);
-        const __m512d vm = _mm512_mask_i32gather_pd(
-            _mm512_setzero_pd(), 0xFF, b, mass, 8);
-        const __m512d vw = _mm512_loadu_pd(w + i);
-        // Keep the prior where the bucket carries no evidence or no
-        // mass; the blended-away lanes may divide by zero, which is
-        // benign (no trapping, result discarded).
-        const __mmask8 keep = static_cast<__mmask8>(
-            _mm512_cmp_pd_mask(vo, zero, _CMP_LT_OQ) |
-            _mm512_cmp_pd_mask(vm, zero, _CMP_LE_OQ));
-        const __m512d upd = _mm512_mul_pd(_mm512_div_pd(vw, vm), vo);
-        const __m512d v = _mm512_mask_blend_pd(keep, upd, vw);
-        _mm512_storeu_pd(post + i, v);
-        acc = _mm512_add_pd(acc, v);
-    }
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, acc);
-    double sum = 0.0;
-    for (double lane : lanes)
-        sum += lane;
-    for (; i < hi; ++i) {
-        const std::uint32_t b = bucket_of[i];
-        const double o = odds[b];
-        double v;
-        if (o < 0.0 || mass[b] <= 0.0)
-            v = w[i];
-        else
-            v = (w[i] / mass[b]) * o;
-        post[i] = v;
-        sum += v;
-    }
-    return sum;
-}
-
-void
-avx512Axpy(double *y, const double *x, double a, U64 lo, U64 hi)
-{
-    detail::countDispatch(kAxpy, kBackendAvx512);
-    const __m512d va = _mm512_set1_pd(a);
-    U64 i = lo;
-    for (; i + 8 <= hi; i += 8) {
-        const __m512d vy = _mm512_loadu_pd(y + i);
-        const __m512d vx = _mm512_loadu_pd(x + i);
-        // mul + add rather than FMA: per-element parity with the
-        // scalar backend (only reductions regroup across backends).
-        _mm512_storeu_pd(y + i,
-                         _mm512_add_pd(vy, _mm512_mul_pd(va, vx)));
-    }
-    for (; i < hi; ++i)
-        y[i] += a * x[i];
-}
-
-void
-avx512Scale(double *x, double a, U64 lo, U64 hi)
-{
-    detail::countDispatch(kScale, kBackendAvx512);
-    const __m512d va = _mm512_set1_pd(a);
-    U64 i = lo;
-    for (; i + 8 <= hi; i += 8)
-        _mm512_storeu_pd(x + i,
-                         _mm512_mul_pd(_mm512_loadu_pd(x + i), va));
-    for (; i < hi; ++i)
-        x[i] *= a;
-}
-
-double
-avx512Sum(const double *x, U64 lo, U64 hi)
-{
-    detail::countDispatch(kSum, kBackendAvx512);
-    __m512d acc = _mm512_setzero_pd();
-    U64 i = lo;
-    for (; i + 8 <= hi; i += 8)
-        acc = _mm512_add_pd(acc, _mm512_loadu_pd(x + i));
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, acc);
-    double total = 0.0;
-    for (double lane : lanes)
-        total += lane;
-    for (; i < hi; ++i)
-        total += x[i];
-    return total;
-}
-
-double
-avx512NormalizeBhattacharyya(double *v, const double *ref,
-                             double inv_total, U64 lo, U64 hi)
-{
-    detail::countDispatch(kNormalizeBhattacharyya, kBackendAvx512);
-    const __m512d vinv = _mm512_set1_pd(inv_total);
-    const __m512d zero = _mm512_setzero_pd();
-    __m512d acc = zero;
-    U64 i = lo;
-    for (; i + 8 <= hi; i += 8) {
-        const __m512d scaled =
-            _mm512_mul_pd(_mm512_loadu_pd(v + i), vinv);
-        _mm512_storeu_pd(v + i, scaled);
-        const __m512d vr = _mm512_loadu_pd(ref + i);
+        __m512d factor = vc0;
+        for (U64 t = 0; t < n_terms; ++t) {
+            const __m256i b = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(terms[t].bucketOf + i));
+            factor = _mm512_add_pd(
+                factor, _mm512_mask_i32gather_pd(zero, 0xFF, b,
+                                                 terms[t].weight, 8));
+        }
+        const __m512d vc = _mm512_loadu_pd(cur + i);
+        const __m512d vn = _mm512_mul_pd(vc, factor);
+        _mm512_storeu_pd(next + i, vn);
+        _mm512_store_pd(v, vn);
         const __mmask8 pos = static_cast<__mmask8>(
-            _mm512_cmp_pd_mask(vr, zero, _CMP_GT_OQ) &
-            _mm512_cmp_pd_mask(scaled, zero, _CMP_GT_OQ));
+            _mm512_cmp_pd_mask(vc, zero, _CMP_GT_OQ) &
+            _mm512_cmp_pd_mask(vn, zero, _CMP_GT_OQ));
         // maskz form only to sidestep the undefined pass-through in
-        // the plain intrinsic; sqrt of negative dead lanes is fine
-        // either way (the accumulate below masks them out).
+        // the plain intrinsic; dead lanes are masked out of the add.
         const __m512d term =
-            _mm512_maskz_sqrt_pd(0xFF, _mm512_mul_pd(vr, scaled));
+            _mm512_maskz_sqrt_pd(0xFF, _mm512_mul_pd(vc, vn));
         acc = _mm512_mask_add_pd(acc, pos, acc, term);
+        for (U64 t = 0; t < n_terms; ++t) {
+            const std::uint32_t *b = terms[t].bucketOf + i;
+            double *mass = terms[t].mass;
+            const U64 stride = terms[t].stride;
+            for (U64 l = 0; l < 8; ++l)
+                mass[l * stride + b[l]] += v[l];
+        }
     }
     alignas(64) double lanes[8];
     _mm512_store_pd(lanes, acc);
+    for (; i < hi; ++i) {
+        double factor = c0;
+        for (U64 t = 0; t < n_terms; ++t)
+            factor += terms[t].weight[terms[t].bucketOf[i]];
+        const double vi = cur[i] * factor;
+        next[i] = vi;
+        const U64 lane = (i - lo) % kReweightLanes;
+        for (U64 t = 0; t < n_terms; ++t)
+            terms[t].mass[lane * terms[t].stride + terms[t].bucketOf[i]] +=
+                vi;
+        if (cur[i] > 0.0 && vi > 0.0)
+            lanes[lane] += std::sqrt(cur[i] * vi);
+    }
     double bc = 0.0;
     for (double lane : lanes)
         bc += lane;
-    for (; i < hi; ++i) {
-        const double scaled = v[i] * inv_total;
-        v[i] = scaled;
-        if (ref[i] > 0.0 && scaled > 0.0)
-            bc += std::sqrt(ref[i] * scaled);
-    }
     return bc;
 }
 
@@ -634,12 +552,7 @@ const KernelTable avx512Table = {
     avx512StratumPhaseTable,
     avx512PhaseTable,
     avx512Norm2,
-    avx512AccumulateBuckets,
-    avx512PosteriorUpdate,
-    avx512Axpy,
-    avx512Scale,
-    avx512Sum,
-    avx512NormalizeBhattacharyya,
+    avx512ReweightRound,
 };
 
 } // namespace

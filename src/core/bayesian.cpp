@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -36,239 +36,276 @@ evidenceOdds(double pry)
 }
 
 /**
- * A marginal compiled against a fixed outcome list: each outcome's
- * subset key is resolved once to a dense bucket id, and each bucket
- * carries its precomputed evidence odds (or "keep prior" when the
- * local PMF has no mass there). Valid for every round because
- * reconstruction never grows the support.
+ * Portable PEXT: gathers the bits of an outcome at ascending positions
+ * into the low bits of a key, one shift-and-mask per run of adjacent
+ * positions (a sliding-window subset has one or two runs).
  */
-struct IndexedMarginal
+class BitGather
 {
-    std::vector<std::uint32_t> bucketOf; ///< Outcome index -> bucket.
-    std::vector<double> odds; ///< Bucket -> odds; < 0 keeps the prior.
-    std::size_t nBuckets = 0;
+  public:
+    explicit BitGather(const Subset &ascending)
+    {
+        for (std::size_t j = 0; j < ascending.size();) {
+            std::size_t end = j + 1;
+            while (end < ascending.size() &&
+                   ascending[end] == ascending[end - 1] + 1)
+                ++end;
+            const std::size_t len = end - j;
+            const BasisState ones =
+                len >= 64 ? ~BasisState{0} : (BasisState{1} << len) - 1;
+            runs_.push_back(
+                {ascending[j] - static_cast<int>(j), ones << j});
+            j = end;
+        }
+    }
+
+    BasisState operator()(BasisState outcome) const
+    {
+        BasisState key = 0;
+        for (const Run &run : runs_)
+            key |= (outcome >> run.shift) & run.mask;
+        return key;
+    }
+
+  private:
+    struct Run
+    {
+        int shift;       ///< Source position minus key position.
+        BasisState mask; ///< The run's bits in the key.
+    };
+    std::vector<Run> runs_;
 };
 
-IndexedMarginal
+/** Subsets of at most this many bits index their buckets by the dense
+ *  subset key (2^k slots); wider ones by rank among the keys present,
+ *  so their tables stay within the support size. */
+constexpr std::size_t kMaxDenseKeyBits = 12;
+
+/**
+ * Compiles marginal @p m against the flat outcome list: writes each
+ * outcome's bucket to @p bucket_of and returns each bucket's evidence
+ * odds (< 0 keeps the prior, as for a subset value the local PMF never
+ * observed). Valid for every round because reconstruction never grows
+ * the support.
+ */
+std::vector<double>
 indexMarginal(const std::vector<BasisState> &outcomes, const Marginal &m,
-              double evidence_threshold)
+              double evidence_threshold, std::uint32_t *bucket_of)
 {
-    IndexedMarginal idx;
-    idx.bucketOf.resize(outcomes.size());
-    std::unordered_map<BasisState, std::uint32_t> bucket_of_key;
-    bucket_of_key.reserve(1ULL << std::min<std::size_t>(m.qubits.size(),
-                                                        16));
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const BasisState key = extractBits(outcomes[i], m.qubits);
-        const auto [it, inserted] = bucket_of_key.emplace(
-            key, static_cast<std::uint32_t>(idx.odds.size()));
-        if (inserted) {
-            const double pry = m.local.prob(key);
-            idx.odds.push_back(pry > evidence_threshold
-                                   ? evidenceOdds(pry)
-                                   : -1.0);
-        }
-        idx.bucketOf[i] = it->second;
+    Subset ascending = m.qubits;
+    std::sort(ascending.begin(), ascending.end());
+    const BitGather gather(ascending);
+    const std::size_t n = outcomes.size();
+
+    // Each bucket's subset key, bit j = ascending[j].
+    std::vector<BasisState> bucket_keys;
+    if (ascending.size() <= kMaxDenseKeyBits) {
+        for (std::size_t i = 0; i < n; ++i)
+            bucket_of[i] = static_cast<std::uint32_t>(gather(outcomes[i]));
+        bucket_keys.resize(std::size_t{1} << ascending.size());
+        std::iota(bucket_keys.begin(), bucket_keys.end(), BasisState{0});
+    } else {
+        std::vector<BasisState> keys(n);
+        for (std::size_t i = 0; i < n; ++i)
+            keys[i] = gather(outcomes[i]);
+        bucket_keys = keys;
+        std::sort(bucket_keys.begin(), bucket_keys.end());
+        bucket_keys.erase(
+            std::unique(bucket_keys.begin(), bucket_keys.end()),
+            bucket_keys.end());
+        for (std::size_t i = 0; i < n; ++i)
+            bucket_of[i] = static_cast<std::uint32_t>(
+                std::lower_bound(bucket_keys.begin(), bucket_keys.end(),
+                                 keys[i]) -
+                bucket_keys.begin());
     }
-    idx.nBuckets = idx.odds.size();
-    return idx;
+
+    // The local PMF is keyed in the marginal's own bit order.
+    std::vector<double> odds(bucket_keys.size());
+    for (std::size_t b = 0; b < bucket_keys.size(); ++b) {
+        const double pry = m.local.prob(
+            extractBits(depositBits(bucket_keys[b], ascending), m.qubits));
+        odds[b] = pry > evidence_threshold ? evidenceOdds(pry) : -1.0;
+    }
+    return odds;
 }
 
-/** Outcomes per shard in the sharded round path. Fixed (independent
- *  of the thread count) so shard boundaries — and therefore every
+/** Outcomes per shard (at least; see reconstructLayer). Independent
+ *  of the thread count, so shard boundaries — and therefore every
  *  reduction's grouping — are deterministic. */
 constexpr std::size_t kShardSize = 1ULL << 14;
 
-/** Supports at least this large take the sharded path under Auto. */
-constexpr std::size_t kShardAutoThreshold = 1ULL << 17;
-
 /**
- * The per-marginal round loop: one posterior vector per thread, the
- * posterior sum into the prior done serially in marginal order. Every
- * dense vector pass dispatches through the kernel table @p kt.
+ * Iterated rounds of one layer's marginals over the flat outcome
+ * vector @p cur (in place; @p next is scratch of the same size).
+ *
+ * A round's Bayesian update of marginal m rescales every outcome i in
+ * bucket b by f_m[b] = odds[b] / mass_m[b], or 1 where the prior is
+ * kept, so its posterior sum is sum_b mass_m[b] f_m[b] and the round
+ * total follows from the bucket masses alone. The round is then one
+ * pass per shard:
+ *
+ *   next[i] = cur[i] * (1/total + sum_m s_m f_m[b_m(i)] / total)
+ *
+ * with s_m the inverse posterior sum, which also accumulates the
+ * Bhattacharyya term and the next round's lane-split bucket masses.
+ * Partial masses reduce lanes, then shards, in a fixed order, so the
+ * result is bitwise identical whatever the thread count and backend.
  */
 void
-perMarginalRounds(std::vector<double> &cur,
-                  const std::vector<IndexedMarginal> &indexed,
-                  const ReconstructionOptions &options,
-                  const simd::KernelTable &kt)
+reconstructLayer(std::vector<double> &cur, std::vector<double> &next,
+                 const std::vector<BasisState> &outcomes,
+                 const std::vector<const Marginal *> &layer,
+                 const ReconstructionOptions &options,
+                 const simd::KernelTable &kt)
 {
+    if (options.maxRounds <= 0)
+        return;
     const std::size_t n = cur.size();
-    const std::size_t n_m = indexed.size();
-    std::vector<std::vector<double>> posts(
-        n_m, std::vector<double>(n, 0.0));
+    const std::size_t n_m = layer.size();
+    constexpr std::size_t lanes = simd::kReweightLanes;
 
-    std::vector<double> accum(n);
-    for (int round = 0; round < options.maxRounds; ++round) {
-        // One Bayesian_Reconstruction call: all marginals update the
-        // same prior (the previous round's output) independently —
-        // computed in parallel — and the normalized posteriors are
-        // summed into it in marginal order, so the result is
-        // identical however many threads ran.
-        parallelFor(0, n_m, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t mi = lo; mi < hi; ++mi) {
-                const IndexedMarginal &im = indexed[mi];
-                std::vector<double> &post = posts[mi];
-                std::vector<double> mass(im.nBuckets, 0.0);
-                kt.accumulateBuckets(im.bucketOf.data(), cur.data(), 0,
-                                     n, mass.data());
-                const double post_sum = kt.posteriorUpdate(
-                    im.bucketOf.data(), im.odds.data(), mass.data(),
-                    cur.data(), post.data(), 0, n);
-                if (post_sum > 0.0)
-                    kt.scale(post.data(), 1.0 / post_sum, 0, n);
+    // Every marginal's bucket of every outcome, in one allocation.
+    std::vector<std::uint32_t> bucket_of(n_m * n);
+    std::vector<std::vector<double>> odds(n_m);
+    std::size_t widest = 0;
+    for (std::size_t mi = 0; mi < n_m; ++mi) {
+        odds[mi] = indexMarginal(outcomes, *layer[mi],
+                                 options.evidenceThreshold,
+                                 bucket_of.data() + mi * n);
+        widest = std::max(widest, odds[mi].size());
+    }
+
+    // Shards hold at least four outcomes per partial-mass slot of the
+    // widest table, so zeroing and reducing the partials stays a small
+    // part of a pass.
+    const std::size_t shard_size =
+        std::max(kShardSize, 4 * lanes * widest);
+    const std::size_t n_shards = (n + shard_size - 1) / shard_size;
+
+    // Per marginal: [shard][lane][bucket] partial masses, the reduced
+    // masses, and the weights g_m = s_m f_m / total of the next pass
+    // (all zero for the first pass, which therefore copies cur into
+    // next and only accumulates the starting masses).
+    std::vector<std::vector<double>> partial(n_m), mass(n_m), weight(n_m);
+    std::vector<simd::ReweightTerm> terms(n_shards * n_m);
+    for (std::size_t mi = 0; mi < n_m; ++mi) {
+        const std::size_t n_b = odds[mi].size();
+        partial[mi].resize(n_shards * lanes * n_b);
+        mass[mi].resize(n_b);
+        weight[mi].resize(n_b);
+        for (std::size_t s = 0; s < n_shards; ++s)
+            terms[s * n_m + mi] = {bucket_of.data() + mi * n,
+                                   weight[mi].data(),
+                                   partial[mi].data() + s * lanes * n_b,
+                                   n_b};
+    }
+    std::vector<double> shard_bc(n_shards);
+
+    // One fused pass cur -> next; returns the Bhattacharyya sum and
+    // leaves next's bucket masses in mass.
+    const auto pass = [&](double c0) {
+        parallelFor(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t s = lo; s < hi; ++s) {
+                const std::size_t i0 = s * shard_size;
+                const std::size_t i1 = std::min(n, i0 + shard_size);
+                for (std::size_t mi = 0; mi < n_m; ++mi) {
+                    double *rows = terms[s * n_m + mi].mass;
+                    std::fill(rows, rows + lanes * mass[mi].size(), 0.0);
+                }
+                shard_bc[s] = kt.reweightRound(cur.data(), next.data(),
+                                               &terms[s * n_m], n_m, c0,
+                                               i0, i1);
             }
         });
+        for (std::size_t mi = 0; mi < n_m; ++mi) {
+            const std::size_t n_b = mass[mi].size();
+            for (std::size_t b = 0; b < n_b; ++b) {
+                double total = 0.0;
+                for (std::size_t s = 0; s < n_shards; ++s) {
+                    const double *rows =
+                        partial[mi].data() + s * lanes * n_b + b;
+                    double shard_mass = 0.0;
+                    for (std::size_t l = 0; l < lanes; ++l)
+                        shard_mass += rows[l * n_b];
+                    total += shard_mass;
+                }
+                mass[mi][b] = total;
+            }
+        }
+        double bc = 0.0;
+        for (std::size_t s = 0; s < n_shards; ++s)
+            bc += shard_bc[s];
+        return bc;
+    };
 
-        accum = cur;
-        for (std::size_t mi = 0; mi < n_m; ++mi)
-            kt.axpy(accum.data(), posts[mi].data(), 1.0, 0, n);
-        const double total = kt.sum(accum.data(), 0, n);
-
-        // Normalize and measure the move in one fused pass (inv_total
-        // of 1.0 — the degenerate all-zero case — leaves the vector
-        // bitwise untouched).
+    pass(1.0);
+    std::vector<double> inv_post_sum(n_m);
+    for (int round = 0; round < options.maxRounds; ++round) {
+        // The round total: the prior's mass plus every marginal's
+        // normalized posterior (1, or 0 for an all-zero posterior).
+        double total = 0.0;
+        for (double m : mass[0])
+            total += m;
+        for (std::size_t mi = 0; mi < n_m; ++mi) {
+            double post_sum = 0.0;
+            for (std::size_t b = 0; b < odds[mi].size(); ++b) {
+                const double m = mass[mi][b];
+                const double o = odds[mi][b];
+                const double f = o >= 0.0 && m > 0.0 ? o / m : 1.0;
+                weight[mi][b] = f;
+                post_sum += m * f;
+            }
+            inv_post_sum[mi] = post_sum > 0.0 ? 1.0 / post_sum : 1.0;
+            total += inv_post_sum[mi] * post_sum;
+        }
         const double inv_total = total > 0.0 ? 1.0 / total : 1.0;
-        const double bc = kt.normalizeBhattacharyya(
-            accum.data(), cur.data(), inv_total, 0, n);
+        for (std::size_t mi = 0; mi < n_m; ++mi)
+            for (double &g : weight[mi])
+                g = inv_post_sum[mi] * g * inv_total;
+
+        const double bc = pass(inv_total);
         const double moved = std::sqrt(std::max(0.0, 1.0 - bc));
-        cur.swap(accum);
+        cur.swap(next);
         if (moved < options.tolerance)
             break;
     }
 }
 
 /**
- * The sharded round loop: the flat outcome vector is split into
- * fixed-size shards; each phase runs shards in parallel and reduces
- * per-shard partials (bucket masses, posterior sums, totals, the
- * Bhattacharyya sum) serially in shard order. Scales rounds on large
- * supports, where the marginal count no longer provides parallelism
- * relative to the per-outcome work. Every dense vector pass
- * dispatches through the kernel table @p kt.
+ * Flattens @p global once (sorted outcomes, so the result does not
+ * depend on the hash layout), runs each layer's rounds in order on the
+ * same flat vector, and builds the output PMF once.
  */
-void
-shardedRounds(std::vector<double> &cur,
-              const std::vector<IndexedMarginal> &indexed,
-              const ReconstructionOptions &options,
-              const simd::KernelTable &kt)
+Pmf
+reconstructLayers(const Pmf &global,
+                  const std::vector<std::vector<const Marginal *>> &layers,
+                  const ReconstructionOptions &options)
 {
-    const std::size_t n = cur.size();
-    const std::size_t n_m = indexed.size();
-    const std::size_t n_shards = (n + kShardSize - 1) / kShardSize;
-    const auto shard_range = [n](std::size_t s) {
-        const std::size_t lo = s * kShardSize;
-        return std::pair<std::size_t, std::size_t>(
-            lo, std::min(n, lo + kShardSize));
-    };
-
-    std::vector<std::vector<double>> posts(
-        n_m, std::vector<double>(n, 0.0));
-    // Per-shard partial bucket masses, one flat [shard][bucket] array
-    // per marginal, plus the reduced per-bucket masses.
-    std::vector<std::vector<double>> partial_mass(n_m);
-    std::vector<std::vector<double>> mass(n_m);
-    for (std::size_t mi = 0; mi < n_m; ++mi) {
-        partial_mass[mi].resize(n_shards * indexed[mi].nBuckets);
-        mass[mi].resize(indexed[mi].nBuckets);
-    }
-    std::vector<double> post_scale(n_m);
-    std::vector<double> partial_post_sum(n_m * n_shards);
-    std::vector<double> shard_total(n_shards);
-    std::vector<double> shard_bc(n_shards);
-    std::vector<double> accum(n);
-
-    for (int round = 0; round < options.maxRounds; ++round) {
-        // Phase 1: per-shard partial bucket masses, reduced in shard
-        // order so the grouping is independent of the thread count.
-        parallelFor(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
-                const auto [i0, i1] = shard_range(s);
-                for (std::size_t mi = 0; mi < n_m; ++mi) {
-                    const IndexedMarginal &im = indexed[mi];
-                    double *pm =
-                        partial_mass[mi].data() + s * im.nBuckets;
-                    std::fill(pm, pm + im.nBuckets, 0.0);
-                    kt.accumulateBuckets(im.bucketOf.data(), cur.data(),
-                                         i0, i1, pm);
-                }
-            }
-        });
-        parallelFor(0, n_m, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t mi = lo; mi < hi; ++mi) {
-                const std::size_t n_b = indexed[mi].nBuckets;
-                for (std::size_t b = 0; b < n_b; ++b) {
-                    double m = 0.0;
-                    for (std::size_t s = 0; s < n_shards; ++s)
-                        m += partial_mass[mi][s * n_b + b];
-                    mass[mi][b] = m;
-                }
-            }
-        });
-
-        // Phase 2: unnormalized posteriors with per-shard partial
-        // sums; each marginal's normalizer reduces in shard order.
-        parallelFor(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
-                const auto [i0, i1] = shard_range(s);
-                for (std::size_t mi = 0; mi < n_m; ++mi) {
-                    const IndexedMarginal &im = indexed[mi];
-                    partial_post_sum[mi * n_shards + s] =
-                        kt.posteriorUpdate(im.bucketOf.data(),
-                                           im.odds.data(),
-                                           mass[mi].data(), cur.data(),
-                                           posts[mi].data(), i0, i1);
-                }
-            }
-        });
-        for (std::size_t mi = 0; mi < n_m; ++mi) {
-            double post_sum = 0.0;
-            for (std::size_t s = 0; s < n_shards; ++s)
-                post_sum += partial_post_sum[mi * n_shards + s];
-            post_scale[mi] = post_sum > 0.0 ? 1.0 / post_sum : 0.0;
+    const std::size_t n = global.support();
+    std::vector<BasisState> outcomes(n);
+    std::vector<double> cur(n), next(n);
+    {
+        std::vector<std::pair<BasisState, double>> entries(
+            global.probabilities().begin(), global.probabilities().end());
+        std::sort(entries.begin(), entries.end());
+        for (std::size_t i = 0; i < n; ++i) {
+            outcomes[i] = entries[i].first;
+            cur[i] = entries[i].second;
         }
-
-        // Phase 3: sum the scaled posteriors into the prior. The
-        // per-outcome addition order (prior, then marginal 0, 1, ...)
-        // matches the per-marginal path exactly; only the totals
-        // reduce per shard. A zero post_scale (degenerate all-zero
-        // posterior sum) keeps the unscaled posterior, which axpy
-        // with a = 1.0 reproduces exactly.
-        parallelFor(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
-                const auto [i0, i1] = shard_range(s);
-                std::copy(cur.begin() + i0, cur.begin() + i1,
-                          accum.begin() + i0);
-                for (std::size_t mi = 0; mi < n_m; ++mi) {
-                    const double scale = post_scale[mi];
-                    kt.axpy(accum.data(), posts[mi].data(),
-                            scale > 0.0 ? scale : 1.0, i0, i1);
-                }
-                shard_total[s] = kt.sum(accum.data(), i0, i1);
-            }
-        });
-        double total = 0.0;
-        for (std::size_t s = 0; s < n_shards; ++s)
-            total += shard_total[s];
-
-        // Phase 4: normalize and measure the move in one sharded pass.
-        const double inv_total = total > 0.0 ? 1.0 / total : 1.0;
-        parallelFor(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
-                const auto [i0, i1] = shard_range(s);
-                shard_bc[s] = kt.normalizeBhattacharyya(
-                    accum.data(), cur.data(), inv_total, i0, i1);
-            }
-        });
-        double bc = 0.0;
-        for (std::size_t s = 0; s < n_shards; ++s)
-            bc += shard_bc[s];
-
-        const double moved = std::sqrt(std::max(0.0, 1.0 - bc));
-        cur.swap(accum);
-        if (moved < options.tolerance)
-            break;
     }
+
+    const simd::KernelTable &kt =
+        options.kernels != nullptr ? *options.kernels
+                                   : simd::activeKernels();
+    for (const std::vector<const Marginal *> &layer : layers)
+        reconstructLayer(cur, next, outcomes, layer, options, kt);
+
+    Pmf output(global.nQubits());
+    output.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        output.set(outcomes[i], cur[i]);
+    return output;
 }
 
 } // namespace
@@ -322,44 +359,12 @@ bayesianReconstruct(const Pmf &global,
 {
     if (marginals.empty() || global.support() == 0)
         return global;
-    for (const Marginal &m : marginals)
+    std::vector<const Marginal *> layer;
+    for (const Marginal &m : marginals) {
         checkMarginal(global, m);
-
-    // Flatten the global PMF once; outcome order is sorted so the
-    // result is deterministic whatever the hash layout was.
-    std::vector<BasisState> outcomes;
-    outcomes.reserve(global.support());
-    for (const auto &[outcome, p] : global.probabilities())
-        outcomes.push_back(outcome);
-    std::sort(outcomes.begin(), outcomes.end());
-
-    const std::size_t n = outcomes.size();
-    std::vector<double> cur(n);
-    for (std::size_t i = 0; i < n; ++i)
-        cur[i] = global.prob(outcomes[i]);
-
-    std::vector<IndexedMarginal> indexed;
-    indexed.reserve(marginals.size());
-    for (const Marginal &m : marginals)
-        indexed.push_back(
-            indexMarginal(outcomes, m, options.evidenceThreshold));
-
-    const simd::KernelTable &kt =
-        options.kernels != nullptr ? *options.kernels
-                                   : simd::activeKernels();
-    const bool sharded =
-        options.shardMode == ShardMode::Always ||
-        (options.shardMode == ShardMode::Auto &&
-         n >= kShardAutoThreshold);
-    if (sharded)
-        shardedRounds(cur, indexed, options, kt);
-    else
-        perMarginalRounds(cur, indexed, options, kt);
-
-    Pmf output(global.nQubits());
-    for (std::size_t i = 0; i < n; ++i)
-        output.set(outcomes[i], cur[i]);
-    return output;
+        layer.push_back(&m);
+    }
+    return reconstructLayers(global, {layer}, options);
 }
 
 Pmf
@@ -367,21 +372,28 @@ multiLayerReconstruct(const Pmf &global,
                       const std::vector<Marginal> &marginals,
                       const ReconstructionOptions &options)
 {
+    if (marginals.empty() || global.support() == 0)
+        return global;
     // Group by subset size, then apply the layers in the configured
     // order (paper default: largest first).
-    std::map<int, std::vector<Marginal>> by_size;
-    for (const Marginal &m : marginals)
-        by_size[static_cast<int>(m.qubits.size())].push_back(m);
-
-    Pmf output = global;
-    if (options.layerOrder == LayerOrder::TopDown) {
-        for (auto it = by_size.rbegin(); it != by_size.rend(); ++it)
-            output = bayesianReconstruct(output, it->second, options);
-    } else {
-        for (auto it = by_size.begin(); it != by_size.end(); ++it)
-            output = bayesianReconstruct(output, it->second, options);
+    std::vector<std::size_t> sizes;
+    for (const Marginal &m : marginals) {
+        checkMarginal(global, m);
+        sizes.push_back(m.qubits.size());
     }
-    return output;
+    std::sort(sizes.begin(), sizes.end());
+    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+    if (options.layerOrder == LayerOrder::TopDown)
+        std::reverse(sizes.begin(), sizes.end());
+
+    std::vector<std::vector<const Marginal *>> layers;
+    for (std::size_t size : sizes) {
+        std::vector<const Marginal *> &layer = layers.emplace_back();
+        for (const Marginal &m : marginals)
+            if (m.qubits.size() == size)
+                layer.push_back(&m);
+    }
+    return reconstructLayers(global, layers, options);
 }
 
 } // namespace core

@@ -41,31 +41,12 @@ enum class LayerOrder
     BottomUp,
 };
 
-/**
- * How one reconstruction round is split across the thread pool.
- *
- * Both paths are deterministic for a fixed input whatever the thread
- * count (shard boundaries depend only on the support size, and every
- * floating-point reduction runs in fixed shard order), but the two
- * paths group their sums differently, so they agree only to golden
- * equivalence (~1e-12), not bitwise.
- */
-enum class ShardMode
-{
-    /** Shard the flat outcome vector on large supports (the marginal
-     *  count no longer bounds scaling there), per-marginal otherwise. */
-    Auto,
-    Always, ///< Force outcome sharding (tests, large-support benches).
-    Never,  ///< Force the per-marginal path.
-};
-
 /** Convergence controls for the iterated reconstruction. */
 struct ReconstructionOptions
 {
     int maxRounds = 16;       ///< Hard cap on update rounds.
     double tolerance = 1e-4;  ///< Hellinger-distance convergence bound.
     LayerOrder layerOrder = LayerOrder::TopDown; ///< JigSaw-M ordering.
-    ShardMode shardMode = ShardMode::Auto; ///< Round parallelization.
     /**
      * Local-PMF mass at or below this is treated as unobserved — the
      * matching global outcomes keep their prior probability, exactly
@@ -75,11 +56,10 @@ struct ReconstructionOptions
      */
     double evidenceThreshold = 1e-14;
     /**
-     * Kernel table the round loops dispatch through; null resolves to
+     * Kernel table the round loop dispatches through; null resolves to
      * simd::activeKernels(). Tests and benches override this to pin a
      * specific backend (e.g. scalar-vs-active comparisons on identical
-     * inputs). Per-element outputs are bitwise-identical across
-     * backends; only reduction groupings differ (~1 ulp per sum).
+     * inputs). Every backend produces a bitwise-identical result.
      */
     const simd::KernelTable *kernels = nullptr;
 };
@@ -100,14 +80,14 @@ Pmf bayesianUpdate(const Pmf &prior, const Marginal &m,
  * which is what bounds the complexity; Section 7.1).
  *
  * Implementation note: because the support is invariant across
- * rounds, the subset keys and bucket assignments of every marginal
- * are precomputed once into flat indexed arrays; each round then
- * iterates dense vectors (no per-round hash-map rebuilds). Rounds
- * parallelize per ShardMode: one posterior per thread (per-marginal),
- * or — on large supports — the flat outcome vector is split into
- * fixed-size shards, each thread accumulating per-shard partial
- * bucket masses that are reduced in shard order, so the result is
- * identical however many threads ran.
+ * rounds, every marginal's bucket of every outcome is resolved once,
+ * by the dense subset key, and a round is one fused pass over the
+ * flat outcome vector (simd::KernelTable::reweightRound) split into
+ * fixed-size shards: it applies all marginals' updates and the
+ * normalization at once, and accumulates the convergence measure and
+ * the next round's bucket masses, reduced in shard order. The result
+ * is bitwise identical however many threads ran and whichever kernel
+ * backend ran.
  */
 Pmf bayesianReconstruct(const Pmf &global,
                         const std::vector<Marginal> &marginals,
@@ -117,7 +97,8 @@ Pmf bayesianReconstruct(const Pmf &global,
  * Multi-layer reconstruction for JigSaw-M (Section 4.4.2): marginals
  * are grouped by subset size and applied top-down, from the largest
  * size (most correlation, applied first so it is maximally preserved)
- * to the smallest (highest fidelity, applied last).
+ * to the smallest (highest fidelity, applied last). The PMF is
+ * flattened once and every layer runs on the same flat vector.
  */
 Pmf multiLayerReconstruct(const Pmf &global,
                           const std::vector<Marginal> &marginals,

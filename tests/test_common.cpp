@@ -6,10 +6,12 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/bitops.h"
+#include "common/error.h"
 #include "common/histogram.h"
 #include "common/nelder_mead.h"
 #include "common/rng.h"
@@ -420,6 +422,41 @@ TEST(NelderMead, RejectsEmptyStart)
     EXPECT_THROW(
         nelderMead([](const std::vector<double> &) { return 0.0; }, {}),
         std::invalid_argument);
+}
+
+// ------------------------------------------------------------- errors
+
+/** The message @p call throws as @p Exception ("" if none). */
+template <typename Exception, typename Call>
+std::string
+thrownMessage(Call call)
+{
+    try {
+        call();
+    } catch (const Exception &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Error, LiteralAndStringMessagesThrowAlike)
+{
+    // The const char * overloads throw the same types and messages as
+    // the std::string ones, and nothing when the check passes.
+    const std::string text = "Topology: qubit out of range";
+    EXPECT_NO_THROW(fatalIf(false, "Topology: qubit out of range"));
+    EXPECT_NO_THROW(panicIf(false, "Topology: qubit out of range"));
+    EXPECT_EQ(thrownMessage<std::invalid_argument>(
+                  [] { fatalIf(true, "Topology: qubit out of range"); }),
+              text);
+    EXPECT_EQ(thrownMessage<std::invalid_argument>(
+                  [&] { fatalIf(true, text); }),
+              text);
+    EXPECT_EQ(thrownMessage<std::logic_error>(
+                  [] { panicIf(true, "Topology: qubit out of range"); }),
+              "internal error: " + text);
+    EXPECT_EQ(thrownMessage<std::logic_error>([&] { panicIf(true, text); }),
+              "internal error: " + text);
 }
 
 } // namespace

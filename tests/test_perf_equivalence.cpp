@@ -7,8 +7,10 @@
  * deterministic under a fixed seed, and the supporting primitives
  * (structural hash, alias table, parallel-for) must behave.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -303,43 +305,78 @@ TEST(ReconstructionEquivalence, MultiLayerMatchesReference)
     expectIdenticalPmf(reference, indexed);
 }
 
-TEST(ReconstructionEquivalence, ShardedMatchesPerMarginal)
+/** Golden agreement: the same support, every outcome within 1e-12. */
+void
+expectGolden(const Pmf &reference, const Pmf &actual)
 {
-    // The sharded round loop (flat outcome vector split across
-    // fixed-size shards, per-shard partial bucket masses reduced in
-    // shard order) must golden-match the per-marginal path; the two
-    // group their floating-point sums differently, so the bound is
-    // the usual golden-equivalence tolerance, not bitwise.
-    Rng rng(13);
-    const Pmf global = randomGlobal(12, 1500, rng);
-    const std::vector<core::Marginal> marginals =
-        randomMarginals(12, {2, 3}, rng);
-    core::ReconstructionOptions options;
-    options.maxRounds = 5;
-    options.tolerance = 0.0;
-
-    options.shardMode = core::ShardMode::Never;
-    const Pmf per_marginal =
-        core::bayesianReconstruct(global, marginals, options);
-    options.shardMode = core::ShardMode::Always;
-    const Pmf sharded =
-        core::bayesianReconstruct(global, marginals, options);
-    expectIdenticalPmf(per_marginal, sharded);
-
-    // And against the naive reference, like every other path.
-    options.shardMode = core::ShardMode::Always;
-    const Pmf reference =
-        core::referenceReconstruct(global, marginals,
-                                   core::ReconstructionOptions{
-                                       .maxRounds = 5,
-                                       .tolerance = 0.0});
-    expectIdenticalPmf(reference, sharded);
+    ASSERT_EQ(reference.support(), actual.support());
+    for (const auto &[outcome, p] : reference.probabilities())
+        EXPECT_NEAR(p, actual.prob(outcome), 1e-12) << "outcome "
+                                                    << outcome;
 }
 
-TEST(ReconstructionEquivalence, ShardedMultiShardSupport)
+/** Bitwise agreement: the same support and identical probabilities. */
+void
+expectBitwise(const Pmf &a, const Pmf &b)
 {
-    // A support spanning several 16384-outcome shards, with
-    // convergence enabled: both paths must stop at the same shape.
+    ASSERT_EQ(a.support(), b.support());
+    for (const auto &[outcome, p] : a.probabilities())
+        EXPECT_EQ(p, b.prob(outcome)) << "outcome " << outcome;
+}
+
+/** Both reconstruction entry points against their references. */
+void
+expectGoldenVsReference(const Pmf &global,
+                        const std::vector<core::Marginal> &marginals,
+                        const core::ReconstructionOptions &options)
+{
+    expectGolden(core::referenceReconstruct(global, marginals, options),
+                 core::bayesianReconstruct(global, marginals, options));
+    expectGolden(
+        core::referenceMultiLayerReconstruct(global, marginals, options),
+        core::multiLayerReconstruct(global, marginals, options));
+}
+
+/**
+ * multiLayerReconstruct on one thread whatever the pool size: it runs
+ * inside a parallelFor chunk, where nested parallelFor calls are
+ * serial.
+ */
+Pmf
+reconstructOnOneThread(const Pmf &global,
+                       const std::vector<core::Marginal> &marginals,
+                       const core::ReconstructionOptions &options)
+{
+    Pmf out(global.nQubits());
+    parallelFor(0, 2, 1, [&](std::size_t lo, std::size_t) {
+        if (lo == 0)
+            out = core::multiLayerReconstruct(global, marginals, options);
+    });
+    return out;
+}
+
+/** The kernel tables this build and CPU can run. */
+std::vector<const simd::KernelTable *>
+runnableKernelTables()
+{
+    std::vector<const simd::KernelTable *> tables = {
+        &simd::scalarKernels()};
+#if defined(__GNUC__) || defined(__clang__)
+    if (simd::avx2Kernels() != nullptr &&
+        __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2"))
+        tables.push_back(simd::avx2Kernels());
+    if (simd::avx512Kernels() != nullptr &&
+        __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("bmi2"))
+        tables.push_back(simd::avx512Kernels());
+#endif
+    return tables;
+}
+
+TEST(ReconstructionEquivalence, MultiShardSupportMatchesReference)
+{
+    // A support spanning several 16384-outcome shards.
     Rng rng(14);
     const Pmf global = randomGlobal(16, 40000, rng);
     const std::vector<core::Marginal> marginals =
@@ -347,59 +384,144 @@ TEST(ReconstructionEquivalence, ShardedMultiShardSupport)
     core::ReconstructionOptions options;
     options.maxRounds = 4;
     options.tolerance = 0.0;
-
-    options.shardMode = core::ShardMode::Never;
-    const Pmf per_marginal =
-        core::bayesianReconstruct(global, marginals, options);
-    options.shardMode = core::ShardMode::Always;
-    const Pmf sharded =
-        core::bayesianReconstruct(global, marginals, options);
-    expectIdenticalPmf(per_marginal, sharded);
+    expectGoldenVsReference(global, marginals, options);
 }
 
-TEST(ReconstructionEquivalence, LargeSupportShardedMatchesUnsharded)
+TEST(ReconstructionEquivalence, BitwiseAcrossPoolSizes)
 {
-    // The >1M-outcome regime the gather/reconstruction kernel tables
-    // target: the sharded and per-marginal paths must still be golden
-    // equivalent when the flat vectors span dozens of shards and the
-    // SIMD main loops do essentially all the work. Too slow for the
-    // default test run, so it is opt-in.
-    if (std::getenv("JIGSAW_LARGE_TESTS") == nullptr)
-        GTEST_SKIP() << "set JIGSAW_LARGE_TESTS=1 to run (>1M outcomes)";
-    Rng rng(16);
-    const Pmf global = randomGlobal(21, (1ULL << 20) + 1, rng);
+    // Fixed shard boundaries and reduction order: one thread and the
+    // whole pool produce the same bits, with convergence enabled so
+    // the stopping round is compared too.
+    Rng rng(15);
+    const Pmf global = randomGlobal(16, 40000, rng);
     const std::vector<core::Marginal> marginals =
-        randomMarginals(21, {3}, rng);
+        randomMarginals(16, {2, 3}, rng);
+    const core::ReconstructionOptions options;
+
+    const Pmf pooled =
+        core::multiLayerReconstruct(global, marginals, options);
+    expectBitwise(pooled,
+                  reconstructOnOneThread(global, marginals, options));
+    expectBitwise(pooled,
+                  core::multiLayerReconstruct(global, marginals, options));
+}
+
+TEST(ReconstructionEquivalence, BitwiseAcrossKernelBackends)
+{
+    Rng rng(17);
+    const Pmf global = randomGlobal(16, 40000, rng);
+    const std::vector<core::Marginal> marginals =
+        randomMarginals(16, {2, 3}, rng);
+    core::ReconstructionOptions options;
+    options.kernels = &simd::scalarKernels();
+    const Pmf scalar =
+        core::multiLayerReconstruct(global, marginals, options);
+    for (const simd::KernelTable *table : runnableKernelTables()) {
+        SCOPED_TRACE(table->name);
+        options.kernels = table;
+        expectBitwise(scalar,
+                      core::multiLayerReconstruct(global, marginals,
+                                                  options));
+    }
+}
+
+TEST(ReconstructionEquivalence, DegenerateInputsMatchReference)
+{
+    Rng rng(18);
+    const Pmf global = randomGlobal(8, 90, rng);
+    std::vector<core::Marginal> marginals =
+        randomMarginals(8, {2, 3}, rng);
     core::ReconstructionOptions options;
     options.maxRounds = 3;
     options.tolerance = 0.0;
 
-    options.shardMode = core::ShardMode::Never;
-    const Pmf per_marginal =
-        core::bayesianReconstruct(global, marginals, options);
-    options.shardMode = core::ShardMode::Always;
-    const Pmf sharded =
-        core::bayesianReconstruct(global, marginals, options);
-    expectIdenticalPmf(per_marginal, sharded);
+    {
+        SCOPED_TRACE("every bucket below the evidence threshold");
+        core::ReconstructionOptions no_evidence = options;
+        no_evidence.evidenceThreshold = 1.0;
+        expectGoldenVsReference(global, marginals, no_evidence);
+    }
+    {
+        SCOPED_TRACE("local keys with no global outcome");
+        // Every global outcome has bits 6 and 7 clear, so the local
+        // mass on keys with either set meets no global outcome.
+        Pmf low(8);
+        for (const auto &[outcome, p] : global.probabilities())
+            low.set(outcome & 0x3f, p);
+        low.normalize();
+        Pmf local(2);
+        local.set(0b00, 0.1);
+        local.set(0b01, 0.2);
+        local.set(0b10, 0.3);
+        local.set(0b11, 0.4);
+        std::vector<core::Marginal> with_high = marginals;
+        with_high.push_back({local, {6, 7}});
+        with_high.push_back({local, {5, 6}});
+        expectGoldenVsReference(low, with_high, options);
+    }
+    {
+        SCOPED_TRACE("single-outcome support");
+        Pmf single(8);
+        single.set(0b10110101, 1.0);
+        expectGoldenVsReference(single, marginals, options);
+    }
+    for (const int rounds : {0, 1}) {
+        SCOPED_TRACE("maxRounds " + std::to_string(rounds));
+        core::ReconstructionOptions capped = options;
+        capped.maxRounds = rounds;
+        expectGoldenVsReference(global, marginals, capped);
+    }
+    {
+        SCOPED_TRACE("unsorted and wide subsets");
+        // Subset bits in descending order, and a 13-bit subset past the
+        // dense-key limit, whose buckets are the keys present.
+        Rng wide_rng(19);
+        const Pmf wide = randomGlobal(14, 300, wide_rng);
+        Pmf local13(13);
+        for (BasisState v = 0; v < (1ULL << 13); v += 3)
+            local13.set(v, wide_rng.uniform(0.05, 1.0));
+        local13.normalize();
+        std::vector<core::Marginal> odd = randomMarginals(14, {2}, wide_rng);
+        core::Subset wide_subset;
+        for (int q = 13; q >= 1; --q)
+            wide_subset.push_back(q);
+        odd.push_back({local13, wide_subset});
+        std::reverse(odd.front().qubits.begin(), odd.front().qubits.end());
+        expectGoldenVsReference(wide, odd, options);
+    }
 }
 
-TEST(ReconstructionEquivalence, ShardedIsDeterministic)
+TEST(ReconstructionEquivalence, LargeSupportManyShards)
 {
-    // Fixed shard boundaries: two identical sharded runs are bitwise
-    // equal whatever the pool did.
-    Rng rng(15);
-    const Pmf global = randomGlobal(12, 2000, rng);
-    const std::vector<core::Marginal> marginals =
-        randomMarginals(12, {2, 3}, rng);
+    // The >1M-outcome regime: dozens of shards, with the SIMD main
+    // loops doing essentially all the work. Golden against the
+    // reference and bitwise across backends and pool sizes. Too slow
+    // for the default test run, so it is opt-in.
+    if (std::getenv("JIGSAW_LARGE_TESTS") == nullptr)
+        GTEST_SKIP() << "set JIGSAW_LARGE_TESTS=1 to run (>1M outcomes)";
+    Rng rng(16);
+    const Pmf global = randomGlobal(21, (1ULL << 20) + 1, rng);
+    // Every third window: seven marginals covering all 21 bits keep
+    // the hash-map reference affordable.
+    std::vector<core::Marginal> marginals;
+    const std::vector<core::Marginal> windows =
+        randomMarginals(21, {3}, rng);
+    for (std::size_t w = 0; w < windows.size(); w += 3)
+        marginals.push_back(windows[w]);
     core::ReconstructionOptions options;
-    options.maxRounds = 6;
-    options.shardMode = core::ShardMode::Always;
+    options.maxRounds = 3;
+    options.tolerance = 0.0;
 
-    const Pmf a = core::bayesianReconstruct(global, marginals, options);
-    const Pmf b = core::bayesianReconstruct(global, marginals, options);
-    ASSERT_EQ(a.support(), b.support());
-    for (const auto &[outcome, p] : a.probabilities())
-        EXPECT_EQ(p, b.prob(outcome));
+    const Pmf active =
+        core::multiLayerReconstruct(global, marginals, options);
+    expectGolden(core::referenceMultiLayerReconstruct(global, marginals,
+                                                      options),
+                 active);
+    expectBitwise(active,
+                  reconstructOnOneThread(global, marginals, options));
+    options.kernels = &simd::scalarKernels();
+    expectBitwise(active,
+                  core::multiLayerReconstruct(global, marginals, options));
 }
 
 TEST(ReconstructionEquivalence, SparseLocalPmfKeepsPriorMass)
@@ -913,85 +1035,83 @@ expectScatteredTablesMatchScalar(const simd::KernelTable &active)
 }
 
 /**
- * The reconstruction kernels against scalar. Per-element outputs must
- * be BITWISE identical across backends (multiply/divide/add only, no
- * FMA contraction — the contract that lets a reconstruction produce
- * one answer whatever table ran); returned reductions may regroup
- * their sums per backend, so those agree only to tolerance.
+ * The fused reconstruction round against scalar: next, every lane of
+ * every term's masses and the returned Bhattacharyya sum must be
+ * BITWISE identical (same addition order, no FMA contraction), over
+ * unaligned ranges with short tails.
  */
 void
 expectReconstructionKernelsMatchScalar(const simd::KernelTable &active)
 {
     const simd::KernelTable &scalar = simd::scalarKernels();
+    constexpr std::uint64_t lanes = simd::kReweightLanes;
     Rng rng(4242);
     for (const std::size_t n : {std::size_t{19}, std::size_t{1000},
                                 std::size_t{4096}}) {
-        const std::size_t n_buckets = 1 + n / 16;
-        std::vector<std::uint32_t> bucket_of(n);
-        for (std::uint32_t &b : bucket_of)
-            b = static_cast<std::uint32_t>(rng.word() % n_buckets);
-        std::vector<double> w(n);
-        for (double &x : w)
-            x = rng.uniform(0.0, 1.0);
-        // Odds: some buckets carry no evidence (< 0 keeps the prior).
-        std::vector<double> odds(n_buckets);
-        for (std::size_t b = 0; b < n_buckets; ++b)
-            odds[b] = b % 5 == 0 ? -1.0 : rng.uniform(0.1, 3.0);
+        std::vector<double> cur(n);
+        for (std::size_t i = 0; i < n; ++i)
+            cur[i] = i % 7 == 0 ? 0.0 : rng.uniform(0.0, 1.0);
+
+        // Three terms: a tiny table (long same-bucket runs), a dense
+        // 64-slot one and a wide one, with zero weights mixed in.
+        const std::size_t n_terms = 3;
+        const std::size_t n_buckets[n_terms] = {2, 64, 1 + n / 4};
+        std::vector<std::vector<std::uint32_t>> bucket_of(n_terms);
+        std::vector<std::vector<double>> weight(n_terms);
+        std::vector<std::vector<double>> mass_s(n_terms), mass_a(n_terms);
+        for (std::size_t t = 0; t < n_terms; ++t) {
+            for (std::size_t i = 0; i < n; ++i)
+                bucket_of[t].push_back(static_cast<std::uint32_t>(
+                    t == 0 ? (i * 2) / n : rng.word() % n_buckets[t]));
+            for (std::size_t b = 0; b < n_buckets[t]; ++b)
+                weight[t].push_back(b % 5 == 0 ? 0.0
+                                               : rng.uniform(0.0, 3.0));
+            // Masses accumulate into whatever the rows hold.
+            for (std::size_t r = 0; r < lanes * n_buckets[t]; ++r)
+                mass_s[t].push_back(rng.uniform(0.0, 1.0));
+            mass_a[t] = mass_s[t];
+        }
+        const auto terms = [&](std::vector<std::vector<double>> &mass) {
+            std::vector<simd::ReweightTerm> out;
+            for (std::size_t t = 0; t < n_terms; ++t)
+                out.push_back({bucket_of[t].data(), weight[t].data(),
+                               mass[t].data(), n_buckets[t]});
+            return out;
+        };
+        const std::vector<simd::ReweightTerm> terms_s = terms(mass_s);
+        const std::vector<simd::ReweightTerm> terms_a = terms(mass_a);
+
         // Unaligned range with a short tail.
         const std::uint64_t lo = n > 64 ? 3 : 1;
         const std::uint64_t hi = n - (n > 64 ? 5 : 1);
-
-        std::vector<double> mass_s(n_buckets, 0.0);
-        std::vector<double> mass_a(n_buckets, 0.0);
-        scalar.accumulateBuckets(bucket_of.data(), w.data(), lo, hi,
-                                 mass_s.data());
-        active.accumulateBuckets(bucket_of.data(), w.data(), lo, hi,
-                                 mass_a.data());
-        for (std::size_t b = 0; b < n_buckets; ++b)
-            EXPECT_EQ(mass_s[b], mass_a[b]) << "bucket " << b;
-
-        // A referenced bucket with zero mass must keep the prior too.
-        mass_s[n_buckets / 2] = 0.0;
-        mass_a = mass_s;
-        std::vector<double> post_s(n, 0.0), post_a(n, 0.0);
-        const double sum_s = scalar.posteriorUpdate(
-            bucket_of.data(), odds.data(), mass_s.data(), w.data(),
-            post_s.data(), lo, hi);
-        const double sum_a = active.posteriorUpdate(
-            bucket_of.data(), odds.data(), mass_a.data(), w.data(),
-            post_a.data(), lo, hi);
-        for (std::size_t i = lo; i < hi; ++i)
-            EXPECT_EQ(post_s[i], post_a[i]) << "index " << i;
-        EXPECT_NEAR(sum_s, sum_a, 1e-9);
-
-        std::vector<double> y_s = w, y_a = w;
-        scalar.axpy(y_s.data(), post_s.data(), 0.37, lo, hi);
-        active.axpy(y_a.data(), post_a.data(), 0.37, lo, hi);
+        std::vector<double> next_s(n, -1.0), next_a(n, -1.0);
+        const double bc_s =
+            scalar.reweightRound(cur.data(), next_s.data(), terms_s.data(),
+                                 n_terms, 0.731, lo, hi);
+        const double bc_a =
+            active.reweightRound(cur.data(), next_a.data(), terms_a.data(),
+                                 n_terms, 0.731, lo, hi);
+        EXPECT_EQ(bc_s, bc_a);
         for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(y_s[i], y_a[i]) << "index " << i;
+            EXPECT_EQ(next_s[i], next_a[i]) << "index " << i;
+        for (std::size_t t = 0; t < n_terms; ++t)
+            for (std::size_t r = 0; r < mass_s[t].size(); ++r)
+                EXPECT_EQ(mass_s[t][r], mass_a[t][r])
+                    << "term " << t << " row " << r;
 
-        scalar.scale(y_s.data(), 1.61803, lo, hi);
-        active.scale(y_a.data(), 1.61803, lo, hi);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(y_s[i], y_a[i]) << "index " << i;
-
-        EXPECT_NEAR(scalar.sum(y_s.data(), lo, hi),
-                    active.sum(y_a.data(), lo, hi), 1e-9);
-
-        // Zeros on both sides so the positivity mask has dead lanes.
-        std::vector<double> ref = w;
-        for (std::size_t i = 0; i < n; i += 7)
-            ref[i] = 0.0;
-        for (std::size_t i = 0; i < n; i += 11)
-            y_s[i] = y_a[i] = 0.0;
-        std::vector<double> v_s = y_s, v_a = y_a;
-        const double bc_s = scalar.normalizeBhattacharyya(
-            v_s.data(), ref.data(), 0.731, lo, hi);
-        const double bc_a = active.normalizeBhattacharyya(
-            v_a.data(), ref.data(), 0.731, lo, hi);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(v_s[i], v_a[i]) << "index " << i;
-        EXPECT_NEAR(bc_s, bc_a, 1e-9);
+        // The contract itself, recomputed naively on the scalar result.
+        double bc = 0.0;
+        for (std::size_t i = lo; i < hi; ++i) {
+            double factor = 0.731;
+            for (std::size_t t = 0; t < n_terms; ++t)
+                factor += weight[t][bucket_of[t][i]];
+            EXPECT_EQ(next_s[i], cur[i] * factor) << "index " << i;
+            if (cur[i] > 0.0 && next_s[i] > 0.0)
+                bc += std::sqrt(cur[i] * next_s[i]);
+        }
+        EXPECT_NEAR(bc_s, bc, 1e-12 * bc);
+        EXPECT_EQ(next_s[0], -1.0);
+        EXPECT_EQ(next_s[n - 1], -1.0);
     }
 }
 
