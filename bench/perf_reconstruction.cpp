@@ -807,10 +807,11 @@ main(int argc, char **argv)
     {
         // The large-support regime (dozens of shards), with the fused
         // round loop pinned to the scalar kernel table vs the active
-        // one (ReconstructionOptions::kernels): identical shard
-        // boundaries and reduction order, so the delta is the SIMD
-        // reweightRound kernel alone. Fixed rounds (tolerance 0) so
-        // both runs do the same work.
+        // one (ReconstructionOptions::kernels). Every table runs the
+        // same portable reweightRound loop, so the ratio is ~1x by
+        // construction; the entry times the >1M-outcome path and
+        // checks that swapping tables leaves the bits unchanged.
+        // Fixed rounds (tolerance 0) so both runs do the same work.
         const int gq = n_qubits >= 16 ? 21 : 15;
         const std::size_t support =
             n_qubits >= 16 ? (1ULL << 20) : (1ULL << 14);

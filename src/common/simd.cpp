@@ -4,6 +4,7 @@
  */
 #include "common/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -208,32 +209,6 @@ scalarNorm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
-double
-scalarReweightRound(const double *cur, double *next,
-                    const ReweightTerm *terms, U64 n_terms, double c0,
-                    U64 lo, U64 hi)
-{
-    detail::countDispatch(kReweightRound, kBackendScalar);
-    double bc[kReweightLanes] = {};
-    for (U64 i = lo; i < hi; ++i) {
-        double factor = c0;
-        for (U64 t = 0; t < n_terms; ++t)
-            factor += terms[t].weight[terms[t].bucketOf[i]];
-        const double v = cur[i] * factor;
-        next[i] = v;
-        const U64 lane = (i - lo) % kReweightLanes;
-        for (U64 t = 0; t < n_terms; ++t)
-            terms[t].mass[lane * terms[t].stride + terms[t].bucketOf[i]] +=
-                v;
-        if (cur[i] > 0.0 && v > 0.0)
-            bc[lane] += std::sqrt(cur[i] * v);
-    }
-    double total = 0.0;
-    for (double lane : bc)
-        total += lane;
-    return total;
-}
-
 const KernelTable scalarTable = {
     "scalar",
     scalarApply1q,
@@ -244,7 +219,7 @@ const KernelTable scalarTable = {
     scalarStratumPhaseTable,
     scalarPhaseTable,
     scalarNorm2,
-    scalarReweightRound,
+    detail::reweightRound,
 };
 
 bool
@@ -303,6 +278,49 @@ void
 countDispatch(int kernel, int backend)
 {
     g_dispatch[kernel][backend].fetch_add(1, std::memory_order_relaxed);
+}
+
+double
+reweightRound(const double *cur, double *next, const ReweightTerm *terms,
+              U64 n_terms, double c0, U64 lo, U64 hi)
+{
+    countDispatch(kReweightRound, kBackendScalar);
+    // One block of kReweightLanes outcomes at a time, term by term:
+    // element l of a block is lane l, so a term's bucket ids and
+    // weights are read as one contiguous run per block, and a block's
+    // mass updates never share a row.
+    constexpr U64 lanes = kReweightLanes;
+    double bc[lanes] = {};
+    for (U64 i = lo; i < hi; i += lanes) {
+        const U64 len = std::min(lanes, hi - i);
+        double v[lanes];
+        for (U64 l = 0; l < len; ++l)
+            v[l] = c0;
+        for (U64 t = 0; t < n_terms; ++t) {
+            const std::uint32_t *b = terms[t].bucketOf + i;
+            const double *w = terms[t].weight;
+            for (U64 l = 0; l < len; ++l)
+                v[l] += w[b[l]];
+        }
+        for (U64 l = 0; l < len; ++l) {
+            v[l] *= cur[i + l];
+            next[i + l] = v[l];
+        }
+        for (U64 t = 0; t < n_terms; ++t) {
+            const std::uint32_t *b = terms[t].bucketOf + i;
+            double *mass = terms[t].mass;
+            const U64 stride = terms[t].stride;
+            for (U64 l = 0; l < len; ++l)
+                mass[l * stride + b[l]] += v[l];
+        }
+        for (U64 l = 0; l < len; ++l)
+            if (cur[i + l] > 0.0 && v[l] > 0.0)
+                bc[l] += std::sqrt(cur[i + l] * v[l]);
+    }
+    double total = 0.0;
+    for (double lane : bc)
+        total += lane;
+    return total;
 }
 
 } // namespace detail

@@ -166,9 +166,13 @@ struct KernelTable
      * Bhattacharyya sum of sqrt(cur[i] * next[i]) over the elements
      * where both are positive, accumulated per lane and reduced in
      * lane order. Lanes keep runs of outcomes in one bucket off a
-     * single store-to-load chain. Every backend adds in the same
-     * order without FMA contraction, so next, the masses and the
-     * returned sum are bitwise identical across backends.
+     * single store-to-load chain. Every table points at the one
+     * portable loop, detail::reweightRound; gather-based AVX2 and
+     * AVX-512 loops gained too little end to end to keep (see
+     * docs/performance.md). A backend that supplies its own loop must
+     * add in the same order without FMA contraction, so next, the
+     * masses and the returned sum stay bitwise identical across
+     * backends.
      */
     double (*reweightRound)(const double *cur, double *next,
                             const ReweightTerm *terms,
@@ -280,6 +284,12 @@ void resetDispatchCounters();
 namespace detail {
 /** Record one invocation; called by the backend that runs the loop. */
 void countDispatch(int kernel, int backend);
+
+/** The portable KernelTable::reweightRound loop every table uses;
+ *  counts under the scalar backend. */
+double reweightRound(const double *cur, double *next,
+                     const ReweightTerm *terms, std::uint64_t n_terms,
+                     double c0, std::uint64_t lo, std::uint64_t hi);
 } // namespace detail
 /** @} */
 

@@ -698,72 +698,6 @@ avx2Norm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
-double
-avx2ReweightRound(const double *cur, double *next, const ReweightTerm *terms,
-                  U64 n_terms, double c0, U64 lo, U64 hi)
-{
-    detail::countDispatch(kReweightRound, kBackendAvx2);
-    // One 8-outcome block per iteration as two 4-wide halves: element
-    // l of a block is lane l of the lane-split reductions (halves
-    // hold lanes 0-3 and 4-7), matching the scalar lane grouping.
-    const __m256d vc0 = _mm256_set1_pd(c0);
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    __m256d acc[2] = {zero, zero};
-    alignas(32) double v[8];
-    U64 i = lo;
-    for (; i + 8 <= hi; i += 8) {
-        for (U64 h = 0; h < 2; ++h) {
-            const U64 j = i + 4 * h;
-            __m256d factor = vc0;
-            for (U64 t = 0; t < n_terms; ++t) {
-                const __m128i b = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(terms[t].bucketOf +
-                                                      j));
-                factor = _mm256_add_pd(
-                    factor, _mm256_mask_i32gather_pd(zero, terms[t].weight,
-                                                     b, all, 8));
-            }
-            const __m256d vc = _mm256_loadu_pd(cur + j);
-            const __m256d vn = _mm256_mul_pd(vc, factor);
-            _mm256_storeu_pd(next + j, vn);
-            _mm256_store_pd(v + 4 * h, vn);
-            const __m256d pos =
-                _mm256_and_pd(_mm256_cmp_pd(vc, zero, _CMP_GT_OQ),
-                              _mm256_cmp_pd(vn, zero, _CMP_GT_OQ));
-            const __m256d term = _mm256_sqrt_pd(_mm256_mul_pd(vc, vn));
-            acc[h] = _mm256_add_pd(acc[h], _mm256_and_pd(term, pos));
-        }
-        for (U64 t = 0; t < n_terms; ++t) {
-            const std::uint32_t *b = terms[t].bucketOf + i;
-            double *mass = terms[t].mass;
-            const U64 stride = terms[t].stride;
-            for (U64 l = 0; l < 8; ++l)
-                mass[l * stride + b[l]] += v[l];
-        }
-    }
-    alignas(32) double lanes[8];
-    _mm256_store_pd(lanes, acc[0]);
-    _mm256_store_pd(lanes + 4, acc[1]);
-    for (; i < hi; ++i) {
-        double factor = c0;
-        for (U64 t = 0; t < n_terms; ++t)
-            factor += terms[t].weight[terms[t].bucketOf[i]];
-        const double vi = cur[i] * factor;
-        next[i] = vi;
-        const U64 lane = (i - lo) % kReweightLanes;
-        for (U64 t = 0; t < n_terms; ++t)
-            terms[t].mass[lane * terms[t].stride + terms[t].bucketOf[i]] +=
-                vi;
-        if (cur[i] > 0.0 && vi > 0.0)
-            lanes[lane] += std::sqrt(cur[i] * vi);
-    }
-    double bc = 0.0;
-    for (double lane : lanes)
-        bc += lane;
-    return bc;
-}
-
 const KernelTable avx2Table = {
     "avx2",
     avx2Apply1q,
@@ -774,7 +708,7 @@ const KernelTable avx2Table = {
     avx2StratumPhaseTable,
     avx2PhaseTable,
     avx2Norm2,
-    avx2ReweightRound,
+    detail::reweightRound,
 };
 
 } // namespace

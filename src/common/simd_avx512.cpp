@@ -478,70 +478,6 @@ avx512Norm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
-double
-avx512ReweightRound(const double *cur, double *next,
-                    const ReweightTerm *terms, U64 n_terms, double c0,
-                    U64 lo, U64 hi)
-{
-    detail::countDispatch(kReweightRound, kBackendAvx512);
-    // One 8-outcome block per iteration: element l of a block is lane
-    // l of the lane-split reductions, so the vector accumulator is the
-    // lane array and a block's mass updates never share a row.
-    const __m512d vc0 = _mm512_set1_pd(c0);
-    const __m512d zero = _mm512_setzero_pd();
-    __m512d acc = zero;
-    alignas(64) double v[8];
-    U64 i = lo;
-    for (; i + 8 <= hi; i += 8) {
-        __m512d factor = vc0;
-        for (U64 t = 0; t < n_terms; ++t) {
-            const __m256i b = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(terms[t].bucketOf + i));
-            factor = _mm512_add_pd(
-                factor, _mm512_mask_i32gather_pd(zero, 0xFF, b,
-                                                 terms[t].weight, 8));
-        }
-        const __m512d vc = _mm512_loadu_pd(cur + i);
-        const __m512d vn = _mm512_mul_pd(vc, factor);
-        _mm512_storeu_pd(next + i, vn);
-        _mm512_store_pd(v, vn);
-        const __mmask8 pos = static_cast<__mmask8>(
-            _mm512_cmp_pd_mask(vc, zero, _CMP_GT_OQ) &
-            _mm512_cmp_pd_mask(vn, zero, _CMP_GT_OQ));
-        // maskz form only to sidestep the undefined pass-through in
-        // the plain intrinsic; dead lanes are masked out of the add.
-        const __m512d term =
-            _mm512_maskz_sqrt_pd(0xFF, _mm512_mul_pd(vc, vn));
-        acc = _mm512_mask_add_pd(acc, pos, acc, term);
-        for (U64 t = 0; t < n_terms; ++t) {
-            const std::uint32_t *b = terms[t].bucketOf + i;
-            double *mass = terms[t].mass;
-            const U64 stride = terms[t].stride;
-            for (U64 l = 0; l < 8; ++l)
-                mass[l * stride + b[l]] += v[l];
-        }
-    }
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, acc);
-    for (; i < hi; ++i) {
-        double factor = c0;
-        for (U64 t = 0; t < n_terms; ++t)
-            factor += terms[t].weight[terms[t].bucketOf[i]];
-        const double vi = cur[i] * factor;
-        next[i] = vi;
-        const U64 lane = (i - lo) % kReweightLanes;
-        for (U64 t = 0; t < n_terms; ++t)
-            terms[t].mass[lane * terms[t].stride + terms[t].bucketOf[i]] +=
-                vi;
-        if (cur[i] > 0.0 && vi > 0.0)
-            lanes[lane] += std::sqrt(cur[i] * vi);
-    }
-    double bc = 0.0;
-    for (double lane : lanes)
-        bc += lane;
-    return bc;
-}
-
 const KernelTable avx512Table = {
     "avx512",
     avx512Apply1q,
@@ -552,7 +488,7 @@ const KernelTable avx512Table = {
     avx512StratumPhaseTable,
     avx512PhaseTable,
     avx512Norm2,
-    avx512ReweightRound,
+    detail::reweightRound,
 };
 
 } // namespace

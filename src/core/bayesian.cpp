@@ -35,47 +35,6 @@ evidenceOdds(double pry)
     return clamped / (1.0 - clamped);
 }
 
-/**
- * Portable PEXT: gathers the bits of an outcome at ascending positions
- * into the low bits of a key, one shift-and-mask per run of adjacent
- * positions (a sliding-window subset has one or two runs).
- */
-class BitGather
-{
-  public:
-    explicit BitGather(const Subset &ascending)
-    {
-        for (std::size_t j = 0; j < ascending.size();) {
-            std::size_t end = j + 1;
-            while (end < ascending.size() &&
-                   ascending[end] == ascending[end - 1] + 1)
-                ++end;
-            const std::size_t len = end - j;
-            const BasisState ones =
-                len >= 64 ? ~BasisState{0} : (BasisState{1} << len) - 1;
-            runs_.push_back(
-                {ascending[j] - static_cast<int>(j), ones << j});
-            j = end;
-        }
-    }
-
-    BasisState operator()(BasisState outcome) const
-    {
-        BasisState key = 0;
-        for (const Run &run : runs_)
-            key |= (outcome >> run.shift) & run.mask;
-        return key;
-    }
-
-  private:
-    struct Run
-    {
-        int shift;       ///< Source position minus key position.
-        BasisState mask; ///< The run's bits in the key.
-    };
-    std::vector<Run> runs_;
-};
-
 /** Subsets of at most this many bits index their buckets by the dense
  *  subset key (2^k slots); wider ones by rank among the keys present,
  *  so their tables stay within the support size. */
@@ -92,22 +51,21 @@ std::vector<double>
 indexMarginal(const std::vector<BasisState> &outcomes, const Marginal &m,
               double evidence_threshold, std::uint32_t *bucket_of)
 {
-    Subset ascending = m.qubits;
-    std::sort(ascending.begin(), ascending.end());
-    const BitGather gather(ascending);
     const std::size_t n = outcomes.size();
+    const std::size_t k = m.qubits.size();
 
-    // Each bucket's subset key, bit j = ascending[j].
+    // Each bucket's subset key, in the local PMF's bit order.
     std::vector<BasisState> bucket_keys;
-    if (ascending.size() <= kMaxDenseKeyBits) {
+    if (k <= kMaxDenseKeyBits) {
         for (std::size_t i = 0; i < n; ++i)
-            bucket_of[i] = static_cast<std::uint32_t>(gather(outcomes[i]));
-        bucket_keys.resize(std::size_t{1} << ascending.size());
+            bucket_of[i] = static_cast<std::uint32_t>(
+                extractBits(outcomes[i], m.qubits));
+        bucket_keys.resize(std::size_t{1} << k);
         std::iota(bucket_keys.begin(), bucket_keys.end(), BasisState{0});
     } else {
         std::vector<BasisState> keys(n);
         for (std::size_t i = 0; i < n; ++i)
-            keys[i] = gather(outcomes[i]);
+            keys[i] = extractBits(outcomes[i], m.qubits);
         bucket_keys = keys;
         std::sort(bucket_keys.begin(), bucket_keys.end());
         bucket_keys.erase(
@@ -120,11 +78,9 @@ indexMarginal(const std::vector<BasisState> &outcomes, const Marginal &m,
                 bucket_keys.begin());
     }
 
-    // The local PMF is keyed in the marginal's own bit order.
     std::vector<double> odds(bucket_keys.size());
     for (std::size_t b = 0; b < bucket_keys.size(); ++b) {
-        const double pry = m.local.prob(
-            extractBits(depositBits(bucket_keys[b], ascending), m.qubits));
+        const double pry = m.local.prob(bucket_keys[b]);
         odds[b] = pry > evidence_threshold ? evidenceOdds(pry) : -1.0;
     }
     return odds;

@@ -472,6 +472,19 @@ TEST(ReconstructionEquivalence, DegenerateInputsMatchReference)
         expectGoldenVsReference(global, marginals, capped);
     }
     {
+        SCOPED_TRACE("repeated subset bits");
+        // A subset naming one qubit twice only ever sees keys 00 and 11.
+        Pmf local(2);
+        local.set(0b00, 0.3);
+        local.set(0b01, 0.1);
+        local.set(0b10, 0.2);
+        local.set(0b11, 0.4);
+        std::vector<core::Marginal> repeated = marginals;
+        repeated.push_back({local, {0, 0}});
+        repeated.push_back({local, {5, 5}});
+        expectGoldenVsReference(global, repeated, options);
+    }
+    {
         SCOPED_TRACE("unsorted and wide subsets");
         // Subset bits in descending order, and a 13-bit subset past the
         // dense-key limit, whose buckets are the keys present.
@@ -493,8 +506,8 @@ TEST(ReconstructionEquivalence, DegenerateInputsMatchReference)
 
 TEST(ReconstructionEquivalence, LargeSupportManyShards)
 {
-    // The >1M-outcome regime: dozens of shards, with the SIMD main
-    // loops doing essentially all the work. Golden against the
+    // The >1M-outcome regime: dozens of shards, with the fused round
+    // loop doing essentially all the work. Golden against the
     // reference and bitwise across backends and pool sizes. Too slow
     // for the default test run, so it is opt-in.
     if (std::getenv("JIGSAW_LARGE_TESTS") == nullptr)
@@ -1071,6 +1084,7 @@ expectReconstructionKernelsMatchScalar(const simd::KernelTable &active)
                 mass_s[t].push_back(rng.uniform(0.0, 1.0));
             mass_a[t] = mass_s[t];
         }
+        const std::vector<std::vector<double>> mass_init = mass_s;
         const auto terms = [&](std::vector<std::vector<double>> &mass) {
             std::vector<simd::ReweightTerm> out;
             for (std::size_t t = 0; t < n_terms; ++t)
@@ -1110,6 +1124,13 @@ expectReconstructionKernelsMatchScalar(const simd::KernelTable &active)
                 bc += std::sqrt(cur[i] * next_s[i]);
         }
         EXPECT_NEAR(bc_s, bc, 1e-12 * bc);
+        for (std::size_t t = 0; t < n_terms; ++t) {
+            std::vector<double> mass = mass_init[t];
+            for (std::size_t i = lo; i < hi; ++i)
+                mass[((i - lo) % lanes) * n_buckets[t] + bucket_of[t][i]] +=
+                    next_s[i];
+            EXPECT_EQ(mass, mass_s[t]) << "term " << t;
+        }
         EXPECT_EQ(next_s[0], -1.0);
         EXPECT_EQ(next_s[n - 1], -1.0);
     }
