@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/alias.h"
 #include "common/error.h"
+#include "common/multinomial.h"
 
 namespace jigsaw {
 
@@ -178,15 +178,9 @@ Pmf::sample(Rng &rng) const
 Histogram
 Pmf::sampleHistogram(std::uint64_t trials, Rng &rng) const
 {
-    // Walker alias table: O(support) setup, O(1) per draw, so a batch
-    // of T trials costs O(support + T) instead of O(T log support).
-    Histogram hist(nQubits_);
     if (probs_.empty() || trials == 0)
-        return hist;
-    const AliasTable table(*this);
-    for (std::uint64_t t = 0; t < trials; ++t)
-        hist.add(table.sample(rng));
-    return hist;
+        return Histogram(nQubits_);
+    return MultinomialSampler(*this).draw(trials, rng);
 }
 
 double

@@ -622,13 +622,17 @@ StreamingScheduler::drain()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     while (liveJobs_ > 0) {
-        // Close open windows now instead of waiting out windowMs —
-        // re-checked every pass, because a job that was still queued
-        // or preparing when drain() began opens its window later.
+        // Close open windows now instead of waiting out windowMs, but
+        // only once no queued or preparing job can still join one:
+        // closing earlier would split jobs submitted together across
+        // windows depending on how fast each one prepared. Re-checked
+        // every pass.
         const auto now = Clock::now();
         bool closed_any = false;
+        const bool settled = admission_.empty() && preparing_ == 0 &&
+                             scheduleReady_.empty();
         for (auto &[id, window] : windows_) {
-            if (!window->closed && window->deadline > now) {
+            if (settled && !window->closed && window->deadline > now) {
                 window->deadline = now;
                 closed_any = true;
             }

@@ -1,9 +1,60 @@
 #include "sim/noise_model.h"
 
+#include <string>
+
 #include "common/error.h"
 
 namespace jigsaw {
 namespace sim {
+
+namespace {
+
+/**
+ * Readout-style flip of clbit @p c over a dense distribution: a true 0
+ * reads 1 with probability @p f0, a true 1 reads 0 with @p f1.
+ */
+void
+flipPass(std::vector<double> &v, int c, double f0, double f1)
+{
+    const std::size_t stride = std::size_t{1} << c;
+    const double keep0 = 1.0 - f0;
+    const double keep1 = 1.0 - f1;
+    for (std::size_t base = 0; base < v.size(); base += 2 * stride) {
+        double *lo = v.data() + base;
+        double *hi = lo + stride;
+        for (std::size_t j = 0; j < stride; ++j) {
+            const double a = lo[j];
+            const double b = hi[j];
+            lo[j] = keep0 * a + f1 * b;
+            hi[j] = f0 * a + keep1 * b;
+        }
+    }
+}
+
+/**
+ * Correlated flip of clbits @p a < @p b with probability @p e. Outcome
+ * x (bit a clear) trades mass with x ^ mask; inside one block of
+ * 2^a outcomes neither bit changes, so both sides stay contiguous.
+ */
+void
+pairPass(std::vector<double> &v, int a, int b, double e)
+{
+    const std::size_t stride = std::size_t{1} << a;
+    const std::size_t mask = stride | (std::size_t{1} << b);
+    const double keep = 1.0 - e;
+    for (std::size_t base = 0; base < v.size(); base += 2 * stride) {
+        double *x = v.data() + base;
+        double *y = v.data() + (base ^ mask);
+        for (std::size_t j = 0; j < stride; ++j) {
+            const double p = x[j];
+            const double q = y[j];
+            x[j] = keep * p + e * q;
+            y[j] = e * p + keep * q;
+        }
+    }
+}
+
+} // namespace
 
 MeasurementChannel::MeasurementChannel(
     const circuit::QuantumCircuit &physical_circuit,
@@ -62,6 +113,54 @@ MeasurementChannel::flipProbability(int c, int bit) const
             "MeasurementChannel: clbit out of range");
     return bit ? flip1_[static_cast<std::size_t>(c)]
                : flip0_[static_cast<std::size_t>(c)];
+}
+
+void
+checkDenseWidth(int n_clbits)
+{
+    if (n_clbits > kMaxDenseClbits) {
+        fatalIf(true, "channel-mode sampling builds a dense distribution "
+                      "over at most " +
+                          std::to_string(kMaxDenseClbits) +
+                          " classical bits; this circuit has " +
+                          std::to_string(n_clbits));
+    }
+}
+
+std::vector<double>
+noisyOutcomeDistribution(const Pmf &ideal, double gate_ok,
+                         double gate_bit_flip,
+                         const MeasurementChannel *readout)
+{
+    const int k = ideal.nQubits();
+    checkDenseWidth(k);
+    fatalIf(readout != nullptr && readout->nClbits() != k,
+            "noisyOutcomeDistribution: readout channel width mismatch");
+    std::vector<double> p(std::size_t{1} << k, 0.0);
+    for (const auto &[outcome, w] : ideal.probabilities()) {
+        fatalIf(outcome >= p.size(),
+                "noisyOutcomeDistribution: outcome out of range");
+        p[outcome] = w;
+    }
+    if (gate_ok < 1.0) {
+        std::vector<double> failed = p;
+        for (int c = 0; c < k; ++c)
+            flipPass(failed, c, gate_bit_flip, gate_bit_flip);
+        const double fail = 1.0 - gate_ok;
+        for (std::size_t i = 0; i < p.size(); ++i)
+            p[i] = gate_ok * p[i] + fail * failed[i];
+    }
+    if (readout != nullptr) {
+        for (int c = 0; c < k; ++c) {
+            flipPass(p, c, readout->flipProbability(c, 0),
+                     readout->flipProbability(c, 1));
+        }
+        if (readout->correlatedError() > 0.0) {
+            for (const auto &[a, b] : readout->correlatedPairs())
+                pairPass(p, a, b, readout->correlatedError());
+        }
+    }
+    return p;
 }
 
 } // namespace sim

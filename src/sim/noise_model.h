@@ -19,6 +19,7 @@
 
 #include "circuit/circuit.h"
 #include "common/bitops.h"
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "device/device_model.h"
 
@@ -26,9 +27,11 @@ namespace jigsaw {
 namespace sim {
 
 /**
- * The stochastic readout channel for one compiled circuit: built once
- * from the device calibration and the circuit's measurement set, then
- * applied to every sampled ideal outcome.
+ * The stochastic readout channel for one compiled circuit, built once
+ * from the device calibration and the circuit's measurement set.
+ * Channel mode folds it into the exact output distribution
+ * (noisyOutcomeDistribution); trajectory mode applies it to each
+ * sampled outcome.
  */
 class MeasurementChannel
 {
@@ -66,6 +69,30 @@ class MeasurementChannel
     std::vector<std::pair<int, int>> correlatedPairs_;
     double correlatedError_ = 0.0;
 };
+
+/** Widest outcome register noisyOutcomeDistribution builds densely. */
+constexpr int kMaxDenseClbits = 24;
+
+/**
+ * The channel-mode output distribution P' = C * R * G * P over all
+ * 2^k outcomes of the k-bit @p ideal PMF P, as a dense vector indexed
+ * by outcome:
+ *  - G, the gate-failure mixture: with weight 1 - @p gate_ok every bit
+ *    flips independently with probability @p gate_bit_flip;
+ *  - R, the asymmetric per-clbit readout flips of @p readout;
+ *  - C, the correlated-pair flips of @p readout.
+ * @p gate_ok = 1 skips G and a null @p readout skips R and C. Each
+ * factor is a pass over bit or pair blocks, so the cost is
+ * O((2k + pairs) * 2^k). Throws std::invalid_argument when k exceeds
+ * kMaxDenseClbits.
+ */
+std::vector<double> noisyOutcomeDistribution(const Pmf &ideal,
+                                             double gate_ok,
+                                             double gate_bit_flip,
+                                             const MeasurementChannel *readout);
+
+/** The kMaxDenseClbits check, naming @p n_clbits in the message. */
+void checkDenseWidth(int n_clbits);
 
 } // namespace sim
 } // namespace jigsaw

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/error.h"
@@ -366,21 +367,11 @@ IdealSimulator::evolved(const QuantumCircuit &physical)
     Pmf pmf = exactOutputPmf(
         physical,
         {&splitCache_, &cacheMutex_, &skeletonHits_, &skeletonMisses_});
-    AliasTable sampler(pmf);
+    MultinomialSampler sampler(pmf);
     std::lock_guard<std::mutex> lock(cacheMutex_);
     return cache_
         .emplace(key, Cached{std::move(pmf), std::move(sampler)})
         .first->second;
-}
-
-Histogram
-IdealSimulator::sampleEntry(const Cached &entry, std::uint64_t shots,
-                            Rng &rng)
-{
-    Histogram hist(entry.pmf.nQubits());
-    for (std::uint64_t t = 0; t < shots; ++t)
-        hist.add(entry.sampler.sample(rng));
-    return hist;
 }
 
 Histogram
@@ -392,7 +383,7 @@ IdealSimulator::run(const QuantumCircuit &physical_circuit,
     injectFaultPoint("executor.run");
     const Cached &entry = evolved(physical_circuit);
     std::lock_guard<std::mutex> lock(rngMutex_);
-    return sampleEntry(entry, shots, rng_);
+    return entry.sampler.draw(shots, rng_);
 }
 
 Histogram
@@ -400,7 +391,7 @@ IdealSimulator::run(const QuantumCircuit &physical_circuit,
                     std::uint64_t shots, Rng &rng)
 {
     injectFaultPoint("executor.run");
-    return sampleEntry(evolved(physical_circuit), shots, rng);
+    return evolved(physical_circuit).sampler.draw(shots, rng);
 }
 
 void
@@ -453,7 +444,7 @@ IdealSimulator::cpmEntry(const QuantumCircuit &base_circuit,
         ++batchStats_.marginalsServed;
     }
     Pmf pmf = marginalFromState(*bs, qubits);
-    AliasTable sampler(pmf);
+    MultinomialSampler sampler(pmf);
     std::lock_guard<std::mutex> lock(cacheMutex_);
     return cache_
         .emplace(key, Cached{std::move(pmf), std::move(sampler)})
@@ -488,11 +479,11 @@ IdealSimulator::runBatch(const QuantumCircuit &base_circuit,
     for (const CpmSpec &spec : specs) {
         const Cached &entry = cpmEntry(base_circuit, spec.qubits, bs);
         if (spec.rng != nullptr) {
-            out.push_back(sampleEntry(entry, spec.shots, *spec.rng));
+            out.push_back(entry.sampler.draw(spec.shots, *spec.rng));
             continue;
         }
         std::lock_guard<std::mutex> lock(rngMutex_);
-        out.push_back(sampleEntry(entry, spec.shots, rng_));
+        out.push_back(entry.sampler.draw(spec.shots, rng_));
     }
     return out;
 }
@@ -519,7 +510,7 @@ NoisySimulator::run(const QuantumCircuit &physical_circuit,
     }
     const Cached &entry = evolved(physical_circuit);
     std::lock_guard<std::mutex> lock(rngMutex_);
-    return sampleChannel(entry, physical_circuit.nClbits(), shots, rng_);
+    return entry.noisy.draw(shots, rng_);
 }
 
 Histogram
@@ -532,8 +523,7 @@ NoisySimulator::run(const QuantumCircuit &physical_circuit,
             "qubit space");
     if (options_.trajectories > 0)
         return runTrajectoryMode(physical_circuit, shots, rng);
-    return sampleChannel(evolved(physical_circuit),
-                         physical_circuit.nClbits(), shots, rng);
+    return evolved(physical_circuit).noisy.draw(shots, rng);
 }
 
 void
@@ -573,45 +563,29 @@ NoisySimulator::evolved(const QuantumCircuit &physical)
             return it->second;
         }
     }
+    checkDenseWidth(physical.nClbits());
     ++cacheMisses_;
-    Pmf pmf = exactOutputPmf(
+    const Pmf pmf = exactOutputPmf(
         physical,
         {&splitCache_, &cacheMutex_, &skeletonHits_, &skeletonMisses_});
-    AliasTable sampler(pmf);
-    const double gate_ok =
-        options_.gateNoise ? gateSuccessProbability(physical, dev_) : 1.0;
-    auto channel = std::make_unique<MeasurementChannel>(physical, dev_);
+    Cached entry = noisyEntry(physical, pmf);
     std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_
-        .emplace(key, Cached{std::move(pmf), std::move(sampler), gate_ok,
-                             std::move(channel)})
-        .first->second;
+    return cache_.emplace(key, std::move(entry)).first->second;
 }
 
-Histogram
-NoisySimulator::sampleChannel(const Cached &entry, int n_clbits,
-                              std::uint64_t shots, Rng &rng)
+NoisySimulator::Cached
+NoisySimulator::noisyEntry(const QuantumCircuit &circuit,
+                           const Pmf &ideal) const
 {
-    const AliasTable &sampler = entry.sampler;
-    const MeasurementChannel &channel = *entry.channel;
-    const double gate_ok = entry.gateOk;
-
-    Histogram hist(n_clbits);
-    for (std::uint64_t t = 0; t < shots; ++t) {
-        BasisState outcome = sampler.sample(rng);
-        if (!rng.bernoulli(gate_ok)) {
-            // Gate failure: corrupt the sampled outcome with
-            // independent bit flips (localized depolarizing).
-            for (int c = 0; c < n_clbits; ++c) {
-                if (rng.bernoulli(options_.gateNoiseBitFlip))
-                    outcome = flipBit(outcome, c);
-            }
-        }
-        if (options_.measurementNoise)
-            outcome = channel.apply(outcome, rng);
-        hist.add(outcome);
-    }
-    return hist;
+    const double gate_ok =
+        options_.gateNoise ? gateSuccessProbability(circuit, dev_) : 1.0;
+    std::optional<MeasurementChannel> readout;
+    if (options_.measurementNoise)
+        readout.emplace(circuit, dev_);
+    return Cached{MultinomialSampler(
+        ideal.nQubits(),
+        noisyOutcomeDistribution(ideal, gate_ok, options_.gateNoiseBitFlip,
+                                 readout ? &*readout : nullptr))};
 }
 
 std::vector<Histogram>
@@ -635,14 +609,12 @@ NoisySimulator::runBatch(const QuantumCircuit &base_circuit,
     const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs) {
         const Cached &entry = cpmEntry(base_circuit, spec.qubits, bs);
-        const int n_clbits = static_cast<int>(spec.qubits.size());
         if (spec.rng != nullptr) {
-            out.push_back(sampleChannel(entry, n_clbits, spec.shots,
-                                        *spec.rng));
+            out.push_back(entry.noisy.draw(spec.shots, *spec.rng));
             continue;
         }
         std::lock_guard<std::mutex> lock(rngMutex_);
-        out.push_back(sampleChannel(entry, n_clbits, spec.shots, rng_));
+        out.push_back(entry.noisy.draw(spec.shots, rng_));
     }
     return out;
 }
@@ -662,6 +634,7 @@ NoisySimulator::cpmEntry(const QuantumCircuit &base_circuit,
             return it->second;
         }
     }
+    checkDenseWidth(static_cast<int>(qubits.size()));
     if (bs == nullptr)
         bs = &evolvedBase(
             stateCache_, cacheMutex_, base_circuit, batchStats_,
@@ -670,21 +643,15 @@ NoisySimulator::cpmEntry(const QuantumCircuit &base_circuit,
         std::lock_guard<std::mutex> lock(cacheMutex_);
         ++batchStats_.marginalsServed;
     }
-    Pmf pmf = marginalFromState(*bs, qubits);
-    AliasTable sampler(pmf);
+    const Pmf pmf = marginalFromState(*bs, qubits);
     // The CPM circuit is only materialized on a miss, for the noise
     // derivations. The gate-only success probability ignores
     // measurements, so the CPM inherits the base circuit's value
     // exactly; the readout channel is genuinely per-subset.
-    const QuantumCircuit cpm = base_circuit.withMeasurementSubset(qubits);
-    const double gate_ok =
-        options_.gateNoise ? gateSuccessProbability(cpm, dev_) : 1.0;
-    auto channel = std::make_unique<MeasurementChannel>(cpm, dev_);
+    Cached entry =
+        noisyEntry(base_circuit.withMeasurementSubset(qubits), pmf);
     std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_
-        .emplace(key, Cached{std::move(pmf), std::move(sampler), gate_ok,
-                             std::move(channel)})
-        .first->second;
+    return cache_.emplace(key, std::move(entry)).first->second;
 }
 
 Histogram
@@ -753,17 +720,22 @@ NoisySimulator::runTrajectoryMode(const QuantumCircuit &physical,
             }
         }
 
-        const Pmf traj_pmf = state.measurementPmf(dense_qubits);
-        const AliasTable sampler(traj_pmf);
         std::uint64_t traj_shots = base_shots;
         if (traj == n_traj - 1)
             traj_shots = shots - base_shots * static_cast<std::uint64_t>(
                                                   n_traj - 1);
-        for (std::uint64_t t = 0; t < traj_shots; ++t) {
-            BasisState outcome = sampler.sample(rng);
-            if (options_.measurementNoise)
-                outcome = channel.apply(outcome, rng);
-            hist.add(outcome);
+        const Histogram ideal =
+            MultinomialSampler(state.measurementPmf(dense_qubits))
+                .draw(traj_shots, rng);
+        if (!options_.measurementNoise) {
+            hist.merge(ideal);
+            continue;
+        }
+        // Readout noise stays per shot here: this is the reference
+        // the channel-mode P' is validated against.
+        for (const auto &[outcome, count] : ideal.counts()) {
+            for (std::uint64_t t = 0; t < count; ++t)
+                hist.add(channel.apply(outcome, rng));
         }
     }
     return hist;

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "common/alias.h"
 #include "common/histogram.h"
+#include "common/multinomial.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "device/device_model.h"
@@ -192,10 +192,11 @@ class Executor
  * Noise-free executor; also exposes the exact output PMF, which the
  * metrics use as the golden reference distribution.
  *
- * Exact PMFs (and their alias samplers) are memoized per structural
- * circuit hash, so JigSaw's repeated runs of an identical circuit —
- * the global circuit resampled, or CPMs sharing a compilation — skip
- * state-vector evolution entirely and cost O(shots) draws.
+ * Exact PMFs (and their samplers) are memoized per structural circuit
+ * hash, so JigSaw's repeated runs of an identical circuit — the global
+ * circuit resampled, or CPMs sharing a compilation — skip state-vector
+ * evolution entirely. Each run() or CpmSpec is then one multinomial
+ * draw over the PMF's sorted support (MultinomialSampler).
  *
  * Thread-safety: run()/runBatch()/idealPmf() may be called from
  * concurrent sessions sharing one executor. The PMF/state caches are
@@ -282,15 +283,13 @@ class IdealSimulator : public Executor
     struct Cached
     {
         Pmf pmf;
-        AliasTable sampler;
+        MultinomialSampler sampler;
     };
 
     const Cached &evolved(const circuit::QuantumCircuit &physical);
     const Cached &cpmEntry(const circuit::QuantumCircuit &base_circuit,
                            const std::vector<int> &qubits,
                            const detail::BatchState *&bs);
-    Histogram sampleEntry(const Cached &entry, std::uint64_t shots,
-                          Rng &rng);
 
     Rng rng_;
     std::mutex rngMutex_;   ///< Serializes draws from rng_.
@@ -314,20 +313,22 @@ struct NoisySimulatorOptions
 {
     std::uint64_t seed = 1234;
     /**
-     * 0 = fast channel mode: gate noise becomes a depolarizing
-     * channel of strength 1 - gateSuccessProbability and readout
-     * noise is applied per sampled outcome.
+     * 0 = fast channel mode: gate noise becomes a localized
+     * depolarizing channel of strength 1 - gateSuccessProbability,
+     * and it and the readout channel are folded into the exact output
+     * distribution once per circuit (see NoisySimulator).
      * >0 = trajectory mode: this many stochastic-Pauli trajectories
-     * are simulated and shots are split across them (slow; used to
-     * validate the fast mode on small circuits).
+     * are simulated, shots are split across them, and readout noise
+     * is applied per sampled outcome (slow; used to validate the fast
+     * mode on small circuits).
      */
     int trajectories = 0;
     bool gateNoise = true;
     bool measurementNoise = true;
     /**
      * Channel-mode gate-failure corruption: each output bit of the
-     * sampled ideal outcome flips with this probability when the
-     * trial suffers a gate error. 0.5 reproduces the textbook
+     * ideal outcome flips with this probability when the trial
+     * suffers a gate error. 0.5 reproduces the textbook
      * uniform-outcome depolarizing channel; the default 0.15 models
      * the localized corruption real hardware shows, which keeps the
      * observed global-PMF support small (paper Table 6: ~7% of the
@@ -339,11 +340,18 @@ struct NoisySimulatorOptions
 /**
  * Noisy executor driven by a DeviceModel calibration.
  *
- * Fast mode (default) samples each trial from the exact state-vector
- * distribution, replaces it with a uniform random outcome with
- * probability 1 - gateSuccessProbability (global depolarizing
- * approximation of accumulated gate error), and then pushes it through
- * the MeasurementChannel.
+ * Fast (channel) mode computes, once per cached circuit, the exact
+ * noisy output distribution P' = C * R * G * P over the k classical
+ * bits (noisyOutcomeDistribution): P is the ideal state-vector PMF;
+ * G flips each bit independently with gateNoiseBitFlip in the
+ * 1 - gateSuccessProbability share of trials that suffer a gate error
+ * (a localized depolarizing approximation of accumulated gate error);
+ * R and C are the MeasurementChannel's per-clbit and correlated-pair
+ * readout flips. Each run() or CpmSpec is then one multinomial draw
+ * over P' (MultinomialSampler), so a warm circuit costs O(shots + 2^k)
+ * with no per-shot noise work. P' is dense, which caps channel mode at
+ * kMaxDenseClbits classical bits; wider circuits throw
+ * std::invalid_argument before any evolution.
  */
 class NoisySimulator : public Executor
 {
@@ -360,10 +368,10 @@ class NoisySimulator : public Executor
 
     /**
      * Batched CPM execution (channel mode): one shared-prefix
-     * evolution serves every spec's ideal marginal; the gate-noise
-     * corruption and the per-subset readout channel are then applied
-     * per sampled trial exactly as in run(). Trajectory mode falls
-     * back to the per-CPM default.
+     * evolution serves every spec's ideal marginal, which is folded
+     * with the gate noise and the per-subset readout channel into
+     * the spec's P' exactly as in run(); each spec is one multinomial
+     * draw over it. Trajectory mode falls back to the per-CPM default.
      */
     std::vector<Histogram>
     runBatch(const circuit::QuantumCircuit &base_circuit,
@@ -410,17 +418,18 @@ class NoisySimulator : public Executor
 
   private:
     /**
-     * Everything channel mode derives from the circuit alone: the
-     * exact PMF, its alias sampler, the gate-success probability, and
-     * the readout channel. Cached per structural hash.
+     * What a channel-mode draw needs, derived from the circuit alone:
+     * the sampler over its noisy distribution P'. Cached per
+     * structural hash.
      */
     struct Cached
     {
-        Pmf pmf;
-        AliasTable sampler;
-        double gateOk = 1.0;
-        std::unique_ptr<MeasurementChannel> channel;
+        MultinomialSampler noisy;
     };
+
+    /** P' of @p circuit from its ideal PMF (see the class comment). */
+    Cached noisyEntry(const circuit::QuantumCircuit &circuit,
+                      const Pmf &ideal) const;
 
     const Cached &evolved(const circuit::QuantumCircuit &physical);
     const Cached &cpmEntry(const circuit::QuantumCircuit &base_circuit,
@@ -429,8 +438,6 @@ class NoisySimulator : public Executor
 
     Histogram runTrajectoryMode(const circuit::QuantumCircuit &physical,
                                 std::uint64_t shots, Rng &rng);
-    Histogram sampleChannel(const Cached &entry, int n_clbits,
-                            std::uint64_t shots, Rng &rng);
 
     device::DeviceModel dev_;
     NoisySimulatorOptions options_;

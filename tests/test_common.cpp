@@ -13,6 +13,7 @@
 #include "common/bitops.h"
 #include "common/error.h"
 #include "common/histogram.h"
+#include "common/multinomial.h"
 #include "common/nelder_mead.h"
 #include "common/rng.h"
 #include "common/statistics.h"
@@ -319,6 +320,122 @@ TEST(Pmf, SampleHistogramMatchesDistribution)
     const Histogram h = p.sampleHistogram(100000, rng);
     EXPECT_EQ(h.totalCount(), 100000u);
     EXPECT_NEAR(static_cast<double>(h.count(1)) / 100000.0, 0.75, 0.01);
+}
+
+/** True when @p a and @p b are at the same point of their streams. */
+bool
+sameStreamState(Rng a, Rng b)
+{
+    return a.word() == b.word();
+}
+
+TEST(MultinomialSampler, ZeroShotsDrawNothingAndConsumeNothing)
+{
+    const MultinomialSampler sampler(2, {0.25, 0.25, 0.25, 0.25});
+    Rng rng(3);
+    const Histogram h = sampler.draw(0, rng);
+    EXPECT_EQ(h.nQubits(), 2);
+    EXPECT_EQ(h.totalCount(), 0u);
+    EXPECT_EQ(h.uniqueOutcomes(), 0u);
+    EXPECT_TRUE(sameStreamState(rng, Rng(3)));
+}
+
+TEST(MultinomialSampler, OneShotConsumesTwoUniforms)
+{
+    const MultinomialSampler sampler(2, {0.1, 0.2, 0.3, 0.4});
+    Rng rng(4);
+    const Histogram h = sampler.draw(1, rng);
+    EXPECT_EQ(h.totalCount(), 1u);
+    EXPECT_EQ(h.uniqueOutcomes(), 1u);
+    Rng reference(4);
+    reference.uniform();
+    reference.uniform();
+    EXPECT_TRUE(sameStreamState(rng, reference));
+}
+
+TEST(MultinomialSampler, SingleOutcomeSupportTakesEveryShot)
+{
+    Pmf p(3);
+    p.set(0b101, 0.7);
+    const MultinomialSampler sampler(p);
+    Rng rng(5);
+    const Histogram h = sampler.draw(1000, rng);
+    EXPECT_EQ(h.count(0b101), 1000u);
+    EXPECT_EQ(h.uniqueOutcomes(), 1u);
+}
+
+TEST(MultinomialSampler, ZeroMassEntriesAreNeverDrawn)
+{
+    // Leading, interior and trailing zero-weight entries, dense and
+    // sparse.
+    const MultinomialSampler dense(3, {0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0,
+                                       0.0});
+    Pmf p(3);
+    p.set(0b000, 0.0);
+    p.set(0b010, 0.3);
+    p.set(0b011, 0.0);
+    p.set(0b110, 0.7);
+    p.set(0b111, 0.0);
+    const MultinomialSampler sparse(p);
+    Rng rng(6);
+    for (int rep = 0; rep < 20; ++rep) {
+        const Histogram hd = dense.draw(50000, rng);
+        EXPECT_EQ(hd.uniqueOutcomes(), 2u);
+        EXPECT_EQ(hd.count(0b001) + hd.count(0b100), 50000u);
+        const Histogram hs = sparse.draw(50000, rng);
+        EXPECT_EQ(hs.uniqueOutcomes(), 2u);
+        EXPECT_EQ(hs.count(0b010) + hs.count(0b110), 50000u);
+    }
+}
+
+TEST(MultinomialSampler, CountsSumToShots)
+{
+    std::vector<double> weights(64);
+    Rng gen(7);
+    for (double &w : weights)
+        w = gen.uniform();
+    const MultinomialSampler sampler(6, weights);
+    Rng rng(8);
+    for (const std::uint64_t shots : {1ULL, 2ULL, 7ULL, 1000ULL, 65536ULL}) {
+        const Histogram h = sampler.draw(shots, rng);
+        EXPECT_EQ(h.totalCount(), shots);
+        std::uint64_t sum = 0;
+        for (const auto &[outcome, count] : h.counts()) {
+            EXPECT_LT(outcome, 64u);
+            sum += count;
+        }
+        EXPECT_EQ(sum, shots);
+    }
+}
+
+TEST(MultinomialSampler, FollowsTheDistribution)
+{
+    Pmf p(2);
+    p.set(0b00, 0.1);
+    p.set(0b01, 0.2);
+    p.set(0b11, 0.7);
+    const MultinomialSampler sampler(p);
+    Rng rng(9);
+    const Pmf observed = sampler.draw(200000, rng).toPmf();
+    EXPECT_LT(totalVariationDistance(observed, p), 0.005);
+}
+
+TEST(MultinomialSampler, SameSeedSameHistogram)
+{
+    const MultinomialSampler sampler(3, {1, 2, 3, 4, 5, 6, 7, 8});
+    Rng a(10), b(10);
+    const Histogram ha = sampler.draw(4096, a);
+    const Histogram hb = sampler.draw(4096, b);
+    ASSERT_EQ(ha.uniqueOutcomes(), hb.uniqueOutcomes());
+    for (const auto &[outcome, count] : ha.counts())
+        EXPECT_EQ(count, hb.count(outcome));
+}
+
+TEST(MultinomialSampler, RejectsBadWeights)
+{
+    EXPECT_THROW(MultinomialSampler(1, {0.0, 0.0}), std::invalid_argument);
+    EXPECT_THROW(MultinomialSampler(1, {0.5, -0.1}), std::invalid_argument);
+    EXPECT_THROW(MultinomialSampler(Pmf(2)), std::invalid_argument);
 }
 
 TEST(Distances, TvdBasics)

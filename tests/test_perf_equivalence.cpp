@@ -5,7 +5,7 @@
  * reconstruction must reproduce the naive reference implementations to
  * within 1e-12 Hellinger distance, the cached executor must be
  * deterministic under a fixed seed, and the supporting primitives
- * (structural hash, alias table, parallel-for) must behave.
+ * (structural hash, parallel-for) must behave.
  */
 #include <algorithm>
 #include <cmath>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/alias.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -1175,41 +1174,6 @@ TEST(SimdKernels, Avx512MatchesScalar)
 }
 
 // ------------------------------------------------------------ primitives
-
-TEST(AliasTable, MatchesDistribution)
-{
-    Pmf p(2);
-    p.set(0b00, 0.1);
-    p.set(0b01, 0.2);
-    p.set(0b10, 0.3);
-    p.set(0b11, 0.4);
-    const AliasTable table(p);
-    Rng rng(3);
-    const int trials = 200000;
-    std::vector<int> counts(4, 0);
-    for (int t = 0; t < trials; ++t)
-        ++counts[static_cast<std::size_t>(table.sample(rng))];
-    for (BasisState v = 0; v < 4; ++v) {
-        EXPECT_NEAR(static_cast<double>(
-                        counts[static_cast<std::size_t>(v)]) /
-                        trials,
-                    p.prob(v), 0.01);
-    }
-}
-
-TEST(AliasTable, DeterministicGivenSeed)
-{
-    Pmf p(3);
-    Rng fill(9);
-    for (BasisState v = 0; v < 8; ++v)
-        p.set(v, fill.uniform(0.01, 1.0));
-    p.normalize();
-    const AliasTable t1(p);
-    const AliasTable t2(p);
-    Rng r1(77), r2(77);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_EQ(t1.sample(r1), t2.sample(r2));
-}
 
 TEST(ParallelFor, CoversRangeExactlyOnce)
 {

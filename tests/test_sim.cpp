@@ -1,9 +1,14 @@
 /**
  * @file
  * Noise-pipeline tests: circuit compaction, EPS accounting, the
- * measurement channel's statistics, and the ideal/noisy executors
- * (including fast-channel vs trajectory-mode agreement).
+ * measurement channel's statistics, the exact channel-mode output
+ * distribution P' (against a brute-force transition matrix and the
+ * per-shot channel), and the ideal/noisy executors (including
+ * fast-channel vs trajectory-mode agreement).
  */
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "device/library.h"
@@ -35,6 +40,133 @@ tinyDevice()
     cal.setEdgeError(1, 0.02);
     cal.setCorrelatedPairError(0.0);
     return DeviceModel("tiny", std::move(topo), std::move(cal));
+}
+
+/**
+ * A 4-qubit linear device with per-qubit asymmetric readout and a
+ * correlated-pair floor: measuring all four qubits gives the pairs
+ * (0,1), (1,2), (2,3), which share clbits 1 and 2.
+ */
+DeviceModel
+pairedDevice()
+{
+    device::Topology topo = device::linearTopology(4);
+    device::Calibration cal(4, 3);
+    for (int q = 0; q < 4; ++q) {
+        cal.qubit(q).readoutError01 = 0.01 + 0.01 * q;
+        cal.qubit(q).readoutError10 = 0.05 + 0.02 * q;
+        cal.qubit(q).error1q = 0.002;
+        cal.qubit(q).crosstalkGamma = 0.004;
+    }
+    for (int e = 0; e < 3; ++e)
+        cal.setEdgeError(e, 0.02 + 0.01 * e);
+    cal.setCorrelatedPairError(0.03);
+    return DeviceModel("paired", std::move(topo), std::move(cal));
+}
+
+/** A 4-qubit entangling circuit measuring every qubit. */
+QuantumCircuit
+pairedCircuit()
+{
+    QuantumCircuit qc(4, 4);
+    qc.h(0).cx(0, 1).cx(1, 2).ry(0.7, 3).cx(2, 3).measureAll();
+    return qc;
+}
+
+/**
+ * P' by brute force: the transition matrix summed over every
+ * gate-flip pattern g, readout-flip pattern r and pair-flip pattern s
+ * of every ideal outcome x, exactly as the per-shot channel composes
+ * them (gate corruption first, readout flips conditioned on the
+ * corrupted bit, then the correlated pairs).
+ */
+std::vector<double>
+bruteForceNoisy(const Pmf &ideal, double gate_ok, double bit_flip,
+                const MeasurementChannel *readout)
+{
+    const int k = ideal.nQubits();
+    const BasisState n = BasisState{1} << k;
+    std::vector<std::pair<int, int>> pairs;
+    double pair_error = 0.0;
+    if (readout != nullptr) {
+        pairs = readout->correlatedPairs();
+        pair_error = readout->correlatedError();
+    }
+    const BasisState n_pair_patterns = BasisState{1} << pairs.size();
+    const BasisState n_readout_patterns = readout != nullptr ? n : 1;
+    std::vector<double> out(n, 0.0);
+    for (BasisState x = 0; x < n; ++x) {
+        const double px = ideal.prob(x);
+        for (BasisState g = 0; g < n; ++g) {
+            double wg = (1.0 - gate_ok);
+            for (int c = 0; c < k; ++c)
+                wg *= getBit(g, c) ? bit_flip : 1.0 - bit_flip;
+            if (g == 0)
+                wg += gate_ok;
+            const BasisState y = x ^ g;
+            for (BasisState r = 0; r < n_readout_patterns; ++r) {
+                double wr = 1.0;
+                for (int c = 0; c < k && readout != nullptr; ++c) {
+                    const double f =
+                        readout->flipProbability(c, getBit(y, c));
+                    wr *= getBit(r, c) ? f : 1.0 - f;
+                }
+                for (BasisState pat = 0; pat < n_pair_patterns; ++pat) {
+                    double ws = 1.0;
+                    BasisState z = y ^ r;
+                    for (std::size_t j = 0; j < pairs.size(); ++j) {
+                        if (getBit(pat, static_cast<int>(j))) {
+                            ws *= pair_error;
+                            z = flipBit(flipBit(z, pairs[j].first),
+                                        pairs[j].second);
+                        } else {
+                            ws *= 1.0 - pair_error;
+                        }
+                    }
+                    out[z] += px * wg * wr * ws;
+                }
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * The pre-P' channel-mode sampler, one shot at a time: draw the ideal
+ * outcome, corrupt it with independent bit flips on a gate failure,
+ * then push it through MeasurementChannel::apply.
+ */
+Histogram
+perShotChannel(const Pmf &ideal, double gate_ok, double bit_flip,
+               const MeasurementChannel *readout, std::uint64_t shots,
+               Rng &rng)
+{
+    Histogram hist(ideal.nQubits());
+    for (std::uint64_t t = 0; t < shots; ++t) {
+        BasisState outcome = ideal.sample(rng);
+        if (!rng.bernoulli(gate_ok)) {
+            for (int c = 0; c < ideal.nQubits(); ++c) {
+                if (rng.bernoulli(bit_flip))
+                    outcome = flipBit(outcome, c);
+            }
+        }
+        if (readout != nullptr)
+            outcome = readout->apply(outcome, rng);
+        hist.add(outcome);
+    }
+    return hist;
+}
+
+/** A dense distribution as a Pmf (zero entries dropped). */
+Pmf
+densePmf(int k, const std::vector<double> &p)
+{
+    Pmf out(k);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+        if (p[i] > 0.0)
+            out.set(i, p[i]);
+    }
+    return out;
 }
 
 TEST(Compact, RenumbersActiveQubits)
@@ -201,6 +333,98 @@ TEST(MeasurementChannel, CorrelatedPairsOnCoupledQubits)
     }
 }
 
+TEST(NoisyDistribution, MatchesBruteForceTransitionMatrix)
+{
+    const DeviceModel dev = pairedDevice();
+    const QuantumCircuit qc = pairedCircuit();
+    const MeasurementChannel channel(qc, dev);
+    ASSERT_EQ(channel.correlatedPairs().size(), 3u);
+    ASSERT_NE(channel.flipProbability(2, 0), channel.flipProbability(2, 1));
+    const double gate_ok = gateSuccessProbability(qc, dev);
+    ASSERT_LT(gate_ok, 1.0);
+
+    IdealSimulator ideal;
+    std::vector<Pmf> ideals{ideal.idealPmf(qc)};
+    // Zero-mass ideal outcomes, stored (0b0110) and absent alike.
+    Pmf sparse(4);
+    sparse.set(0b0000, 0.6);
+    sparse.set(0b0110, 0.0);
+    sparse.set(0b1011, 0.4);
+    ideals.push_back(sparse);
+    // Fewer clbits than the device: 1..3-bit registers.
+    for (int k = 1; k <= 3; ++k) {
+        Pmf p(k);
+        for (BasisState x = 0; x < (BasisState{1} << k); x += 2)
+            p.set(x, 1.0 + static_cast<double>(x));
+        p.normalize();
+        ideals.push_back(p);
+    }
+
+    for (const Pmf &p : ideals) {
+        const int k = p.nQubits();
+        QuantumCircuit sub(4, k);
+        for (int c = 0; c < k; ++c)
+            sub.measure(c, c);
+        const MeasurementChannel sub_channel(sub, dev);
+        const MeasurementChannel &readout = k == 4 ? channel : sub_channel;
+        for (const bool gate_noise : {false, true}) {
+            for (const bool measurement_noise : {false, true}) {
+                const double ok = gate_noise ? gate_ok : 1.0;
+                const MeasurementChannel *r =
+                    measurement_noise ? &readout : nullptr;
+                const std::vector<double> fast =
+                    noisyOutcomeDistribution(p, ok, 0.15, r);
+                const std::vector<double> slow =
+                    bruteForceNoisy(p, ok, 0.15, r);
+                ASSERT_EQ(fast.size(), slow.size());
+                double mass = 0.0;
+                for (std::size_t i = 0; i < fast.size(); ++i) {
+                    EXPECT_NEAR(fast[i], slow[i], 1e-12)
+                        << "k=" << k << " outcome " << i
+                        << " gate=" << gate_noise
+                        << " readout=" << measurement_noise;
+                    mass += fast[i];
+                }
+                EXPECT_NEAR(mass, 1.0, 1e-12);
+            }
+        }
+    }
+}
+
+TEST(NoisyDistribution, PerShotChannelConvergesToIt)
+{
+    // The retired per-shot channel and the one-multinomial draw both
+    // sample P'. At 10^6 shots over 16 outcomes the expected empirical
+    // TVD is at most 0.5 * sqrt(2 / (pi * 10^6)) * sum_i sqrt(p_i)
+    // <= 1.6e-3; the bound 4e-3 leaves 2.5x headroom.
+    const DeviceModel dev = pairedDevice();
+    const QuantumCircuit qc = pairedCircuit();
+    const MeasurementChannel channel(qc, dev);
+    const double gate_ok = gateSuccessProbability(qc, dev);
+    IdealSimulator ideal;
+    const Pmf p = ideal.idealPmf(qc);
+    const Pmf exact =
+        densePmf(4, noisyOutcomeDistribution(p, gate_ok, 0.15, &channel));
+    constexpr std::uint64_t shots = 1000000;
+    constexpr double bound = 4e-3;
+
+    Rng rng(2718);
+    const Pmf per_shot =
+        perShotChannel(p, gate_ok, 0.15, &channel, shots, rng).toPmf();
+    EXPECT_LT(totalVariationDistance(per_shot, exact), bound);
+
+    NoisySimulator noisy(dev, {.seed = 2718});
+    const Pmf drawn = noisy.run(qc, shots).toPmf();
+    EXPECT_LT(totalVariationDistance(drawn, exact), bound);
+}
+
+TEST(NoisyDistribution, RejectsRegistersWiderThanTheDenseLimit)
+{
+    EXPECT_THROW(noisyOutcomeDistribution(Pmf(kMaxDenseClbits + 1), 1.0,
+                                          0.15, nullptr),
+                 std::invalid_argument);
+}
+
 TEST(IdealSimulator, ExactBellPmf)
 {
     IdealSimulator ideal;
@@ -324,6 +548,70 @@ TEST(NoisySimulator, TrajectoryModeAgreesWithChannelMode)
     // The two noise treatments should produce similar distributions
     // (they model the same calibration); allow a loose TVD bound.
     EXPECT_LT(totalVariationDistance(fast_pmf, traj_pmf), 0.05);
+}
+
+TEST(NoisySimulator, CacheHitAndMissDrawTheSameStream)
+{
+    const DeviceModel dev = pairedDevice();
+    const QuantumCircuit qc = pairedCircuit();
+    NoisySimulator warm(dev, {.seed = 17});
+    NoisySimulator cold(dev, {.seed = 17});
+    warm.prepare(qc);
+    for (int rep = 0; rep < 2; ++rep) {
+        const Histogram hw = warm.run(qc, 3000);
+        const Histogram hc = cold.run(qc, 3000);
+        ASSERT_EQ(hw.uniqueOutcomes(), hc.uniqueOutcomes());
+        for (const auto &[outcome, count] : hw.counts())
+            EXPECT_EQ(count, hc.count(outcome));
+    }
+    EXPECT_EQ(warm.cacheMisses(), 1u);
+    EXPECT_EQ(warm.cacheHits(), 2u);
+    EXPECT_EQ(cold.cacheMisses(), 1u);
+}
+
+TEST(NoisySimulator, SubsetRunMatchesRunBatchSpec)
+{
+    const DeviceModel dev = pairedDevice();
+    const QuantumCircuit base = pairedCircuit();
+    for (const std::vector<int> &qubits :
+         std::vector<std::vector<int>>{{0, 2}, {1, 2, 3}, {3}}) {
+        NoisySimulator per_cpm(dev, {.seed = 23});
+        NoisySimulator batched(dev, {.seed = 23});
+        const Histogram single =
+            per_cpm.run(base.withMeasurementSubset(qubits), 5000);
+        const Histogram batch =
+            batched.runBatch(base, {CpmSpec{qubits, 5000}}).front();
+        ASSERT_EQ(single.nQubits(), batch.nQubits());
+        ASSERT_EQ(single.uniqueOutcomes(), batch.uniqueOutcomes());
+        for (const auto &[outcome, count] : single.counts())
+            EXPECT_EQ(count, batch.count(outcome));
+    }
+}
+
+TEST(NoisySimulator, ChannelModeRejectsRegistersWiderThanDenseLimit)
+{
+    // Measure-only, so nothing would be evolved even without the
+    // early check; the error must name the width.
+    const DeviceModel dev = device::manhattan();
+    const int wide = kMaxDenseClbits + 1;
+    QuantumCircuit qc(dev.nQubits(), wide);
+    std::vector<int> qubits;
+    for (int q = 0; q < wide; ++q) {
+        qc.measure(q, q);
+        qubits.push_back(q);
+    }
+    NoisySimulator noisy(dev);
+    EXPECT_THROW(noisy.run(qc, 10), std::invalid_argument);
+    EXPECT_THROW(noisy.prepare(qc), std::invalid_argument);
+    EXPECT_THROW(noisy.runBatch(qc, {CpmSpec{qubits, 10}}),
+                 std::invalid_argument);
+    try {
+        noisy.run(qc, 10);
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(std::to_string(wide)),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(NoisySimulator, DeterministicWithSameSeed)
