@@ -24,6 +24,7 @@
 #include "core/jigsaw.h"
 #include "core/service.h"
 #include "device/library.h"
+#include "obs/exposition.h"
 #include "sim/simulators.h"
 
 namespace {
@@ -145,8 +146,8 @@ main(int argc, char **argv)
             trials));
     const double compile_ms = msSince(compile_start);
 
-    const std::uint64_t iter_hits0 = compiler::transpileCacheHits();
-    const std::uint64_t iter_misses0 = compiler::transpileCacheMisses();
+    const obs::ProcessCounters iter_counters0 =
+        obs::ProcessCounters::snapshot();
 
     std::vector<Pmf> warm_outputs;
     std::vector<double> warm_ms;
@@ -172,10 +173,10 @@ main(int argc, char **argv)
         }
     }
 
-    const std::uint64_t iter_hits =
-        compiler::transpileCacheHits() - iter_hits0;
-    const std::uint64_t iter_misses =
-        compiler::transpileCacheMisses() - iter_misses0;
+    const obs::ProcessCounters iter_counters =
+        obs::ProcessCounters::snapshot().since(iter_counters0);
+    const std::uint64_t iter_hits = iter_counters.transpileCacheHits;
+    const std::uint64_t iter_misses = iter_counters.transpileCacheMisses;
     const core::StreamStats stats = service.streamStats();
 
     double cold_total = 0.0, warm_total = 0.0;
@@ -216,7 +217,7 @@ main(int argc, char **argv)
               << "  transpile during iterations: " << iter_hits
               << " hits / " << iter_misses << " misses ("
               << transpile_hit_pct << "% hit rate, "
-              << stats.transpileRebinds << " lifetime rebinds)\n"
+              << iter_counters.transpileSkeletonRebinds << " rebinds)\n"
               << "  split-prefix states: " << stats.prefixStateHits
               << " hits / " << stats.prefixStateMisses << " misses ("
               << prefix_hit_pct << "% hit rate)\n"

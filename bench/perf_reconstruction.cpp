@@ -390,8 +390,7 @@ main(int argc, char **argv)
         std::cerr << "  [perf] service/concurrent_programs: "
                   << naive_ms << " ms -> " << opt_ms << " ms ("
                   << n_programs << " programs, "
-                  << service.stats().programsPerSecond()
-                  << " programs/s)\n";
+                  << 1000.0 * n_programs / opt_ms << " programs/s)\n";
     }
 
     // --- 2d. Service: cross-program batched execution -------------
@@ -464,14 +463,17 @@ main(int argc, char **argv)
         }
         report.addComparison("service/cross_program_batching", naive_ms,
                              opt_ms);
+        // A fresh service: its lifetime stats cover exactly this run.
+        const core::StreamStats merged_stats = service.streamStats();
         std::cerr << "  [perf] service/cross_program_batching: "
                   << naive_ms << " ms -> " << opt_ms << " ms ("
                   << programs.size() << " programs, "
-                  << service.stats().crossProgramGroups
+                  << merged_stats.mergedJobs << " merged over "
+                  << merged_stats.crossProgramGroups
                   << " cross-program groups, latency p50 "
-                  << service.stats().latencyPercentileMs(0.5)
+                  << merged_stats.latencyPercentileMs(0.5)
                   << " ms / p95 "
-                  << service.stats().latencyPercentileMs(0.95)
+                  << merged_stats.latencyPercentileMs(0.95)
                   << " ms)\n";
     }
 
@@ -688,9 +690,8 @@ main(int argc, char **argv)
         // Iteration-phase counters and clock: the one-time compile is
         // reported separately below — the comparison is per-iteration
         // serving latency, the cost a VQA client pays every step.
-        const std::uint64_t iter_hits0 = compiler::transpileCacheHits();
-        const std::uint64_t iter_misses0 =
-            compiler::transpileCacheMisses();
+        const obs::ProcessCounters iter_counters0 =
+            obs::ProcessCounters::snapshot();
         start = std::chrono::steady_clock::now();
         std::vector<Pmf> warm_outputs;
         for (int it = 0; it < iterations; ++it) {
@@ -725,10 +726,11 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        const std::uint64_t iter_hits =
-            compiler::transpileCacheHits() - iter_hits0;
+        const obs::ProcessCounters iter_counters =
+            obs::ProcessCounters::snapshot().since(iter_counters0);
+        const std::uint64_t iter_hits = iter_counters.transpileCacheHits;
         const std::uint64_t iter_misses =
-            compiler::transpileCacheMisses() - iter_misses0;
+            iter_counters.transpileCacheMisses;
         if (iter_misses != 0) {
             std::cerr << "ERROR: expected zero transpiles after "
                          "compileParametric, got "
@@ -763,7 +765,7 @@ main(int argc, char **argv)
                   << " qubits, compile-once " << compile_once_ms
                   << " ms, transpile hit rate "
                   << transpile_hit_pct << "%, "
-                  << param_stats.transpileRebinds
+                  << iter_counters.transpileSkeletonRebinds
                   << " rebinds, split-prefix hit rate "
                   << prefix_hit_pct << "%)\n";
     }

@@ -243,12 +243,17 @@ runEvaluationSuiteService(std::uint64_t trials, std::uint64_t seed,
 
     compiler::clearTranspileCache();
     core::JigsawService service;
+    const auto start = std::chrono::steady_clock::now();
     const std::vector<core::JigsawResult> results = service.run(programs);
-    run.serviceMs = service.stats().wallMs;
-    run.latencyP50Ms = service.stats().latencyPercentileMs(0.5);
-    run.latencyP95Ms = service.stats().latencyPercentileMs(0.95);
-    run.mergedPrograms = service.stats().mergedPrograms;
-    run.crossProgramGroups = service.stats().crossProgramGroups;
+    run.serviceMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    // A fresh service: its lifetime stats cover exactly this run.
+    const core::StreamStats stats = service.streamStats();
+    run.latencyP50Ms = stats.latencyPercentileMs(0.5);
+    run.latencyP95Ms = stats.latencyPercentileMs(0.95);
+    run.mergedPrograms = stats.mergedJobs;
+    run.crossProgramGroups = stats.crossProgramGroups;
     if (!quiet) {
         std::cerr << "  [suite] service mode: " << programs.size()
                   << " programs concurrent in " << run.serviceMs

@@ -214,9 +214,8 @@ const KernelTable &activeKernels();
  * counters answer "did the wide path actually execute?" (the gather
  * phase tables in particular). One invocation is one kernel call,
  * typically a thread-pool chunk of >= 2^14 elements, so the counting
- * cost is noise. Snapshots surface through ExecutorCounters /
- * ServiceStats / StreamStats and the JIGSAW_SUITE_TIMINGS_JSON
- * export.
+ * cost is noise. Snapshots surface through ExecutorCounters,
+ * obs::ProcessCounters and the JIGSAW_SUITE_TIMINGS_JSON export.
  * @{ */
 
 /** Kernel identifiers, one per KernelTable entry. */

@@ -7,8 +7,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "common/simd.h"
-#include "compiler/transpiler.h"
 #include "core/worker.h"
 #include "obs/exposition.h"
 #include "obs/http.h"
@@ -620,8 +618,30 @@ StreamingScheduler::release(JobHandle handle)
 void
 StreamingScheduler::drain()
 {
+    awaitTerminal(nullptr);
+}
+
+void
+StreamingScheduler::drain(const std::vector<JobHandle> &handles)
+{
+    awaitTerminal(&handles);
+}
+
+void
+StreamingScheduler::awaitTerminal(const std::vector<JobHandle> *handles)
+{
+    const auto pending = [&] {
+        if (handles == nullptr)
+            return liveJobs_ > 0;
+        return std::any_of(handles->begin(), handles->end(),
+                           [&](JobHandle handle) {
+                               const auto it = jobs_.find(handle.id);
+                               return it != jobs_.end() &&
+                                      !isTerminal(it->second->state);
+                           });
+    };
     std::unique_lock<std::mutex> lock(mutex_);
-    while (liveJobs_ > 0) {
+    while (pending()) {
         // Close open windows now instead of waiting out windowMs, but
         // only once no queued or preparing job can still join one:
         // closing earlier would split jobs submitted together across
@@ -658,15 +678,6 @@ StreamStats
 StreamingScheduler::statsLocked() const
 {
     StreamStats out = stats_;
-    out.transpileHits = compiler::transpileCacheHits();
-    out.transpileMisses = compiler::transpileCacheMisses();
-    out.transpileRebinds = compiler::transpileSkeletonRebinds();
-    // Process-wide like the transpile memo: a snapshot, not a
-    // per-executor sum.
-    const simd::DispatchCounters simd_now = simd::dispatchCounters();
-    out.simdScalarCalls = simd_now.backendTotal(simd::kBackendScalar);
-    out.simdAvx2Calls = simd_now.backendTotal(simd::kBackendAvx2);
-    out.simdAvx512Calls = simd_now.backendTotal(simd::kBackendAvx512);
     for (const auto &[key, executor] : sharedExecutors_) {
         const sim::ExecutorCounters counters = executor->counters();
         out.executorPmfHits += counters.pmfHits;
@@ -1771,8 +1782,15 @@ StreamingScheduler::dispatcherLoop()
         }
         if (const auto lease_event = nextLeaseEventLocked(now))
             consider(*lease_event);
-        if (!admission_.empty() || !scheduleReady_.empty())
-            continue; // new work arrived while dispatching
+        // Loop again only for work this pass can act on: jobs that
+        // prepared while the pool helper above had the lock released,
+        // or queued jobs the prepare gate now lets through. Jobs the
+        // gate holds back wait for a prepare to finish (onPrepared
+        // notifies); looping on them would keep the lock from
+        // onPrepared and spin until aging freed them.
+        if (!scheduleReady_.empty() ||
+            (!admission_.empty() && preparing_ < inFlightCap() + 1))
+            continue;
         if (detail::sharedPool().workerCount() == 0 &&
             (inFlight_ > 0 || preparing_ > 0)) {
             dispatcherCv_.wait_for(lock, std::chrono::milliseconds(1));

@@ -2,10 +2,10 @@
  * @file
  * StreamingScheduler: submit/poll job scheduling over JigsawSessions.
  *
- * The batch JigsawService::run answers "here are N programs, run them
- * all"; this subsystem answers the online shape — programs trickling
- * in from concurrent callers, each wanting its result as soon as
- * possible. One scheduler owns:
+ * The one execution path behind JigsawService: submit() serves
+ * programs trickling in from concurrent callers, each wanting its
+ * result as soon as possible, and a batch JigsawService::run() is
+ * submit-all plus drain() over its own handles. One scheduler owns:
  *
  *  - a priority-aware admission queue (submit() -> SubmitResult) with
  *    bounded admission: when StreamOptions::maxQueuedJobs caps the
@@ -16,12 +16,12 @@
  *    drains;
  *  - merge windows: scheduled jobs wait up to StreamOptions::windowMs
  *    (or until windowMaxJobs join) for compatible work, then the
- *    window dispatches as ONE cross-program merged execution — the
- *    same (device fingerprint, CPM gate-prefix hash) keyed
- *    mergeSchedules/executeMergedSchedules path the batch service
- *    uses, built incrementally (core::mergeSourceInto) as jobs join
- *    and unwound (core::removeSourceFrom) when a windowed job is
- *    cancelled or expires;
+ *    window dispatches as ONE cross-program merged execution
+ *    (core::executeMergedSchedules) over a schedule keyed by (device
+ *    fingerprint, CPM gate-prefix hash), built incrementally
+ *    (core::mergeSourceInto) as jobs join and unwound
+ *    (core::removeSourceFrom) when a windowed job is cancelled or
+ *    expires;
  *  - a dispatch queue with priority classes, waiting-time aging (no
  *    starvation), deficit round-robin across ServiceProgram::tenant
  *    tags inside each aged class (one hot tenant cannot starve the
@@ -138,9 +138,9 @@ class StreamingScheduler
      * shed threshold, reject it (SubmitResult::admitted false) with a
      * finite tryLaterAfterMs hint. Programs with a caller-supplied
      * executor (or under MergePolicy::Never) run as independent
-     * sessions against that executor, exactly like the batch
-     * service's legacy path; everything else becomes merge-eligible
-     * with a private Rng(executorSeed) draw stream.
+     * sessions against that executor (or a private one seeded with
+     * executorSeed); everything else becomes merge-eligible with a
+     * private Rng(executorSeed) draw stream.
      */
     SubmitResult submit(ServiceProgram program,
                         Priority priority = Priority::Normal);
@@ -197,10 +197,18 @@ class StreamingScheduler
 
     /**
      * Block until every job submitted so far is terminal. Open merge
-     * windows are closed immediately rather than waiting out
-     * windowMs.
+     * windows are closed rather than waiting out windowMs, as soon as
+     * no queued or preparing job can still join them.
      */
     void drain();
+
+    /**
+     * drain() restricted to @p handles: block until each of them is
+     * terminal (unknown or released handles count as terminal),
+     * closing open windows the same way. JigsawService::run() waits
+     * on its batch with this.
+     */
+    void drain(const std::vector<JobHandle> &handles);
 
     /** Counter/latency snapshot (thread-safe at any time). */
     StreamStats stats() const;
@@ -306,6 +314,9 @@ class StreamingScheduler
     };
 
     void dispatcherLoop();
+    /** The wait loop behind both drain() overloads: every live job
+     *  when @p handles is null, else just those. */
+    void awaitTerminal(const std::vector<JobHandle> *handles);
     void startPrepare(Job &job);                       // mutex held
     void onPrepared(std::uint64_t job_id, std::exception_ptr error);
     void joinWindow(Job &job, Clock::time_point now);  // mutex held

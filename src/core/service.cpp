@@ -1,17 +1,9 @@
 #include "core/service.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
 #include <exception>
-#include <optional>
-#include <unordered_map>
+#include <string>
 
 #include "common/error.h"
-#include "common/parallel.h"
-#include "common/simd.h"
-#include "compiler/transpiler.h"
 #include "core/scheduler.h"
 #include "obs/exposition.h"
 #include "sim/simulators.h"
@@ -20,21 +12,6 @@ namespace jigsaw {
 namespace core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/** The executor a legacy-path program runs against: its own, or a
- *  fresh seeded default — the one definition shared by the service
- *  and the sequential reference. */
-std::shared_ptr<sim::Executor>
-programExecutor(const ServiceProgram &program)
-{
-    if (program.executor)
-        return program.executor;
-    return std::make_shared<sim::NoisySimulator>(
-        program.device,
-        sim::NoisySimulatorOptions{.seed = program.executorSeed});
-}
 
 /** Merge every class histogram of @p byClass and take its quantile. */
 double
@@ -49,37 +26,6 @@ mergedQuantile(
 }
 
 } // namespace
-
-double
-percentileNearestRank(std::vector<double> samples, double q)
-{
-    // Degenerate sets first: percentiles of nothing are 0 (a stats
-    // report over an idle service must not fault), and with a single
-    // sample every percentile IS that sample — no rank arithmetic
-    // whose rounding could misindex.
-    if (samples.empty())
-        return 0.0;
-    if (samples.size() == 1)
-        return samples.front();
-    // A non-finite q (NaN propagated from a ratio of empty counters)
-    // must not reach the size_t cast below: NaN comparisons are all
-    // false, so it falls through the clamps as-is otherwise.
-    if (!(q >= 0.0))
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    std::sort(samples.begin(), samples.end());
-    const std::size_t rank = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(q * static_cast<double>(samples.size()))));
-    return samples[std::min(rank, samples.size()) - 1];
-}
-
-double
-ServiceStats::latencyPercentileMs(double q) const
-{
-    return percentileNearestRank(latenciesMs, q);
-}
 
 double
 StreamStats::latencyPercentileMs(double q) const
@@ -112,7 +58,11 @@ runProgramsSequentially(const std::vector<ServiceProgram> &programs)
     results.reserve(programs.size());
     for (const ServiceProgram &program : programs) {
         const std::shared_ptr<sim::Executor> executor =
-            programExecutor(program);
+            program.executor
+                ? program.executor
+                : std::make_shared<sim::NoisySimulator>(
+                      program.device, sim::NoisySimulatorOptions{
+                                          .seed = program.executorSeed});
         results.push_back(runJigsaw(program.circuit, program.device,
                                     *executor, program.trials,
                                     program.options));
@@ -231,228 +181,41 @@ JigsawService::metricsText() const
 std::vector<JigsawResult>
 JigsawService::run(const std::vector<ServiceProgram> &programs)
 {
-    const auto start = Clock::now();
-    const auto msSinceStart = [&start] {
-        return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                         start)
-            .count();
-    };
-    stats_ = ServiceStats{};
-    // Transpile counters are process-wide; the run's share is the
-    // delta. Executor evolution counters are harvested per executor
-    // the run builds (legacy tasks aggregate into these before their
-    // private executor dies).
-    const std::uint64_t transpile_hits0 = compiler::transpileCacheHits();
-    const std::uint64_t transpile_misses0 =
-        compiler::transpileCacheMisses();
-    const std::uint64_t transpile_rebinds0 =
-        compiler::transpileSkeletonRebinds();
-    // SIMD dispatch counters are process-wide like the transpile memo:
-    // the run's share is the delta, never a per-executor sum.
-    const simd::DispatchCounters simd0 = simd::dispatchCounters();
-    std::atomic<std::uint64_t> pmf_hits{0};
-    std::atomic<std::uint64_t> pmf_misses{0};
-    std::atomic<std::uint64_t> prefix_hits{0};
-    std::atomic<std::uint64_t> prefix_misses{0};
-    const auto harvest = [&](const sim::Executor &executor) {
-        const sim::ExecutorCounters counters = executor.counters();
-        pmf_hits += counters.pmfHits;
-        pmf_misses += counters.pmfMisses;
-        prefix_hits += counters.prefixStateHits;
-        prefix_misses += counters.prefixStateMisses;
-    };
-
-    const std::size_t n = programs.size();
-    std::vector<std::optional<JigsawResult>> slots(n);
-    std::vector<double> latencies(n, 0.0);
-    std::vector<std::exception_ptr> errors(n);
-
-    // Partition: programs the service builds executors for are
-    // eligible for the merge path. Under Auto only (circuit, device)
-    // pairs shared by two or more of them merge: those are the
-    // programs whose gate prefixes will actually dedupe, while a
-    // program sharing nothing keeps the legacy path's session-level
-    // sampling concurrency (merged sampling is ordered).
-    std::vector<char> on_merged_path(n, 0);
-    std::vector<std::uint64_t> device_keys(n, 0);
-    if (options_.mergePolicy != MergePolicy::Never) {
-        std::unordered_map<std::uint64_t, std::size_t> pair_count;
-        std::vector<std::uint64_t> pair_keys(n, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (programs[i].executor)
-                continue;
-            device_keys[i] = programs[i].device.fingerprint();
-            // Skeleton-keyed pairing: parametric iterations of one
-            // program (same gates, fresh angles) merge — their
-            // compiled prefixes differ only in diagonal angles the
-            // shared executor's split-prefix cache deduplicates.
-            pair_keys[i] = device_keys[i] ^
-                           (programs[i].circuit.skeletonHash() *
-                            0x9e3779b97f4a7c15ULL);
-            ++pair_count[pair_keys[i]];
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            if (programs[i].executor)
-                continue;
-            if (options_.mergePolicy == MergePolicy::Always ||
-                pair_count[pair_keys[i]] >= 2) {
-                on_merged_path[i] = 1;
-            }
+    if (programs.empty())
+        return {};
+    StreamingScheduler &stream = scheduler();
+    std::vector<JobHandle> handles(programs.size()); // id 0: shed
+    std::vector<std::exception_ptr> errors(programs.size());
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        const SubmitResult submitted = stream.submit(programs[i]);
+        if (submitted) {
+            handles[i] = submitted.handle;
+        } else {
+            errors[i] = std::make_exception_ptr(TransientError(
+                "JigsawService::run: program " + std::to_string(i) +
+                " shed by bounded admission; retry after " +
+                std::to_string(submitted.tryLaterAfterMs) + " ms"));
         }
     }
-
-    // Legacy path: one independent session per program, concurrent.
-    TaskGroup legacy;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (on_merged_path[i])
-            continue;
-        legacy.run([&programs, &slots, &errors, &latencies, &msSinceStart,
-                    &harvest, i] {
-            try {
-                const ServiceProgram &program = programs[i];
-                const std::shared_ptr<sim::Executor> executor =
-                    programExecutor(program);
-                JigsawSession session(program.circuit, program.device,
-                                      *executor, program.trials,
-                                      program.options);
-                slots[i] = session.run();
-                // Only run-built executors count: a caller-supplied
-                // one carries its whole lifetime's counters.
-                if (!program.executor)
-                    harvest(*executor);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-            latencies[i] = msSinceStart();
-        });
-    }
-
-    // Merged path, staged from the calling thread: schedule
-    // concurrently, merge, execute the merged schedule (one runBatch
-    // per merged group against the per-device shared executor),
-    // split back, reconstruct concurrently.
-    std::vector<std::size_t> merged_programs;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (on_merged_path[i])
-            merged_programs.push_back(i);
-    }
-    if (!merged_programs.empty()) {
-        std::unordered_map<std::uint64_t, std::shared_ptr<sim::Executor>>
-            shared_executors;
-        std::vector<std::unique_ptr<JigsawSession>> sessions(n);
-        std::vector<std::unique_ptr<Rng>> streams(n);
-        for (std::size_t i : merged_programs) {
-            const ServiceProgram &program = programs[i];
-            std::shared_ptr<sim::Executor> &executor =
-                shared_executors[device_keys[i]];
-            if (!executor) {
-                // The shared executor's own seed is irrelevant: every
-                // merged draw comes from a per-program stream.
-                executor = std::make_shared<sim::NoisySimulator>(
-                    program.device, sim::NoisySimulatorOptions{
-                                        .seed = program.executorSeed});
-            }
-            sessions[i] = std::make_unique<JigsawSession>(
-                program.circuit, program.device, *executor,
-                program.trials, program.options);
-            streams[i] = std::make_unique<Rng>(program.executorSeed);
-        }
-
-        TaskGroup scheduling;
-        for (std::size_t i : merged_programs) {
-            scheduling.run([&sessions, &errors, &latencies, &msSinceStart,
-                            i] {
-                try {
-                    sessions[i]->schedule();
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                    latencies[i] = msSinceStart();
-                }
-            });
-        }
-        scheduling.wait();
-
-        std::vector<MergeSource> sources;
-        sources.reserve(merged_programs.size());
-        for (std::size_t i : merged_programs) {
-            if (errors[i])
-                continue;
-            sources.push_back({i, &sessions[i]->compiled(),
-                               &sessions[i]->schedule(),
-                               &sessions[i]->plan(), device_keys[i],
-                               shared_executors[device_keys[i]].get(),
-                               streams[i].get()});
-        }
-
-        try {
-            const MergedSchedule merged = mergeSchedules(sources);
-            MergedExecutionStats exec_stats;
-            std::vector<ExecutionResult> executions =
-                executeMergedSchedules(sources, merged, &exec_stats);
-            stats_.mergedPrograms = sources.size();
-            stats_.mergedGroups = merged.groups.size();
-            stats_.crossProgramGroups = merged.crossProgramGroups();
-            stats_.pooledGlobalBatches = exec_stats.pooledGlobalBatches;
-            stats_.pooledGlobalPrograms = exec_stats.pooledGlobalPrograms;
-
-            TaskGroup reconstructing;
-            for (std::size_t k = 0; k < sources.size(); ++k) {
-                const std::size_t i = sources[k].program;
-                reconstructing.run([&sessions, &executions, &slots,
-                                    &errors, &latencies, &msSinceStart, i,
-                                    k] {
-                    try {
-                        sessions[i]->adoptExecution(
-                            std::move(executions[k]));
-                        slots[i] = sessions[i]->run();
-                    } catch (...) {
-                        errors[i] = std::current_exception();
-                    }
-                    latencies[i] = msSinceStart();
-                });
-            }
-            reconstructing.wait();
-        } catch (...) {
-            // A merge/execution failure fails every merged program
-            // that had not already failed on its own.
-            const std::exception_ptr error = std::current_exception();
-            for (const MergeSource &src : sources) {
-                if (!errors[src.program])
-                    errors[src.program] = error;
-            }
-        }
-        for (const auto &[key, executor] : shared_executors)
-            harvest(*executor);
-    }
-    legacy.wait();
-
-    stats_.programs = n;
-    stats_.wallMs = msSinceStart();
-    stats_.latenciesMs = std::move(latencies);
-    stats_.transpileHits = compiler::transpileCacheHits() - transpile_hits0;
-    stats_.transpileMisses =
-        compiler::transpileCacheMisses() - transpile_misses0;
-    stats_.transpileRebinds =
-        compiler::transpileSkeletonRebinds() - transpile_rebinds0;
-    stats_.executorPmfHits = pmf_hits.load();
-    stats_.executorPmfMisses = pmf_misses.load();
-    stats_.prefixStateHits = prefix_hits.load();
-    stats_.prefixStateMisses = prefix_misses.load();
-    const simd::DispatchCounters simd_delta =
-        simd::dispatchCounters().since(simd0);
-    stats_.simdScalarCalls = simd_delta.backendTotal(simd::kBackendScalar);
-    stats_.simdAvx2Calls = simd_delta.backendTotal(simd::kBackendAvx2);
-    stats_.simdAvx512Calls = simd_delta.backendTotal(simd::kBackendAvx512);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        if (errors[i])
-            std::rethrow_exception(errors[i]);
-    }
+    stream.drain(handles);
+    // Every handle is terminal now, so wait() returns at once. Results
+    // are only returned when every program succeeded, so skipping the
+    // failed ones cannot misalign them.
     std::vector<JigsawResult> results;
-    results.reserve(slots.size());
-    for (std::optional<JigsawResult> &slot : slots) {
-        panicIf(!slot, "JigsawService: program finished without result");
-        results.push_back(std::move(*slot));
+    results.reserve(programs.size());
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        if (errors[i])
+            continue;
+        try {
+            results.push_back(stream.wait(handles[i]));
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+        stream.release(handles[i]);
+    }
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
     return results;
 }

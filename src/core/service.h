@@ -3,29 +3,23 @@
  * JigsawService: many programs through the pipeline, concurrently,
  * with cross-program execution batching.
  *
- * The service accepts N programs and drives one JigsawSession per
- * program over the shared thread pool (common/parallel.h TaskGroup).
- * Sessions share the process-wide transpile memo and, when programs
- * share an executor, its PMF/state caches — both thread-safe — so
- * concurrent programs deduplicate compilation and evolution work
- * exactly like sequential runs do.
+ * Every program runs through the service's StreamingScheduler
+ * (core/scheduler.h), whether it arrives by submit() or in a batch
+ * run(). run() is submit-and-wait: it submits every program, closes
+ * the open merge windows once no submitted job can still join them,
+ * and returns the results in submission order. Batch and streaming
+ * traffic therefore share one merge policy (StreamOptions::
+ * mergePolicy): programs the service builds executors for collect in
+ * merge windows (by default one per (device, circuit skeleton) pair),
+ * and each window executes as one cross-program merged schedule
+ * against a shared per-device executor. A (circuit, device) pair submitted by many
+ * programs is evolved once per window instead of once per program.
  *
- * On top of that, programs the service builds executors for are
- * routed through the cross-program merge path (MergePolicy): their
- * sessions advance to the schedule stage concurrently, the schedules
- * are merged by (device fingerprint, shared CPM gate prefix), each
- * merged group executes as one multi-program Executor::runBatch
- * against one shared per-device executor, and the split-back results
- * resume the sessions for concurrent reconstruction. A (circuit,
- * device) pair submitted by many programs is therefore evolved once
- * for the whole batch instead of once per program — the service wins
- * even on a single core.
- *
- * Determinism: each program samples from its own seeded stream
- * (private executor on the legacy path, per-program Rng on the merged
- * path), so every program's result is bitwise-identical to a
- * sequential runJigsaw() with the same inputs, whatever the pool
- * size, completion order, or merge policy — see
+ * Determinism: each program samples from its own Rng(executorSeed)
+ * stream (a private executor when it cannot merge), so every
+ * program's result is bitwise-identical to a sequential runJigsaw()
+ * with the same inputs, whatever the pool size, completion order,
+ * window composition or merge policy — see
  * core::executeMergedSchedules for the argument. Programs sharing a
  * caller-supplied executor stay data-race-free but interleave its RNG
  * stream nondeterministically.
@@ -73,52 +67,50 @@ struct ServiceProgram
     JigsawOptions options;
     /**
      * Executor for this program. When null, the service owns the
-     * executor choice: on the merged path programs on one device
-     * share a thread-safe NoisySimulator while sampling from a
-     * private Rng(executorSeed) stream; on the legacy path the
-     * program gets a private NoisySimulator(device,
-     * {.seed = executorSeed}). Both give the program the exact draw
-     * stream a sequential run would. Caller-supplied executors are
-     * never merged (the service cannot know their noise model is
-     * shareable); such programs run as independent sessions at the
-     * cost of a nondeterministic RNG interleaving when shared.
+     * executor choice: programs on one device share a thread-safe
+     * NoisySimulator while sampling from a private Rng(executorSeed)
+     * stream, or, under MergePolicy::Never, each gets a private
+     * NoisySimulator(device, {.seed = executorSeed}). Both give the
+     * program the exact draw stream a sequential run would.
+     * Caller-supplied executors are never merged (the service cannot
+     * know their noise model is shareable); such programs run as
+     * independent sessions at the cost of a nondeterministic RNG
+     * interleaving when shared.
      */
     std::shared_ptr<sim::Executor> executor;
     std::uint64_t executorSeed; ///< Seed for the program's draw stream.
     /**
-     * Fair-share tag for the streaming scheduler: dispatch runs
-     * deficit round-robin across tenants inside each aged priority
-     * class, so one hot tenant cannot starve the rest. Empty is the
-     * default tenant. Ignored by the batch run() path.
+     * Fair-share tag: dispatch runs deficit round-robin across
+     * tenants inside each aged priority class, so one hot tenant
+     * cannot starve the rest. Empty is the default tenant. Honoured
+     * by submit() and run() alike.
      */
     std::string tenant;
     /**
-     * Streaming SLO: a job still undispatched this many milliseconds
-     * after submission is expired (JobState::Expired; wait() throws
-     * DeadlineExceededError), including jobs waiting in an open merge
-     * window or awaiting a retry. 0 disables the deadline. Ignored by
-     * the batch run() path.
+     * SLO: a job still undispatched this many milliseconds after
+     * submission is expired (JobState::Expired; wait() and run()
+     * throw DeadlineExceededError), including jobs waiting in an open
+     * merge window or awaiting a retry. 0 disables the deadline.
      */
     double deadlineMs = 0.0;
 };
 
 /**
- * When the service merges programs' execution schedules into
- * cross-program batches.
+ * Which jobs share a merge window (StreamOptions::mergePolicy).
+ * Only jobs the service builds executors for can merge; a job with a
+ * caller-supplied executor always runs as an independent session.
  */
 enum class MergePolicy
 {
     /**
-     * Merge the service-executor programs whose (circuit, device)
-     * pair two or more of them share — the programs whose gate
-     * prefixes will actually dedupe; everything else runs as
-     * independent sessions, keeping session-level sampling
-     * concurrency (merging buys them nothing). The default.
+     * Window together the jobs sharing a (circuit skeleton, device)
+     * pair — the jobs whose gate prefixes will actually dedupe. The
+     * default.
      */
     Auto,
-    /** Route every service-executor program through the merge path. */
+    /** Window together every job on the same device. */
     Always,
-    /** Disable merging: every program is an independent session. */
+    /** Disable merging: every job is an independent session. */
     Never,
 };
 
@@ -240,8 +232,8 @@ struct StreamOptions
     /**
      * When windows merge. Auto windows jobs sharing a (circuit,
      * device) pair; Always windows every service-executor job on the
-     * same device; Never dispatches every job immediately as an
-     * independent session (today's batch-path behavior, job by job).
+     * same device; Never dispatches every job on readiness as an
+     * independent session.
      */
     MergePolicy mergePolicy = MergePolicy::Auto;
     /**
@@ -406,17 +398,12 @@ struct StreamStats
     /** Successful window executions per worker index. */
     std::vector<std::size_t> workerCompleted;
     /** @} */
-    /** @name Parametric-serving cache counters, snapshotted by
-     * stats(). The transpile counters are process-wide (the memo is
-     * shared across schedulers); the executor counters aggregate this
-     * scheduler's per-device shared executors. @{ */
+    /** @name Parametric-serving and shared-executor cache counters.
+     * The executor counters aggregate this scheduler's per-device
+     * shared executors. Process-wide counters (transpile memo, SIMD
+     * dispatch) live in obs::ProcessCounters. @{ */
     std::size_t parametricPrograms = 0;   ///< compileParametric() calls.
     std::size_t parametricIterations = 0; ///< submitIteration() calls.
-    std::uint64_t transpileHits = 0;      ///< Memo hits (lifetime).
-    std::uint64_t transpileMisses = 0;    ///< Full transpiles (lifetime).
-    /** Memo hits served by re-binding new angles into a cached
-     *  same-skeleton compilation (subset of transpileHits). */
-    std::uint64_t transpileRebinds = 0;
     std::uint64_t executorPmfHits = 0;    ///< Executor PMF-cache hits.
     std::uint64_t executorPmfMisses = 0;  ///< Executor PMF-cache misses.
     /** Skeleton split-prefix evolution cache hits: evolutions that
@@ -424,15 +411,6 @@ struct StreamStats
      *  the re-bound diagonal gates. */
     std::uint64_t prefixStateHits = 0;
     std::uint64_t prefixStateMisses = 0; ///< Split prefixes evolved.
-    /** @} */
-    /** @name SIMD kernel-backend dispatch totals, snapshotted from
-     * the process-wide counters by stats() (lifetime, like the
-     * transpile counters — the kernel layer is shared by every
-     * scheduler). Confirms which backend the hot loops actually ran
-     * on. @{ */
-    std::uint64_t simdScalarCalls = 0;
-    std::uint64_t simdAvx2Calls = 0;
-    std::uint64_t simdAvx512Calls = 0;
     /** @} */
     /**
      * @name Per-class latency histograms of completed/failed jobs
@@ -463,85 +441,16 @@ struct StreamStats
 /** Service configuration. */
 struct ServiceOptions
 {
-    MergePolicy mergePolicy = MergePolicy::Auto;
-    /** Streaming (submit/poll) scheduler knobs; mergePolicy for the
-     *  streaming path lives in here, independent of the batch path's. */
+    /** The scheduler every submit() and run() goes through. */
     StreamOptions stream;
 };
 
 /**
- * Nearest-rank percentile of @p samples (q in [0, 1]). Guarded
- * against the degenerate ends: an empty sample set yields 0, a single
- * sample yields that sample for every q, and a non-finite or
- * out-of-range q clamps into [0, 1] (NaN counts as 0). Shared by the
- * batch-path ServiceStats and the streaming StreamStats.
- */
-double percentileNearestRank(std::vector<double> samples, double q);
-
-/** What one service run did, beyond the per-program results. */
-struct ServiceStats
-{
-    std::size_t programs = 0; ///< Programs completed.
-    double wallMs = 0.0;      ///< Wall time of the whole batch.
-    /**
-     * Per-program latency: batch start to that program's completion,
-     * in submission order (the service-latency a caller of program i
-     * observed).
-     */
-    std::vector<double> latenciesMs;
-    /** @name Merge-path counters (zero under MergePolicy::Never).
-     *  @{ */
-    std::size_t mergedPrograms = 0; ///< Programs on the merged path.
-    std::size_t mergedGroups = 0;   ///< Merged batch groups executed.
-    std::size_t crossProgramGroups = 0; ///< Groups spanning programs.
-    std::size_t pooledGlobalBatches = 0; ///< Pooled global runBatch calls.
-    std::size_t pooledGlobalPrograms = 0; ///< Programs with pooled globals.
-    /** @} */
-    /** @name Parametric-serving cache counters for THIS run: the
-     * transpile counters are deltas across the run (the memo is
-     * process-wide), the executor counters aggregate the executors
-     * the run built (merged-path shared executors and legacy-path
-     * private ones). @{ */
-    std::uint64_t transpileHits = 0;     ///< Memo hits during the run.
-    std::uint64_t transpileMisses = 0;   ///< Full transpiles during it.
-    std::uint64_t transpileRebinds = 0;  ///< Angle re-bind hits.
-    std::uint64_t executorPmfHits = 0;   ///< Executor PMF-cache hits.
-    std::uint64_t executorPmfMisses = 0; ///< Executor PMF-cache misses.
-    std::uint64_t prefixStateHits = 0;   ///< Split-prefix state reuses.
-    std::uint64_t prefixStateMisses = 0; ///< Split prefixes evolved.
-    /** @} */
-    /** @name SIMD kernel-backend dispatch counts for THIS run: deltas
-     * of the process-wide simd::dispatchCounters() across the batch
-     * (the kernel layer sits below every executor, so per-executor
-     * attribution is not meaningful). @{ */
-    std::uint64_t simdScalarCalls = 0;   ///< Scalar-table invocations.
-    std::uint64_t simdAvx2Calls = 0;     ///< AVX2-table invocations.
-    std::uint64_t simdAvx512Calls = 0;   ///< AVX-512-table invocations.
-    /** @} */
-
-    /** Throughput of the batch. */
-    double programsPerSecond() const
-    {
-        return wallMs > 0.0
-                   ? 1000.0 * static_cast<double>(programs) / wallMs
-                   : 0.0;
-    }
-
-    /**
-     * Latency percentile over latenciesMs (nearest-rank via
-     * percentileNearestRank; @p q in [0, 1], e.g. 0.5 for p50, 0.95
-     * for p95). Guarded at the degenerate ends: 0 when no latencies
-     * were recorded, the single sample when only one was.
-     */
-    double latencyPercentileMs(double q) const;
-};
-
-/**
  * Sequential reference for the service: the same programs, one
- * runJigsaw after another, each with the executor the service would
- * use on its legacy path (the caller-supplied one, else a fresh
- * default-seeded NoisySimulator). This single definition is what the
- * service's bitwise-equivalence tests and benches compare against.
+ * runJigsaw after another, each with the caller-supplied executor or
+ * else a fresh NoisySimulator seeded with executorSeed. This single
+ * definition is what the service's bitwise-equivalence tests and
+ * benches compare against.
  */
 std::vector<JigsawResult>
 runProgramsSequentially(const std::vector<ServiceProgram> &programs);
@@ -559,9 +468,14 @@ class JigsawService
 
     /**
      * Run every program to completion and return their results in
-     * submission order. Rethrows the first per-program failure (by
-     * submission order) after all programs finished. Stats of the
-     * last run are available from stats().
+     * submission order: submit() each at Priority::Normal, wait for
+     * all of them (closing open merge windows once no submitted job
+     * can still join them, as drain() does), then release() every
+     * handle so repeated runs retain nothing. Jobs honour tenant and
+     * deadlineMs and retry transient errors like any submit(). A
+     * program shed by bounded admission fails with TransientError.
+     * After all programs finished, rethrows the first failure in
+     * submission order. Thread-safe against the streaming calls.
      */
     std::vector<JigsawResult> run(const std::vector<ServiceProgram> &programs);
 
@@ -614,8 +528,8 @@ class JigsawService
     bool release(JobHandle handle);
     /** Block until every submitted job is terminal. */
     void drain();
-    /** Streaming counters/latency samples (snapshot; zero before the
-     *  first submit()). */
+    /** Lifetime counters and latency histograms of every job
+     *  submitted or run (snapshot; zero before the first job). */
     StreamStats streamStats() const;
     /** @} */
 
@@ -631,14 +545,10 @@ class JigsawService
     /** Options in effect. */
     const ServiceOptions &options() const { return options_; }
 
-    /** Stats of the most recent run(). */
-    const ServiceStats &stats() const { return stats_; }
-
   private:
     StreamingScheduler &scheduler();
 
     ServiceOptions options_;
-    ServiceStats stats_;
     mutable std::mutex schedulerMutex_; ///< Guards lazy creation only.
     std::unique_ptr<StreamingScheduler> scheduler_;
 };

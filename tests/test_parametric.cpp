@@ -26,6 +26,7 @@
 #include "core/jigsaw.h"
 #include "core/service.h"
 #include "device/library.h"
+#include "obs/exposition.h"
 #include "sim/simulators.h"
 
 namespace jigsaw {
@@ -295,6 +296,7 @@ TEST(ParametricService, CompileOnceRebindMatchesSequential)
 
     const std::uint64_t hits0 = compiler::transpileCacheHits();
     const std::uint64_t misses0 = compiler::transpileCacheMisses();
+    const obs::ProcessCounters counters0 = obs::ProcessCounters::snapshot();
 
     std::vector<core::JobHandle> jobs;
     for (int it = 0; it < iterations; ++it) {
@@ -316,7 +318,10 @@ TEST(ParametricService, CompileOnceRebindMatchesSequential)
     EXPECT_EQ(stats.parametricPrograms, 1u);
     EXPECT_EQ(stats.parametricIterations,
               static_cast<std::size_t>(iterations));
-    EXPECT_GT(stats.transpileRebinds, 0u);
+    EXPECT_GT(obs::ProcessCounters::snapshot()
+                  .since(counters0)
+                  .transpileSkeletonRebinds,
+              0u);
     EXPECT_GT(stats.prefixStateHits, 0u);
 
     // Bitwise identity per iteration against sequential runJigsaw of

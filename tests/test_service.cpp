@@ -10,10 +10,12 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "common/parallel.h"
 #include "compiler/transpiler.h"
 #include "core/service.h"
@@ -198,8 +200,8 @@ TEST(JigsawService, ConcurrentProgramsMatchSequentialBitwise)
     core::JigsawService service;
     const std::vector<JigsawResult> concurrent = service.run(programs);
     ASSERT_EQ(concurrent.size(), programs.size());
-    EXPECT_EQ(service.stats().programs, programs.size());
-    EXPECT_GT(service.stats().wallMs, 0.0);
+    EXPECT_EQ(service.streamStats().completed, programs.size());
+    EXPECT_GT(service.streamStats().latencyPercentileMs(1.0), 0.0);
 
     for (std::size_t i = 0; i < programs.size(); ++i) {
         expectBitwisePmf(sequential[i].output, concurrent[i].output);
@@ -257,7 +259,102 @@ TEST(JigsawService, PropagatesProgramFailures)
     EXPECT_THROW(service.run(programs), std::invalid_argument);
 }
 
+TEST(JigsawService, RunReleasesEveryHandle)
+{
+    const device::DeviceModel dev = device::toronto();
+    const std::vector<ServiceProgram> programs = mixedPrograms(dev);
+    core::JigsawService service;
+    service.run(programs);
+    const core::StreamStats stats = service.streamStats();
+    EXPECT_EQ(stats.submitted, programs.size());
+    EXPECT_EQ(stats.released, programs.size());
+}
+
+TEST(JigsawService, RunAlongsideStreamingSubmitsStaysBitwise)
+{
+    // One service, two client shapes at once: a batch run() on one
+    // thread and submit()/wait() on another. Both share the merge
+    // windows and the per-device executor, and every result must
+    // still match its sequential reference.
+    const device::DeviceModel dev = device::toronto();
+    const std::vector<ServiceProgram> batch = mixedPrograms(dev);
+    std::vector<ServiceProgram> streamed = mixedPrograms(dev);
+    for (ServiceProgram &program : streamed)
+        program.executorSeed += 1000;
+    const std::vector<JigsawResult> batch_expected =
+        core::runProgramsSequentially(batch);
+    const std::vector<JigsawResult> streamed_expected =
+        core::runProgramsSequentially(streamed);
+
+    core::JigsawService service;
+    std::vector<JigsawResult> batch_results;
+    std::thread runner(
+        [&service, &batch, &batch_results] {
+            batch_results = service.run(batch);
+        });
+    std::vector<core::SubmitResult> submits;
+    for (const ServiceProgram &program : streamed)
+        submits.push_back(service.submit(program));
+    std::vector<JigsawResult> streamed_results;
+    for (const core::SubmitResult &submitted : submits) {
+        if (submitted.admitted)
+            streamed_results.push_back(service.wait(submitted.handle));
+    }
+    runner.join();
+
+    ASSERT_EQ(streamed_results.size(), streamed.size());
+    ASSERT_EQ(batch_results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        expectBitwisePmf(batch_expected[i].output,
+                         batch_results[i].output);
+        expectBitwisePmf(streamed_expected[i].output,
+                         streamed_results[i].output);
+    }
+}
+
+TEST(JigsawService, ShedProgramFailsOnlyItself)
+{
+    // Normal-class submits shed once 2 jobs are undispatched. The long
+    // merge window keeps the first two undispatched until run() flushes
+    // it, so programs 2..4 are shed deterministically; the admitted
+    // two still finish, and run() then rethrows program 2's failure.
+    const device::DeviceModel dev = device::toronto();
+    std::vector<ServiceProgram> programs;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        programs.emplace_back(workloads::Ghz(5).circuit(), dev, 4096,
+                              core::JigsawOptions{}, seed);
+    }
+    core::ServiceOptions options;
+    options.stream.windowMs = 60000.0;
+    options.stream.maxQueuedJobs = 4;
+    options.stream.shedFractions = {1.0, 0.5, 0.5};
+    core::JigsawService service(options);
+    EXPECT_THROW(service.run(programs), TransientError);
+
+    const core::StreamStats stats = service.streamStats();
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.shed, 3u);
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.released, 2u);
+}
+
 // -------------------------------------------- cross-program batching
+
+/**
+ * Service options for the merge-count assertions below: @p policy,
+ * with a merge window long enough that each window closes only when
+ * run() flushes it, after every program of the batch has prepared.
+ * The default 5 ms window may close before a slow-compiling partner
+ * arrives, which changes merge counts but never results.
+ */
+core::ServiceOptions
+batchOptions(core::MergePolicy policy)
+{
+    core::ServiceOptions options;
+    options.stream.mergePolicy = policy;
+    options.stream.windowMs = 60000.0;
+    return options;
+}
 
 /**
  * The merge-path acid test: identical programs (same circuit, same
@@ -300,24 +397,24 @@ TEST(CrossProgramBatching, MergedMatchesSequentialBitwise)
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
-    core::JigsawService service(
-        core::ServiceOptions{core::MergePolicy::Always});
+    core::JigsawService service(batchOptions(core::MergePolicy::Always));
     const std::vector<JigsawResult> merged = service.run(programs);
     ASSERT_EQ(merged.size(), programs.size());
 
-    // Every program went down the merge path and the duplicated
+    // Every program rode a merged window and the duplicated
     // (circuit, device) pairs produced genuinely shared batches.
-    EXPECT_EQ(service.stats().mergedPrograms, programs.size());
-    EXPECT_GT(service.stats().mergedGroups, 0u);
-    EXPECT_GT(service.stats().crossProgramGroups, 0u);
+    const core::StreamStats stats = service.streamStats();
+    EXPECT_EQ(stats.mergedJobs, programs.size());
+    EXPECT_GT(stats.mergedWindows, 0u);
+    EXPECT_GT(stats.crossProgramGroups, 0u);
     // The duplicated (circuit, device) pairs also pooled their global
     // sampling into multi-program batches (merged-path global
     // batching), without disturbing the bitwise check below.
-    EXPECT_GT(service.stats().pooledGlobalBatches, 0u);
-    EXPECT_GE(service.stats().pooledGlobalPrograms, 2u);
-    EXPECT_EQ(service.stats().latenciesMs.size(), programs.size());
-    EXPECT_GE(service.stats().latencyPercentileMs(0.95),
-              service.stats().latencyPercentileMs(0.5));
+    EXPECT_GT(stats.pooledGlobalBatches, 0u);
+    EXPECT_GE(stats.pooledGlobalPrograms, 2u);
+    EXPECT_EQ(stats.jobsObserved, programs.size());
+    EXPECT_GE(stats.latencyPercentileMs(0.95),
+              stats.latencyPercentileMs(0.5));
 
     for (std::size_t i = 0; i < programs.size(); ++i) {
         expectBitwisePmf(sequential[i].output, merged[i].output);
@@ -335,18 +432,15 @@ TEST(CrossProgramBatching, EveryMergePolicyAgrees)
     const device::DeviceModel dev = device::toronto();
     const std::vector<ServiceProgram> programs = mergeablePrograms(dev);
 
-    core::JigsawService never(
-        core::ServiceOptions{core::MergePolicy::Never});
-    core::JigsawService automatic(
-        core::ServiceOptions{core::MergePolicy::Auto});
-    core::JigsawService always(
-        core::ServiceOptions{core::MergePolicy::Always});
+    core::JigsawService never(batchOptions(core::MergePolicy::Never));
+    core::JigsawService automatic(batchOptions(core::MergePolicy::Auto));
+    core::JigsawService always(batchOptions(core::MergePolicy::Always));
     const std::vector<JigsawResult> a = never.run(programs);
     const std::vector<JigsawResult> b = automatic.run(programs);
     const std::vector<JigsawResult> c = always.run(programs);
 
-    EXPECT_EQ(never.stats().mergedPrograms, 0u);
-    EXPECT_EQ(always.stats().mergedPrograms, programs.size());
+    EXPECT_EQ(never.streamStats().mergedJobs, 0u);
+    EXPECT_EQ(always.streamStats().mergedJobs, programs.size());
     for (std::size_t i = 0; i < programs.size(); ++i) {
         expectBitwisePmf(a[i].output, b[i].output);
         expectBitwisePmf(a[i].output, c[i].output);
@@ -368,10 +462,9 @@ TEST(CrossProgramBatching, CallerSuppliedExecutorStaysUnmerged)
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
-    core::JigsawService service(
-        core::ServiceOptions{core::MergePolicy::Always});
+    core::JigsawService service(batchOptions(core::MergePolicy::Always));
     const std::vector<JigsawResult> merged = service.run(programs);
-    EXPECT_EQ(service.stats().mergedPrograms, programs.size() - 1);
+    EXPECT_EQ(service.streamStats().mergedJobs, programs.size() - 1);
     EXPECT_GT(executor->cacheMisses(), 0u);
     for (std::size_t i = 0; i + 1 < programs.size(); ++i)
         expectBitwisePmf(sequential[i].output, merged[i].output);
@@ -439,10 +532,9 @@ TEST(CrossProgramBatching, MergedPathHammersSharedExecutorDeterministically)
                                          : core::JigsawOptions{},
                               500 + 13ULL * static_cast<std::uint64_t>(i));
     }
-    core::JigsawService service(
-        core::ServiceOptions{core::MergePolicy::Always});
+    core::JigsawService service(batchOptions(core::MergePolicy::Always));
     const std::vector<JigsawResult> first = service.run(programs);
-    EXPECT_GT(service.stats().crossProgramGroups, 0u);
+    EXPECT_GT(service.streamStats().crossProgramGroups, 0u);
     const std::vector<JigsawResult> second = service.run(programs);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)
