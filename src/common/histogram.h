@@ -56,8 +56,9 @@ class Histogram
     Pmf toPmf() const;
 
     /**
-     * Project onto a subset of qubits: outcome bits at positions
-     * @p qubits (ascending) become the low bits of the marginal key.
+     * Project onto a subset of qubits: bit j of each marginal key is
+     * the outcome bit at position @p qubits[j]. Any order works, so
+     * the marginal's bit order is the order of @p qubits.
      */
     Histogram marginal(const std::vector<int> &qubits) const;
 
@@ -111,7 +112,11 @@ class Pmf
     /** Remove entries below @p threshold (post-normalization cleanup). */
     void prune(double threshold);
 
-    /** Marginal PMF over the given (ascending) qubit positions. */
+    /**
+     * Marginal PMF over the given qubit positions: bit j of each
+     * marginal key is the outcome bit at position @p qubits[j], in
+     * any order (see Histogram::marginal).
+     */
     Pmf marginal(const std::vector<int> &qubits) const;
 
     /** Outcome with the highest probability; 0 for an empty PMF. */

@@ -1,6 +1,8 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -79,6 +81,24 @@ cpmFromGlobal(const compiler::CompiledCircuit &global,
     return cpm;
 }
 
+/**
+ * The global circuit's spec: every clbit of @p jobs.global, bound to
+ * the logical program (global clbit c is logical clbit c).
+ */
+sim::CpmSpec
+globalSpec(const CompiledJobs &jobs, std::uint64_t shots)
+{
+    fatalIf(jobs.logical == nullptr,
+            "globalSpec: CompiledJobs without its logical program");
+    sim::CpmSpec spec{jobs.global.physical.measuredQubits(), shots};
+    for (int q : spec.qubits)
+        fatalIf(q < 0, "globalSpec: global with unused classical bit");
+    spec.logical = jobs.logical;
+    spec.clbits.resize(spec.qubits.size());
+    std::iota(spec.clbits.begin(), spec.clbits.end(), 0);
+    return spec;
+}
+
 } // namespace
 
 SubsetPlan
@@ -130,6 +150,7 @@ compileJobs(const circuit::QuantumCircuit &logical,
     const std::vector<int> qubit_of_clbit = logical.measuredQubits();
 
     CompiledJobs jobs{
+        std::make_shared<const sim::LogicalProgram>(logical),
         compiler::transpileCached(logical, dev, options.transpile),
         {},
         0,
@@ -215,7 +236,8 @@ buildSchedule(const CompiledJobs &jobs)
         for (int q : measured)
             fatalIf(q < 0, "buildSchedule: CPM with unused classical bit");
         ExecutionSchedule::Group &group = schedule.groups[it->second];
-        group.specs.push_back({std::move(measured), cpm.trials});
+        group.specs.push_back({std::move(measured), cpm.trials, nullptr, -1,
+                               jobs.logical, cpm.subset});
         group.members.push_back(i);
     }
     return schedule;
@@ -227,7 +249,8 @@ executeSchedule(sim::Executor &executor, const CompiledJobs &jobs,
 {
     ExecutionResult result;
     result.globalPmf =
-        executor.run(jobs.global.physical, plan.globalTrials).toPmf();
+        executor.run(jobs.global.physical, globalSpec(jobs, plan.globalTrials))
+            .toPmf();
 
     result.cpmPmfs.assign(jobs.cpms.size(), Pmf(1));
     for (const ExecutionSchedule::Group &group : schedule.groups) {
@@ -324,12 +347,12 @@ mergeSourceInto(MergedSchedule &merged,
 {
     panicIf(s >= sources.size(), "mergeSourceInto: source out of range");
     const MergeSource &src = sources[s];
-    panicIf(src.jobs == nullptr || src.schedule == nullptr ||
-                src.plan == nullptr || src.executor == nullptr ||
-                src.rng == nullptr,
-            "mergeSchedules: incomplete source");
+    panicIf(src.jobs == nullptr || src.jobs->logical == nullptr ||
+                src.schedule == nullptr || src.plan == nullptr ||
+                src.executor == nullptr || src.rng == nullptr,
+            "mergeSourceInto: incomplete source");
     fatalIf(!src.executor->supportsExternalSampling(),
-            "mergeSchedules: executor does not support external "
+            "mergeSourceInto: executor does not support external "
             "sampling streams");
     for (std::size_t g = 0; g < src.schedule->groups.size(); ++g) {
         const ExecutionSchedule::Group &group = src.schedule->groups[g];
@@ -368,15 +391,6 @@ removeSourceFrom(MergedSchedule &merged, std::size_t s)
     return removed;
 }
 
-MergedSchedule
-mergeSchedules(const std::vector<MergeSource> &sources)
-{
-    MergedSchedule merged;
-    for (std::size_t s = 0; s < sources.size(); ++s)
-        mergeSourceInto(merged, sources, s);
-    return merged;
-}
-
 std::vector<ExecutionResult>
 executeMergedSchedules(const std::vector<MergeSource> &sources,
                        const MergedSchedule &merged,
@@ -406,13 +420,12 @@ executeMergedSchedules(const std::vector<MergeSource> &sources,
         }
     }
 
-    // Warm-up: prepare each distinct global circuit and each merged
-    // group's shared evolution concurrently. All of it is
-    // deterministic, shot-independent cache population; no randomness
-    // is consumed, so the ordered sampling pass below stays exact.
-    // The pooled-global pass below relies on this: preparing the
-    // global circuit populates the executor's run()-keyed cache entry
-    // before any batched lookup could build a marginal-derived one.
+    // Warm-up: prepare each distinct global spec and each merged
+    // group's specs concurrently. All of it is deterministic,
+    // shot-independent cache population; no randomness is consumed,
+    // so the ordered sampling pass below stays exact. Tasks of one
+    // logical program share its single evolution (the executor makes
+    // concurrent first lookups wait on it).
     {
         TaskGroup warm;
         std::unordered_map<std::uint64_t, char> seen;
@@ -420,12 +433,15 @@ executeMergedSchedules(const std::vector<MergeSource> &sources,
             if (!src.enabled)
                 continue;
             const std::uint64_t key = combineKeys(
-                src.deviceKey,
-                src.jobs->global.physical.structuralHash());
+                combineKeys(src.deviceKey,
+                            src.jobs->global.physical.structuralHash()),
+                src.jobs->logical->hash);
             if (!seen.emplace(key, 1).second)
                 continue;
             warm.run([source = &src] {
-                source->executor->prepare(source->jobs->global.physical);
+                source->executor->prepareBatch(
+                    source->jobs->global.physical,
+                    {globalSpec(*source->jobs, source->plan->globalTrials)});
             });
         }
         for (const MergedSchedule::Group &group : merged.groups) {
@@ -443,19 +459,12 @@ executeMergedSchedules(const std::vector<MergeSource> &sources,
     // from the source's private stream, so cross-source order is
     // immaterial; within a source this is its first sampling, exactly
     // as in executeSchedule. Sources sharing a (device, global
-    // circuit) pair pool their sampling into one multi-program
-    // runBatch — but only when the global's measurements are terminal
-    // in classical-bit order, which makes the batch spec's cache key
-    // (measurementSubsetHash) equal run()'s (structuralHash): the
-    // warmed run()-style entry then serves the batch, so the pooled
-    // draws are bit-for-bit the draws run() would make. Anything else
-    // falls back to run() per source.
+    // circuit) pair pool their bound global specs into one
+    // multi-program runBatch: a spec keys the same in runBatch as in
+    // run(), so the pooled draws are bit-for-bit the draws
+    // executeSchedule's run() would make.
     {
-        struct GlobalPool
-        {
-            std::vector<std::size_t> members; ///< Source indices, order.
-        };
-        std::vector<GlobalPool> pools;
+        std::vector<std::vector<std::size_t>> pools; ///< Source indices.
         std::unordered_map<std::uint64_t, std::size_t> pool_of;
         for (std::size_t s = 0; s < sources.size(); ++s) {
             if (!sources[s].enabled)
@@ -465,62 +474,53 @@ executeMergedSchedules(const std::vector<MergeSource> &sources,
                 sources[s].jobs->global.physical.structuralHash());
             const auto [it, inserted] = pool_of.emplace(key, pools.size());
             if (inserted)
-                pools.push_back({});
-            pools[it->second].members.push_back(s);
+                pools.emplace_back();
+            pools[it->second].push_back(s);
         }
-        const auto runAlone = [&results, &sources](std::size_t s) {
+        const auto specOf = [&sources](std::size_t s) {
             const MergeSource &src = sources[s];
-            results[s].globalPmf =
-                src.executor
-                    ->run(src.jobs->global.physical,
-                          src.plan->globalTrials, *src.rng)
-                    .toPmf();
+            sim::CpmSpec spec = globalSpec(*src.jobs, src.plan->globalTrials);
+            spec.rng = src.rng;
+            spec.program = static_cast<std::int64_t>(src.program);
+            return spec;
         };
-        for (const GlobalPool &pool : pools) {
-            const MergeSource &first = sources[pool.members.front()];
+        for (const std::vector<std::size_t> &pool : pools) {
+            const MergeSource &first = sources[pool.front()];
             const circuit::QuantumCircuit &global =
                 first.jobs->global.physical;
-            std::vector<int> measured;
-            bool poolable = pool.members.size() >= 2;
+            bool poolable = pool.size() >= 2;
             // The pool key is a combined hash; re-check the actual
             // (executor, device, circuit) identity so a collision —
             // or hand-built sources mixing executors — degrades to
             // the per-source path instead of batching foreign specs.
-            for (std::size_t s : pool.members) {
+            for (std::size_t s : pool) {
                 poolable =
                     poolable && sources[s].executor == first.executor &&
                     sources[s].deviceKey == first.deviceKey &&
                     sources[s].jobs->global.physical.structuralHash() ==
                         global.structuralHash();
             }
-            if (poolable) {
-                measured = global.measuredQubits();
-                for (int q : measured)
-                    poolable = poolable && q >= 0;
-                poolable = poolable && !measured.empty() &&
-                           global.measurementSubsetHash(measured) ==
-                               global.structuralHash();
-            }
             if (!poolable) {
-                for (std::size_t s : pool.members)
-                    runAlone(s);
+                for (std::size_t s : pool) {
+                    results[s].globalPmf =
+                        sources[s]
+                            .executor
+                            ->run(sources[s].jobs->global.physical, specOf(s))
+                            .toPmf();
+                }
                 continue;
             }
             std::vector<sim::CpmSpec> specs;
-            specs.reserve(pool.members.size());
-            for (std::size_t s : pool.members) {
-                specs.push_back(
-                    {measured, sources[s].plan->globalTrials,
-                     sources[s].rng,
-                     static_cast<std::int64_t>(sources[s].program)});
-            }
+            specs.reserve(pool.size());
+            for (std::size_t s : pool)
+                specs.push_back(specOf(s));
             const std::vector<Histogram> hists =
                 first.executor->runBatch(global, specs);
-            for (std::size_t k = 0; k < pool.members.size(); ++k)
-                results[pool.members[k]].globalPmf = hists[k].toPmf();
+            for (std::size_t k = 0; k < pool.size(); ++k)
+                results[pool[k]].globalPmf = hists[k].toPmf();
             if (stats != nullptr) {
                 ++stats->pooledGlobalBatches;
-                stats->pooledGlobalPrograms += pool.members.size();
+                stats->pooledGlobalPrograms += pool.size();
             }
         }
     }

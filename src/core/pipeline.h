@@ -24,6 +24,7 @@
 #define JIGSAW_CORE_PIPELINE_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -73,6 +74,13 @@ struct CpmJob
 /** Stage 2 artifact: the global compilation plus every CPM job. */
 struct CompiledJobs
 {
+    /**
+     * The measured logical program. Every schedule spec binds to it,
+     * so an executor evolves the program once per job and folds the
+     * global's and each CPM's ideal distribution from that one PMF;
+     * the compiled circuits supply only the noise.
+     */
+    std::shared_ptr<const sim::LogicalProgram> logical;
     compiler::CompiledCircuit global;
     std::vector<CpmJob> cpms; ///< Parallel to SubsetPlan::subsets.
     /** @name Batched-recompilation counters (this compile stage).
@@ -97,9 +105,11 @@ CompiledJobs compileJobs(const circuit::QuantumCircuit &logical,
                          const JigsawOptions &options);
 
 /**
- * Stage 3 artifact: CPMs grouped by shared gate prefix, so a batching
- * executor evolves each prefix once and serves every member's
- * marginal off the single final state.
+ * Stage 3 artifact: CPMs grouped by shared gate prefix, one executor
+ * batch per group. Every spec is bound to the job's logical program
+ * (CpmSpec::logical, with the CPM's subset as its clbits), so however
+ * many groups recompilation produced, a simulator evolves the program
+ * once and folds each member's ideal marginal from it.
  */
 struct ExecutionSchedule
 {
@@ -125,7 +135,10 @@ struct ExecutionSchedule
     std::vector<Group> groups;
 };
 
-/** Group @p jobs by shared gate prefix (structural hash, measureless). */
+/**
+ * Group @p jobs by shared gate prefix (structural hash, measureless)
+ * and bind every spec to @p jobs.logical.
+ */
 ExecutionSchedule buildSchedule(const CompiledJobs &jobs);
 
 /** Stage 3 output: every observed PMF. */
@@ -137,7 +150,9 @@ struct ExecutionResult
 
 /**
  * Run global mode then every batch group of @p schedule against
- * @p executor. Dispatch order (global first, groups in first-member
+ * @p executor. The global is one Executor::run of a spec measuring
+ * every clbit of the global circuit, bound to the logical program like
+ * the CPM specs. Dispatch order (global first, groups in first-member
  * order) is fixed so a seeded executor's draw stream — and therefore
  * the whole run — is deterministic.
  */
@@ -185,10 +200,11 @@ struct MergeSource
  * Schedule groups from all in-flight sources merged by
  * (deviceKey, shared CPM gate prefix): each merged group is executed
  * as one multi-program Executor::runBatch against the shared
- * executor, so a prefix shared by N programs is evolved once instead
- * of N times. Within one source, prefix hashes are unique (that is
- * what buildSchedule groups by), so a merged group holds at most one
- * group per source.
+ * executor, whose caches serve every program sharing a logical
+ * program (and every identical CPM) from one evolution and one P'.
+ * Within one source, prefix hashes are unique (that is what
+ * buildSchedule groups by), so a merged group holds at most one group
+ * per source.
  */
 struct MergedSchedule
 {
@@ -210,16 +226,11 @@ struct MergedSchedule
     std::size_t crossProgramGroups() const;
 };
 
-/** Merge every source's schedule by (deviceKey, prefix hash). */
-MergedSchedule mergeSchedules(const std::vector<MergeSource> &sources);
-
 /**
- * Incrementally add source @p s (an index into @p sources) to
- * @p merged, using the same (deviceKey, prefix hash) keying as
- * mergeSchedules — which is itself just this function folded over
- * every source. The streaming scheduler maintains one MergedSchedule
- * per open merge window with this, folding each job in as it joins
- * instead of re-merging the whole pending set per arrival.
+ * Add source @p s (an index into @p sources) to @p merged, keyed by
+ * (deviceKey, prefix hash). The streaming scheduler maintains one
+ * MergedSchedule per open merge window with this, folding each job in
+ * as it joins instead of re-merging the whole pending set per arrival.
  */
 void mergeSourceInto(MergedSchedule &merged,
                      const std::vector<MergeSource> &sources,
@@ -248,21 +259,20 @@ struct MergedExecutionStats
  * the results back per source (parallel to @p sources; disabled slots
  * keep a default-constructed result).
  *
- * Two phases: a warm-up pass prepares each merged group's shared
- * evolution (and each distinct global circuit) concurrently over the
- * thread pool — deterministic work, no randomness — then globals and
- * merged groups are sampled in an order that preserves every source's
- * sequential dispatch order (global first, groups in schedule order),
- * each spec drawing from its own source's rng. Sources sharing a
- * (device, global circuit) pair have their global sampling pooled
- * into one multi-program runBatch when the batch's cache key provably
- * equals run()'s (terminal measurements in classical-bit order);
- * otherwise each samples through run() as before. Because each
- * source's draws come from its private stream in its sequential
- * order, and every cached entry is a deterministic function of
- * (circuit, device), the per-source results are bitwise-identical to
- * running executeSchedule against a private executor seeded the same
- * way.
+ * Two phases: a warm-up pass prepares each merged group's specs (and
+ * each distinct global spec) concurrently over the thread pool —
+ * deterministic work, no randomness — then globals and merged groups
+ * are sampled in an order that preserves every source's sequential
+ * dispatch order (global first, groups in schedule order), each spec
+ * drawing from its own source's rng. Sources sharing a (device,
+ * global circuit) pair have their global sampling pooled into one
+ * multi-program runBatch of their bound global specs, which key
+ * exactly as executeSchedule's run() of the same spec; a source
+ * alone samples through run(). Because each source's draws come from
+ * its private stream in its sequential order, and every cached entry
+ * is a deterministic function of (logical program, clbits, circuit,
+ * device), the per-source results are bitwise-identical to running
+ * executeSchedule against a private executor seeded the same way.
  */
 std::vector<ExecutionResult>
 executeMergedSchedules(const std::vector<MergeSource> &sources,

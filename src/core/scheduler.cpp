@@ -69,7 +69,7 @@ windowKeyFor(MergePolicy policy, std::uint64_t device_key,
              const circuit::QuantumCircuit &circuit)
 {
     if (policy == MergePolicy::Always)
-        return device_key; // mergeSchedules separates prefixes inside
+        return device_key; // mergeSourceInto separates prefixes inside
     return device_key ^
            (circuit.skeletonHash() * 0x9e3779b97f4a7c15ULL);
 }

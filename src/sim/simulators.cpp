@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/fault.h"
+#include "common/fnv.h"
 #include "sim/compact.h"
 #include "sim/eps.h"
 #include "sim/noise_model.h"
@@ -309,7 +310,213 @@ spansPrograms(const std::vector<CpmSpec> &specs)
     return false;
 }
 
+/** Mixed into every bound spec key (the ASCII bytes of "logical"). */
+constexpr std::uint64_t kBoundSpecTag = 0x6c6f676963616cULL;
+
+/**
+ * The cache key of one spec of @p base. Unbound: the structural hash
+ * of the measurement variant, exactly what run() of that circuit keys
+ * on. Bound: the logical program, its clbits and that same physical
+ * hash mixed under a tag. The physical hash pins the noise operator,
+ * the program and clbits pin the ideal PMF, and the tag keeps a bound
+ * entry (folded from the logical evolution) from ever answering an
+ * unbound lookup (evolved from the physical circuit), whose PMF can
+ * differ in the last bits.
+ */
+std::uint64_t
+specKey(const QuantumCircuit &base, const CpmSpec &spec)
+{
+    const std::uint64_t physical = base.measurementSubsetHash(spec.qubits);
+    if (spec.logical == nullptr)
+        return physical;
+    std::uint64_t h = kFnvOffsetBasis;
+    fnvMixWord(h, kBoundSpecTag);
+    fnvMixWord(h, spec.logical->hash);
+    fnvMixWord(h, spec.clbits.size());
+    for (int c : spec.clbits)
+        fnvMixWord(h, static_cast<std::uint64_t>(c));
+    fnvMixWord(h, physical);
+    return h;
+}
+
+/**
+ * The entry under @p key in @p cache, built by @p build on a miss.
+ * Each call counts one hit or one miss. The build runs outside
+ * @p mutex: it is deterministic, so racing threads build identical
+ * entries and the first insert wins (map references stay stable).
+ */
+template <class Entry, class Build>
+const Entry &
+cachedEntry(std::unordered_map<std::uint64_t, Entry> &cache,
+            std::mutex &mutex, std::atomic<std::uint64_t> &hits,
+            std::atomic<std::uint64_t> &misses, std::uint64_t key,
+            Build &&build)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        const auto it = cache.find(key);
+        if (it != cache.end()) {
+            ++hits;
+            return it->second;
+        }
+    }
+    Entry entry = build();
+    ++misses;
+    std::lock_guard<std::mutex> lock(mutex);
+    return cache.emplace(key, std::move(entry)).first->second;
+}
+
+/**
+ * Draw @p shots from @p sampler: from @p external when set, else from
+ * the executor's @p internal stream under its @p mutex.
+ */
+Histogram
+drawShots(const MultinomialSampler &sampler, std::uint64_t shots,
+          Rng *external, Rng &internal, std::mutex &mutex)
+{
+    if (external != nullptr)
+        return sampler.draw(shots, *external);
+    std::lock_guard<std::mutex> lock(mutex);
+    return sampler.draw(shots, internal);
+}
+
+/**
+ * The circuit one spec of @p base measures: @p base itself when the
+ * spec measures exactly its measurements, else the measurement-subset
+ * variant.
+ */
+QuantumCircuit
+specCircuit(const QuantumCircuit &base, const CpmSpec &spec)
+{
+    return spec.qubits == base.measuredQubits()
+               ? base
+               : base.withMeasurementSubset(spec.qubits);
+}
+
 } // namespace
+
+namespace detail {
+
+/**
+ * The ideal-distribution side every simulator shares: the ideal PMF of
+ * each logical program bound specs fold from, the shared-prefix states
+ * unbound specs take marginals off, the skeleton split-prefix states,
+ * and the counters over them. One mutex guards the maps and stats;
+ * every evolution runs outside it.
+ */
+class IdealSource
+{
+  public:
+    /** Exact output PMF of a full circuit (the run() path). */
+    Pmf
+    circuitPmf(const QuantumCircuit &physical)
+    {
+        return exactOutputPmf(physical, split());
+    }
+
+    /**
+     * Ideal PMF of one spec of @p base. Bound: a fold of its logical
+     * program's PMF onto its clbits, whatever the base circuit's
+     * mapping. Unbound: the marginal off the shared-prefix state of
+     * @p base, resolved lazily into @p bs (null until a spec needs it,
+     * so one batch resolves its prefix once).
+     */
+    Pmf
+    specPmf(const QuantumCircuit &base, const CpmSpec &spec,
+            const BatchState *&bs)
+    {
+        if (spec.logical != nullptr) {
+            fatalIf(spec.clbits.size() != spec.qubits.size(),
+                    "bound spec: clbits and qubits differ in width");
+            const Pmf &full = logicalPmf(*spec.logical);
+            for (int c : spec.clbits) {
+                fatalIf(c < 0 || c >= full.nQubits(),
+                        "bound spec: clbit outside the logical program");
+            }
+            countServed();
+            return full.marginal(spec.clbits);
+        }
+        if (bs == nullptr)
+            bs = &evolvedBase(states_, mutex_, base, stats_, split());
+        countServed();
+        return marginalFromState(*bs, spec.qubits);
+    }
+
+    /** Count a batch spanning programs (see BatchStats). */
+    void
+    countBatch(const std::vector<CpmSpec> &specs)
+    {
+        if (!spansPrograms(specs))
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.crossProgramBatches;
+        stats_.crossProgramMarginals += specs.size();
+    }
+
+    const BatchStats &stats() const { return stats_; }
+
+    std::uint64_t skeletonHits() const { return skeletonHits_.load(); }
+    std::uint64_t skeletonMisses() const { return skeletonMisses_.load(); }
+
+  private:
+    /** One logical program's ideal PMF, evolved exactly once. */
+    struct LogicalEntry
+    {
+        std::once_flag evolved;
+        Pmf pmf{1};
+    };
+
+    SplitContext
+    split()
+    {
+        return {&splits_, &mutex_, &skeletonHits_, &skeletonMisses_};
+    }
+
+    void
+    countServed()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.marginalsServed;
+    }
+
+    /**
+     * @p program's ideal clbit PMF. The first lookup evolves it;
+     * concurrent first lookups wait on that one evolution instead of
+     * racing their own (a failed evolution leaves the entry unevolved
+     * for the next lookup to retry).
+     */
+    const Pmf &
+    logicalPmf(const LogicalProgram &program)
+    {
+        LogicalEntry *entry = nullptr;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto [it, inserted] = logical_.try_emplace(program.hash);
+            if (inserted)
+                it->second = std::make_unique<LogicalEntry>();
+            else
+                ++stats_.baseStateHits;
+            entry = it->second.get();
+        }
+        std::call_once(entry->evolved, [&] {
+            entry->pmf = exactOutputPmf(program.circuit, split());
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.baseEvolutions;
+        });
+        return entry->pmf;
+    }
+
+    std::mutex mutex_;
+    std::unordered_map<std::uint64_t, std::unique_ptr<LogicalEntry>>
+        logical_;
+    BatchStateCache states_;
+    SplitStateCache splits_;
+    std::atomic<std::uint64_t> skeletonHits_{0};
+    std::atomic<std::uint64_t> skeletonMisses_{0};
+    BatchStats stats_;
+};
+
+} // namespace detail
 
 Histogram
 Executor::run(const QuantumCircuit &, std::uint64_t, Rng &)
@@ -329,49 +536,78 @@ Executor::prepareBatch(const QuantumCircuit &, const std::vector<CpmSpec> &)
 {
 }
 
+Histogram
+Executor::run(const QuantumCircuit &base_circuit, const CpmSpec &spec)
+{
+    const QuantumCircuit circuit = specCircuit(base_circuit, spec);
+    return spec.rng != nullptr ? run(circuit, spec.shots, *spec.rng)
+                               : run(circuit, spec.shots);
+}
+
 std::vector<Histogram>
 Executor::runBatch(const QuantumCircuit &base_circuit,
                    const std::vector<CpmSpec> &specs)
 {
     std::vector<Histogram> out;
     out.reserve(specs.size());
-    for (const CpmSpec &spec : specs) {
-        const QuantumCircuit cpm =
-            base_circuit.withMeasurementSubset(spec.qubits);
-        out.push_back(spec.rng != nullptr
-                          ? run(cpm, spec.shots, *spec.rng)
-                          : run(cpm, spec.shots));
-    }
+    for (const CpmSpec &spec : specs)
+        out.push_back(run(base_circuit, spec));
     return out;
 }
 
-IdealSimulator::IdealSimulator(std::uint64_t seed) : rng_(seed) {}
+IdealSimulator::IdealSimulator(std::uint64_t seed)
+    : source_(std::make_unique<detail::IdealSource>()), rng_(seed)
+{
+}
 
 IdealSimulator::~IdealSimulator() = default;
 
-const IdealSimulator::Cached &
-IdealSimulator::evolved(const QuantumCircuit &physical)
+std::uint64_t
+IdealSimulator::skeletonCacheHits() const
 {
-    const std::uint64_t key = physical.structuralHash();
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++cacheHits_;
-            return it->second;
-        }
-    }
-    // Evolve outside the lock: deterministic, so racing threads build
-    // identical entries and the first emplace wins.
-    ++cacheMisses_;
-    Pmf pmf = exactOutputPmf(
-        physical,
-        {&splitCache_, &cacheMutex_, &skeletonHits_, &skeletonMisses_});
-    MultinomialSampler sampler(pmf);
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_
-        .emplace(key, Cached{std::move(pmf), std::move(sampler)})
-        .first->second;
+    return source_->skeletonHits();
+}
+
+std::uint64_t
+IdealSimulator::skeletonCacheMisses() const
+{
+    return source_->skeletonMisses();
+}
+
+ExecutorCounters
+IdealSimulator::counters() const
+{
+    return {cacheHits_.load(), cacheMisses_.load(), skeletonCacheHits(),
+            skeletonCacheMisses()};
+}
+
+const BatchStats &
+IdealSimulator::batchStats() const
+{
+    return source_->stats();
+}
+
+const IdealSimulator::Cached &
+IdealSimulator::circuitEntry(const QuantumCircuit &physical)
+{
+    return cachedEntry(cache_, cacheMutex_, cacheHits_, cacheMisses_,
+                       physical.structuralHash(), [&] {
+                           Pmf pmf = source_->circuitPmf(physical);
+                           MultinomialSampler sampler(pmf);
+                           return Cached{std::move(pmf), std::move(sampler)};
+                       });
+}
+
+const IdealSimulator::Cached &
+IdealSimulator::specEntry(const QuantumCircuit &base_circuit,
+                          const CpmSpec &spec, const BatchState *&bs)
+{
+    return cachedEntry(cache_, cacheMutex_, cacheHits_, cacheMisses_,
+                       specKey(base_circuit, spec), [&] {
+                           Pmf pmf = source_->specPmf(base_circuit, spec, bs);
+                           MultinomialSampler sampler(pmf);
+                           return Cached{std::move(pmf), std::move(sampler)};
+                       });
 }
 
 Histogram
@@ -381,9 +617,8 @@ IdealSimulator::run(const QuantumCircuit &physical_circuit,
     // Fault points sit at entry, before any cache or RNG state moves,
     // so a retried call replays the identical draw sequence.
     injectFaultPoint("executor.run");
-    const Cached &entry = evolved(physical_circuit);
-    std::lock_guard<std::mutex> lock(rngMutex_);
-    return entry.sampler.draw(shots, rng_);
+    return drawShots(circuitEntry(physical_circuit).sampler, shots, nullptr,
+                     rng_, rngMutex_);
 }
 
 Histogram
@@ -391,13 +626,22 @@ IdealSimulator::run(const QuantumCircuit &physical_circuit,
                     std::uint64_t shots, Rng &rng)
 {
     injectFaultPoint("executor.run");
-    return evolved(physical_circuit).sampler.draw(shots, rng);
+    return circuitEntry(physical_circuit).sampler.draw(shots, rng);
+}
+
+Histogram
+IdealSimulator::run(const QuantumCircuit &base_circuit, const CpmSpec &spec)
+{
+    injectFaultPoint("executor.run");
+    const BatchState *bs = nullptr;
+    return drawShots(specEntry(base_circuit, spec, bs).sampler, spec.shots,
+                     spec.rng, rng_, rngMutex_);
 }
 
 void
 IdealSimulator::prepare(const QuantumCircuit &physical_circuit)
 {
-    evolved(physical_circuit);
+    circuitEntry(physical_circuit);
 }
 
 void
@@ -406,49 +650,13 @@ IdealSimulator::prepareBatch(const QuantumCircuit &base_circuit,
 {
     const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs)
-        cpmEntry(base_circuit, spec.qubits, bs);
+        specEntry(base_circuit, spec, bs);
 }
 
 Pmf
 IdealSimulator::idealPmf(const QuantumCircuit &physical_circuit)
 {
-    return evolved(physical_circuit).pmf;
-}
-
-/**
- * The cached entry for one CPM of @p base_circuit, computing its
- * marginal off the shared-prefix state on a miss. @p bs carries the
- * lazily resolved state across the specs of one batch (left null
- * until a miss actually needs an evolution).
- */
-const IdealSimulator::Cached &
-IdealSimulator::cpmEntry(const QuantumCircuit &base_circuit,
-                         const std::vector<int> &qubits,
-                         const BatchState *&bs)
-{
-    const std::uint64_t key = base_circuit.measurementSubsetHash(qubits);
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++cacheHits_;
-            return it->second;
-        }
-    }
-    if (bs == nullptr)
-        bs = &evolvedBase(
-            stateCache_, cacheMutex_, base_circuit, batchStats_,
-            {&splitCache_, &cacheMutex_, &skeletonHits_, &skeletonMisses_});
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        ++batchStats_.marginalsServed;
-    }
-    Pmf pmf = marginalFromState(*bs, qubits);
-    MultinomialSampler sampler(pmf);
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_
-        .emplace(key, Cached{std::move(pmf), std::move(sampler)})
-        .first->second;
+    return circuitEntry(physical_circuit).pmf;
 }
 
 std::vector<Pmf>
@@ -459,7 +667,7 @@ IdealSimulator::marginalPmfs(const QuantumCircuit &base_circuit,
     out.reserve(subsets.size());
     const BatchState *bs = nullptr;
     for (const std::vector<int> &qubits : subsets)
-        out.push_back(cpmEntry(base_circuit, qubits, bs).pmf);
+        out.push_back(specEntry(base_circuit, CpmSpec{qubits}, bs).pmf);
     return out;
 }
 
@@ -468,49 +676,76 @@ IdealSimulator::runBatch(const QuantumCircuit &base_circuit,
                          const std::vector<CpmSpec> &specs)
 {
     injectFaultPoint("executor.runBatch");
-    if (spansPrograms(specs)) {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        ++batchStats_.crossProgramBatches;
-        batchStats_.crossProgramMarginals += specs.size();
-    }
+    source_->countBatch(specs);
     std::vector<Histogram> out;
     out.reserve(specs.size());
     const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs) {
-        const Cached &entry = cpmEntry(base_circuit, spec.qubits, bs);
-        if (spec.rng != nullptr) {
-            out.push_back(entry.sampler.draw(spec.shots, *spec.rng));
-            continue;
-        }
-        std::lock_guard<std::mutex> lock(rngMutex_);
-        out.push_back(entry.sampler.draw(spec.shots, rng_));
+        out.push_back(drawShots(specEntry(base_circuit, spec, bs).sampler,
+                                spec.shots, spec.rng, rng_, rngMutex_));
     }
     return out;
 }
 
 NoisySimulator::NoisySimulator(device::DeviceModel dev,
                                NoisySimulatorOptions options)
-    : dev_(std::move(dev)), options_(options), rng_(options.seed)
+    : dev_(std::move(dev)), options_(options),
+      source_(std::make_unique<detail::IdealSource>()), rng_(options.seed)
 {
 }
 
 NoisySimulator::~NoisySimulator() = default;
+
+std::uint64_t
+NoisySimulator::skeletonCacheHits() const
+{
+    return source_->skeletonHits();
+}
+
+std::uint64_t
+NoisySimulator::skeletonCacheMisses() const
+{
+    return source_->skeletonMisses();
+}
+
+ExecutorCounters
+NoisySimulator::counters() const
+{
+    return {cacheHits_.load(), cacheMisses_.load(), skeletonCacheHits(),
+            skeletonCacheMisses()};
+}
+
+const BatchStats &
+NoisySimulator::batchStats() const
+{
+    return source_->stats();
+}
+
+namespace {
+
+/** Channel-mode circuits must be in the device's physical qubit space. */
+void
+checkDeviceSpace(const QuantumCircuit &qc, const device::DeviceModel &dev)
+{
+    fatalIf(qc.nQubits() != dev.nQubits(),
+            "NoisySimulator: circuit is not in this device's physical "
+            "qubit space");
+}
+
+} // namespace
 
 Histogram
 NoisySimulator::run(const QuantumCircuit &physical_circuit,
                     std::uint64_t shots)
 {
     injectFaultPoint("executor.run");
-    fatalIf(physical_circuit.nQubits() != dev_.nQubits(),
-            "NoisySimulator: circuit is not in this device's physical "
-            "qubit space");
+    checkDeviceSpace(physical_circuit, dev_);
     if (options_.trajectories > 0) {
         std::lock_guard<std::mutex> lock(rngMutex_);
         return runTrajectoryMode(physical_circuit, shots, rng_);
     }
-    const Cached &entry = evolved(physical_circuit);
-    std::lock_guard<std::mutex> lock(rngMutex_);
-    return entry.noisy.draw(shots, rng_);
+    return drawShots(circuitEntry(physical_circuit).noisy, shots, nullptr,
+                     rng_, rngMutex_);
 }
 
 Histogram
@@ -518,59 +753,72 @@ NoisySimulator::run(const QuantumCircuit &physical_circuit,
                     std::uint64_t shots, Rng &rng)
 {
     injectFaultPoint("executor.run");
-    fatalIf(physical_circuit.nQubits() != dev_.nQubits(),
-            "NoisySimulator: circuit is not in this device's physical "
-            "qubit space");
+    checkDeviceSpace(physical_circuit, dev_);
     if (options_.trajectories > 0)
         return runTrajectoryMode(physical_circuit, shots, rng);
-    return evolved(physical_circuit).noisy.draw(shots, rng);
+    return circuitEntry(physical_circuit).noisy.draw(shots, rng);
+}
+
+Histogram
+NoisySimulator::run(const QuantumCircuit &base_circuit, const CpmSpec &spec)
+{
+    if (options_.trajectories > 0)
+        return Executor::run(base_circuit, spec);
+    injectFaultPoint("executor.run");
+    checkDeviceSpace(base_circuit, dev_);
+    const BatchState *bs = nullptr;
+    return drawShots(specEntry(base_circuit, spec, bs).noisy, spec.shots,
+                     spec.rng, rng_, rngMutex_);
 }
 
 void
 NoisySimulator::prepare(const QuantumCircuit &physical_circuit)
 {
-    fatalIf(physical_circuit.nQubits() != dev_.nQubits(),
-            "NoisySimulator: circuit is not in this device's physical "
-            "qubit space");
+    checkDeviceSpace(physical_circuit, dev_);
     if (options_.trajectories > 0)
         return; // trajectory mode re-simulates per trial: nothing to warm
-    evolved(physical_circuit);
+    circuitEntry(physical_circuit);
 }
 
 void
 NoisySimulator::prepareBatch(const QuantumCircuit &base_circuit,
                              const std::vector<CpmSpec> &specs)
 {
-    fatalIf(base_circuit.nQubits() != dev_.nQubits(),
-            "NoisySimulator: batch base circuit is not in this device's "
-            "physical qubit space");
+    checkDeviceSpace(base_circuit, dev_);
     if (options_.trajectories > 0)
         return;
     const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs)
-        cpmEntry(base_circuit, spec.qubits, bs);
+        specEntry(base_circuit, spec, bs);
 }
 
 const NoisySimulator::Cached &
-NoisySimulator::evolved(const QuantumCircuit &physical)
+NoisySimulator::circuitEntry(const QuantumCircuit &physical)
 {
-    const std::uint64_t key = physical.structuralHash();
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++cacheHits_;
-            return it->second;
-        }
-    }
-    checkDenseWidth(physical.nClbits());
-    ++cacheMisses_;
-    const Pmf pmf = exactOutputPmf(
-        physical,
-        {&splitCache_, &cacheMutex_, &skeletonHits_, &skeletonMisses_});
-    Cached entry = noisyEntry(physical, pmf);
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_.emplace(key, std::move(entry)).first->second;
+    return cachedEntry(cache_, cacheMutex_, cacheHits_, cacheMisses_,
+                       physical.structuralHash(), [&] {
+                           checkDenseWidth(physical.nClbits());
+                           return noisyEntry(physical,
+                                             source_->circuitPmf(physical));
+                       });
+}
+
+const NoisySimulator::Cached &
+NoisySimulator::specEntry(const QuantumCircuit &base_circuit,
+                          const CpmSpec &spec, const BatchState *&bs)
+{
+    return cachedEntry(
+        cache_, cacheMutex_, cacheHits_, cacheMisses_,
+        specKey(base_circuit, spec), [&] {
+            checkDenseWidth(static_cast<int>(spec.qubits.size()));
+            const Pmf pmf = source_->specPmf(base_circuit, spec, bs);
+            // The spec's circuit is only materialized on a miss, for
+            // the noise derivations: the gate-only success probability
+            // ignores measurements, so every spec of one base inherits
+            // its value exactly; the readout channel is per-subset.
+            return noisyEntry(base_circuit.withMeasurementSubset(spec.qubits),
+                              pmf);
+        });
 }
 
 NoisySimulator::Cached
@@ -593,65 +841,19 @@ NoisySimulator::runBatch(const QuantumCircuit &base_circuit,
                          const std::vector<CpmSpec> &specs)
 {
     injectFaultPoint("executor.runBatch");
-    fatalIf(base_circuit.nQubits() != dev_.nQubits(),
-            "NoisySimulator: batch base circuit is not in this device's "
-            "physical qubit space");
+    checkDeviceSpace(base_circuit, dev_);
     if (options_.trajectories > 0)
         return Executor::runBatch(base_circuit, specs);
 
-    if (spansPrograms(specs)) {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        ++batchStats_.crossProgramBatches;
-        batchStats_.crossProgramMarginals += specs.size();
-    }
+    source_->countBatch(specs);
     std::vector<Histogram> out;
     out.reserve(specs.size());
     const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs) {
-        const Cached &entry = cpmEntry(base_circuit, spec.qubits, bs);
-        if (spec.rng != nullptr) {
-            out.push_back(entry.noisy.draw(spec.shots, *spec.rng));
-            continue;
-        }
-        std::lock_guard<std::mutex> lock(rngMutex_);
-        out.push_back(entry.noisy.draw(spec.shots, rng_));
+        out.push_back(drawShots(specEntry(base_circuit, spec, bs).noisy,
+                                spec.shots, spec.rng, rng_, rngMutex_));
     }
     return out;
-}
-
-/** NoisySimulator flavor of IdealSimulator::cpmEntry (see there). */
-const NoisySimulator::Cached &
-NoisySimulator::cpmEntry(const QuantumCircuit &base_circuit,
-                         const std::vector<int> &qubits,
-                         const BatchState *&bs)
-{
-    const std::uint64_t key = base_circuit.measurementSubsetHash(qubits);
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++cacheHits_;
-            return it->second;
-        }
-    }
-    checkDenseWidth(static_cast<int>(qubits.size()));
-    if (bs == nullptr)
-        bs = &evolvedBase(
-            stateCache_, cacheMutex_, base_circuit, batchStats_,
-            {&splitCache_, &cacheMutex_, &skeletonHits_, &skeletonMisses_});
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        ++batchStats_.marginalsServed;
-    }
-    const Pmf pmf = marginalFromState(*bs, qubits);
-    // The CPM circuit is only materialized on a miss, for the noise
-    // derivations. The gate-only success probability ignores
-    // measurements, so the CPM inherits the base circuit's value
-    // exactly; the readout channel is genuinely per-subset.
-    Cached entry =
-        noisyEntry(base_circuit.withMeasurementSubset(qubits), pmf);
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_.emplace(key, std::move(entry)).first->second;
 }
 
 Histogram

@@ -17,13 +17,13 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "common/histogram.h"
 #include "common/multinomial.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "device/device_model.h"
 #include "sim/noise_model.h"
 
@@ -33,9 +33,26 @@ namespace sim {
 namespace detail {
 /** A cached shared-prefix evolution (defined in simulators.cpp). */
 struct BatchState;
+/** The ideal-distribution caches every simulator shares (ditto). */
+class IdealSource;
 } // namespace detail
 
-class StateVector; // sim/statevector.h
+/**
+ * A measured logical circuit that executor specs bind to, with its
+ * structural hash computed once. JigSaw's global circuit and every
+ * CPM are compilations of one such program, differing only in the
+ * measured clbits and (after recompilation) the mapping.
+ */
+struct LogicalProgram
+{
+    explicit LogicalProgram(circuit::QuantumCircuit measured)
+        : circuit(std::move(measured)), hash(circuit.structuralHash())
+    {
+    }
+
+    const circuit::QuantumCircuit circuit;
+    const std::uint64_t hash; ///< circuit.structuralHash().
+};
 
 /**
  * One circuit-with-partial-measurements (CPM) inside a batch: measure
@@ -51,6 +68,14 @@ class StateVector; // sim/statevector.h
  * for the duration of the call. @p program tags the submitting
  * program (provenance for the cross-program BatchStats counters; -1 =
  * untagged).
+ *
+ * A spec may also be bound to the logical program it was compiled
+ * from: @p logical plus @p clbits, the logical classical bit behind
+ * each spec bit. The ideal distribution of a routed circuit does not
+ * depend on its mapping, so a simulator serves a bound spec's ideal
+ * PMF as a fold (Pmf::marginal) of the one cached ideal PMF of
+ * @p logical, and takes only the noise from the base circuit. Unbound
+ * specs (@p logical null) evolve the base circuit's own gate prefix.
  */
 struct CpmSpec
 {
@@ -58,18 +83,22 @@ struct CpmSpec
     std::uint64_t shots = 0;
     Rng *rng = nullptr;
     std::int64_t program = -1;
+    std::shared_ptr<const LogicalProgram> logical{};
+    std::vector<int> clbits{}; ///< Logical clbit per spec bit (bound only).
 };
 
 /**
- * Counters for the batched execution path: how many base evolutions
- * actually ran, how many were reused, and how many CPM marginals were
- * served off a shared final state instead of a per-CPM evolution.
+ * Counters for the spec execution path: how many evolutions actually
+ * ran, how many were reused, and how many spec PMFs were served off a
+ * shared evolution instead of a per-CPM one.
  */
 struct BatchStats
 {
-    std::uint64_t baseEvolutions = 0;  ///< Shared-prefix evolutions run.
-    std::uint64_t baseStateHits = 0;   ///< Batches reusing a cached state.
-    std::uint64_t marginalsServed = 0; ///< CPM PMFs taken from a state.
+    /** Evolutions run: one per logical program (bound specs) or per
+     *  distinct physical gate prefix (unbound specs). */
+    std::uint64_t baseEvolutions = 0;
+    std::uint64_t baseStateHits = 0;   ///< Lookups reusing an evolution.
+    std::uint64_t marginalsServed = 0; ///< Spec PMFs taken from one.
     /** @name Cross-program counters (merged-service batches).
      *  @{ */
     std::uint64_t crossProgramBatches = 0; ///< Batches spanning >1 program.
@@ -97,32 +126,7 @@ struct ExecutorCounters
     std::uint64_t pmfMisses = 0;
     std::uint64_t prefixStateHits = 0;
     std::uint64_t prefixStateMisses = 0;
-    /** @name SIMD kernel-backend dispatch totals.
-     *
-     * Snapshot of simd::dispatchCounters() backend totals at
-     * counters() time. Unlike the cache counters above these are
-     * PROCESS-WIDE, not per-executor (the dispatch counters live in
-     * the kernel layer, below any executor): aggregators must take
-     * deltas against an earlier snapshot, never sum them across
-     * executors. Answers "did the wide kernels actually run?" — an
-     * AVX-512 binary on a non-AVX-512 host, or a JIGSAW_NO_SIMD run,
-     * shows zero avx512 calls.
-     * @{ */
-    std::uint64_t simdScalarCalls = 0;
-    std::uint64_t simdAvx2Calls = 0;
-    std::uint64_t simdAvx512Calls = 0;
-    /** @} */
 };
-
-/** The process-wide SIMD dispatch totals every executor reports. */
-inline void
-fillSimdDispatch(ExecutorCounters &c)
-{
-    const simd::DispatchCounters d = simd::dispatchCounters();
-    c.simdScalarCalls = d.backendTotal(simd::kBackendScalar);
-    c.simdAvx2Calls = d.backendTotal(simd::kBackendAvx2);
-    c.simdAvx512Calls = d.backendTotal(simd::kBackendAvx512);
-}
 
 /** Abstract quantum-program executor (the "NISQ machine"). */
 class Executor
@@ -152,6 +156,19 @@ class Executor
      */
     virtual Histogram run(const circuit::QuantumCircuit &physical_circuit,
                           std::uint64_t shots, Rng &rng);
+
+    /**
+     * Run one spec of @p base_circuit on its own, sampling from
+     * spec.rng when set: the single-spec form of runBatch, through
+     * run()'s fault point. The pipeline draws each job's global
+     * circuit this way, bound to its logical program (see CpmSpec),
+     * so it shares the bound-spec cache with the CPM batches. This
+     * default runs the base circuit itself when the spec measures
+     * exactly its measurements, and the measurement-subset variant
+     * otherwise.
+     */
+    virtual Histogram run(const circuit::QuantumCircuit &base_circuit,
+                          const CpmSpec &spec);
 
     /**
      * Run one measurement-subset variant of @p base_circuit per spec
@@ -193,15 +210,22 @@ class Executor
  * metrics use as the golden reference distribution.
  *
  * Exact PMFs (and their samplers) are memoized per structural circuit
- * hash, so JigSaw's repeated runs of an identical circuit — the global
- * circuit resampled, or CPMs sharing a compilation — skip state-vector
- * evolution entirely. Each run() or CpmSpec is then one multinomial
- * draw over the PMF's sorted support (MultinomialSampler).
+ * hash (run()) or spec key (specs), so JigSaw's repeated runs of an
+ * identical circuit skip state-vector evolution entirely. A spec bound
+ * to its logical program (CpmSpec::logical) keys on that program, its
+ * clbits and the base circuit's measurementSubsetHash; its PMF is a
+ * fold of the program's ideal PMF, which the executor evolves once
+ * and keeps. A JigSaw job — its global and every CPM, recompiled or
+ * not — therefore costs one evolution. Each run() or CpmSpec is then
+ * one multinomial draw over the PMF's sorted support
+ * (MultinomialSampler).
  *
  * Thread-safety: run()/runBatch()/idealPmf() may be called from
  * concurrent sessions sharing one executor. The PMF/state caches are
  * mutex-guarded (evolutions happen outside the lock; a lost insert
- * race wastes one evolution but stays correct), counters are atomic,
+ * race wastes one prefix evolution but stays correct, and concurrent
+ * first lookups of one logical program wait on its single evolution),
+ * counters are atomic,
  * and sampling serializes on the RNG mutex so the draw stream stays
  * well-defined. Deterministic per-program results on a shared
  * executor require per-program streams (the run(..., Rng&) overload /
@@ -223,12 +247,16 @@ class IdealSimulator : public Executor
     Histogram run(const circuit::QuantumCircuit &physical_circuit,
                   std::uint64_t shots, Rng &rng) override;
 
+    Histogram run(const circuit::QuantumCircuit &base_circuit,
+                  const CpmSpec &spec) override;
+
     /**
-     * Batched CPM execution: evolve the shared gate prefix once (per
-     * distinct prefix, cached across calls) and sample each spec from
-     * its marginal over the single final state. PMFs land in the same
-     * per-circuit cache run() uses, so mixing the two paths stays
-     * coherent and deterministic.
+     * Batched CPM execution: each bound spec folds the cached ideal
+     * PMF of its logical program, each unbound spec takes its
+     * marginal off one evolution of the shared gate prefix (per
+     * distinct prefix, cached across calls), and each is then one
+     * draw. Unbound specs land in the same per-circuit cache run()
+     * uses, so mixing the two paths stays coherent and deterministic.
      */
     std::vector<Histogram>
     runBatch(const circuit::QuantumCircuit &base_circuit,
@@ -253,31 +281,22 @@ class IdealSimulator : public Executor
     marginalPmfs(const circuit::QuantumCircuit &base_circuit,
                  const std::vector<std::vector<int>> &subsets);
 
-    /** Simulations skipped because the PMF was already cached. */
+    /** PMF lookups served from the cache. */
     std::uint64_t cacheHits() const { return cacheHits_.load(); }
 
-    /** Simulations actually performed. */
+    /** PMF entries built: one per distinct circuit or spec key. */
     std::uint64_t cacheMisses() const { return cacheMisses_.load(); }
 
     /** Prefix evolutions reused across re-bound diagonal tails. */
-    std::uint64_t skeletonCacheHits() const { return skeletonHits_.load(); }
+    std::uint64_t skeletonCacheHits() const;
 
     /** Prefix evolutions actually performed for parametric circuits. */
-    std::uint64_t skeletonCacheMisses() const
-    {
-        return skeletonMisses_.load();
-    }
+    std::uint64_t skeletonCacheMisses() const;
 
-    ExecutorCounters counters() const override
-    {
-        ExecutorCounters c{cacheHits_.load(), cacheMisses_.load(),
-                           skeletonHits_.load(), skeletonMisses_.load()};
-        fillSimdDispatch(c);
-        return c;
-    }
+    ExecutorCounters counters() const override;
 
-    /** Batched-execution counters (quiescent reads only). */
-    const BatchStats &batchStats() const { return batchStats_; }
+    /** Evolution counters (quiescent reads only). */
+    const BatchStats &batchStats() const;
 
   private:
     struct Cached
@@ -286,26 +305,18 @@ class IdealSimulator : public Executor
         MultinomialSampler sampler;
     };
 
-    const Cached &evolved(const circuit::QuantumCircuit &physical);
-    const Cached &cpmEntry(const circuit::QuantumCircuit &base_circuit,
-                           const std::vector<int> &qubits,
-                           const detail::BatchState *&bs);
+    const Cached &circuitEntry(const circuit::QuantumCircuit &physical);
+    const Cached &specEntry(const circuit::QuantumCircuit &base_circuit,
+                            const CpmSpec &spec,
+                            const detail::BatchState *&bs);
 
+    std::unique_ptr<detail::IdealSource> source_;
     Rng rng_;
     std::mutex rngMutex_;   ///< Serializes draws from rng_.
-    std::mutex cacheMutex_; ///< Guards cache_, stateCache_,
-                            ///< splitCache_, batchStats_.
+    std::mutex cacheMutex_; ///< Guards cache_.
     std::unordered_map<std::uint64_t, Cached> cache_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<detail::BatchState>>
-        stateCache_;
-    /** Skeleton split-prefix states (see ExecutorCounters). */
-    std::unordered_map<std::uint64_t, std::unique_ptr<StateVector>>
-        splitCache_;
     std::atomic<std::uint64_t> cacheHits_{0};
     std::atomic<std::uint64_t> cacheMisses_{0};
-    std::atomic<std::uint64_t> skeletonHits_{0};
-    std::atomic<std::uint64_t> skeletonMisses_{0};
-    BatchStats batchStats_;
 };
 
 /** Tuning knobs for NoisySimulator. */
@@ -340,9 +351,11 @@ struct NoisySimulatorOptions
 /**
  * Noisy executor driven by a DeviceModel calibration.
  *
- * Fast (channel) mode computes, once per cached circuit, the exact
- * noisy output distribution P' = C * R * G * P over the k classical
- * bits (noisyOutcomeDistribution): P is the ideal state-vector PMF;
+ * Fast (channel) mode computes, once per cached circuit or spec, the
+ * exact noisy output distribution P' = C * R * G * P over the k
+ * classical bits (noisyOutcomeDistribution): P is the ideal PMF — for
+ * a bound spec a fold of its logical program's ideal PMF (keyed as in
+ * IdealSimulator), else the state-vector PMF of the circuit itself;
  * G flips each bit independently with gateNoiseBitFlip in the
  * 1 - gateSuccessProbability share of trials that suffer a gate error
  * (a localized depolarizing approximation of accumulated gate error);
@@ -366,12 +379,17 @@ class NoisySimulator : public Executor
     Histogram run(const circuit::QuantumCircuit &physical_circuit,
                   std::uint64_t shots, Rng &rng) override;
 
+    Histogram run(const circuit::QuantumCircuit &base_circuit,
+                  const CpmSpec &spec) override;
+
     /**
-     * Batched CPM execution (channel mode): one shared-prefix
-     * evolution serves every spec's ideal marginal, which is folded
-     * with the gate noise and the per-subset readout channel into
-     * the spec's P' exactly as in run(); each spec is one multinomial
-     * draw over it. Trajectory mode falls back to the per-CPM default.
+     * Batched CPM execution (channel mode): each spec's ideal PMF — a
+     * fold of its logical program's cached ideal PMF when bound, a
+     * marginal off one shared-prefix evolution when not — is folded
+     * with the gate noise and the per-subset readout channel of the
+     * base circuit into the spec's P' exactly as in run(); each spec
+     * is one multinomial draw over it. Trajectory mode falls back to
+     * the per-CPM default, simulating the physical circuits.
      */
     std::vector<Histogram>
     runBatch(const circuit::QuantumCircuit &base_circuit,
@@ -390,37 +408,28 @@ class NoisySimulator : public Executor
     /** Options in effect. */
     const NoisySimulatorOptions &options() const { return options_; }
 
-    /** Channel-mode evolutions skipped via the PMF cache. */
+    /** Channel-mode P' lookups served from the cache. */
     std::uint64_t cacheHits() const { return cacheHits_.load(); }
 
-    /** Channel-mode evolutions actually performed. */
+    /** Channel-mode P' entries built: one per circuit or spec key. */
     std::uint64_t cacheMisses() const { return cacheMisses_.load(); }
 
     /** Prefix evolutions reused across re-bound diagonal tails. */
-    std::uint64_t skeletonCacheHits() const { return skeletonHits_.load(); }
+    std::uint64_t skeletonCacheHits() const;
 
     /** Prefix evolutions actually performed for parametric circuits. */
-    std::uint64_t skeletonCacheMisses() const
-    {
-        return skeletonMisses_.load();
-    }
+    std::uint64_t skeletonCacheMisses() const;
 
-    ExecutorCounters counters() const override
-    {
-        ExecutorCounters c{cacheHits_.load(), cacheMisses_.load(),
-                           skeletonHits_.load(), skeletonMisses_.load()};
-        fillSimdDispatch(c);
-        return c;
-    }
+    ExecutorCounters counters() const override;
 
-    /** Batched-execution counters (quiescent reads only). */
-    const BatchStats &batchStats() const { return batchStats_; }
+    /** Evolution counters (quiescent reads only). */
+    const BatchStats &batchStats() const;
 
   private:
     /**
      * What a channel-mode draw needs, derived from the circuit alone:
      * the sampler over its noisy distribution P'. Cached per
-     * structural hash.
+     * structural hash (run()) or spec key (bound and unbound specs).
      */
     struct Cached
     {
@@ -431,31 +440,23 @@ class NoisySimulator : public Executor
     Cached noisyEntry(const circuit::QuantumCircuit &circuit,
                       const Pmf &ideal) const;
 
-    const Cached &evolved(const circuit::QuantumCircuit &physical);
-    const Cached &cpmEntry(const circuit::QuantumCircuit &base_circuit,
-                           const std::vector<int> &qubits,
-                           const detail::BatchState *&bs);
+    const Cached &circuitEntry(const circuit::QuantumCircuit &physical);
+    const Cached &specEntry(const circuit::QuantumCircuit &base_circuit,
+                            const CpmSpec &spec,
+                            const detail::BatchState *&bs);
 
     Histogram runTrajectoryMode(const circuit::QuantumCircuit &physical,
                                 std::uint64_t shots, Rng &rng);
 
     device::DeviceModel dev_;
     NoisySimulatorOptions options_;
+    std::unique_ptr<detail::IdealSource> source_;
     Rng rng_;
     std::mutex rngMutex_;   ///< Serializes draws from rng_.
-    std::mutex cacheMutex_; ///< Guards cache_, stateCache_,
-                            ///< splitCache_, batchStats_.
+    std::mutex cacheMutex_; ///< Guards cache_.
     std::unordered_map<std::uint64_t, Cached> cache_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<detail::BatchState>>
-        stateCache_;
-    /** Skeleton split-prefix states (see ExecutorCounters). */
-    std::unordered_map<std::uint64_t, std::unique_ptr<StateVector>>
-        splitCache_;
     std::atomic<std::uint64_t> cacheHits_{0};
     std::atomic<std::uint64_t> cacheMisses_{0};
-    std::atomic<std::uint64_t> skeletonHits_{0};
-    std::atomic<std::uint64_t> skeletonMisses_{0};
-    BatchStats batchStats_;
 };
 
 /**

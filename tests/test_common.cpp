@@ -290,6 +290,31 @@ TEST(Pmf, MarginalSumsProbability)
     EXPECT_NEAR(m.prob(0b11), 0.7, 1e-12);
 }
 
+TEST(Pmf, MarginalFollowsTheGivenBitOrder)
+{
+    // A non-ascending, non-contiguous subset: key bit j reads outcome
+    // bit qubits[j], so {3, 0} puts q3 in bit 0 and q0 in bit 1.
+    Pmf p(4);
+    p.set(0b1000, 0.5); // q3 = 1
+    p.set(0b0001, 0.3); // q0 = 1
+    p.set(0b1011, 0.2); // q3 = q1 = q0 = 1
+    const Pmf m = p.marginal({3, 0});
+    EXPECT_EQ(m.nQubits(), 2);
+    EXPECT_NEAR(m.prob(0b01), 0.5, 1e-12);
+    EXPECT_NEAR(m.prob(0b10), 0.3, 1e-12);
+    EXPECT_NEAR(m.prob(0b11), 0.2, 1e-12);
+    EXPECT_EQ(m.prob(0b00), 0.0);
+
+    Histogram h(4);
+    h.add(0b1000, 5);
+    h.add(0b0001, 3);
+    h.add(0b1011, 2);
+    const Histogram hm = h.marginal({3, 0});
+    EXPECT_EQ(hm.count(0b01), 5u);
+    EXPECT_EQ(hm.count(0b10), 3u);
+    EXPECT_EQ(hm.count(0b11), 2u);
+}
+
 TEST(Pmf, Mode)
 {
     Pmf p(2);

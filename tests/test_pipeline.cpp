@@ -3,11 +3,17 @@
  * Tests for the staged pipeline: planning validation, per-stage
  * artifacts, the batched CPM recompiler's equivalence to the full
  * transpiler, stage-by-stage session runs matching the runJigsaw
- * wrapper bitwise, and the cross-program merge pass (schedule
- * merging, merged execution vs private executors, resuming sessions
- * from adopted execution results).
+ * wrapper bitwise, the logical binding (every spec folds one
+ * evolution of the logical program, which matches each routed
+ * circuit's marginal and keys apart from unbound runs), and the
+ * cross-program merge pass (schedule merging, merged execution vs
+ * private executors, resuming sessions from adopted execution
+ * results).
  */
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -169,6 +175,196 @@ TEST(Pipeline, ScheduleGroupsCarryTheirPrefixHash)
     }
 }
 
+// ------------------------------------------- one logical evolution
+
+/** Largest per-outcome gap between @p a and @p b over both supports. */
+double
+maxOutcomeGap(const Pmf &a, const Pmf &b)
+{
+    double gap = 0.0;
+    for (const auto &[outcome, p] : a.probabilities())
+        gap = std::max(gap, std::abs(p - b.prob(outcome)));
+    for (const auto &[outcome, p] : b.probabilities())
+        gap = std::max(gap, std::abs(p - a.prob(outcome)));
+    return gap;
+}
+
+TEST(LogicalBinding, EverySpecIsBoundToTheLogicalProgram)
+{
+    const device::DeviceModel dev = device::manhattan();
+    const workloads::Ghz ghz(8);
+    const JigsawOptions options = core::jigsawMOptions();
+    const core::SubsetPlan plan =
+        core::planSubsets(ghz.circuit(), 8192, options);
+    const core::CompiledJobs jobs =
+        core::compileJobs(ghz.circuit(), dev, plan, options);
+    ASSERT_NE(jobs.logical, nullptr);
+    EXPECT_EQ(jobs.logical->hash, ghz.circuit().structuralHash());
+    const core::ExecutionSchedule schedule = core::buildSchedule(jobs);
+    for (const auto &group : schedule.groups) {
+        for (std::size_t j = 0; j < group.members.size(); ++j) {
+            EXPECT_EQ(group.specs[j].logical, jobs.logical);
+            EXPECT_EQ(group.specs[j].clbits,
+                      jobs.cpms[group.members[j]].subset);
+        }
+    }
+}
+
+TEST(LogicalBinding, LogicalFoldMatchesEveryRoutedMarginal)
+{
+    // The bound path's premise: folding the logical program's ideal
+    // PMF onto a clbit subset gives the routed circuit's ideal
+    // marginal, whatever its mapping — for the global, CPMs that kept
+    // the global mapping, and recompiled CPMs alike.
+    std::size_t recompiled = 0;
+    std::size_t global_mapped = 0;
+    for (const device::DeviceModel &dev :
+         {device::toronto(), device::manhattan()}) {
+        for (const auto &program : workloads::paperBenchmarks()) {
+            // One simulator per (device, program): both schemes share
+            // the global prefix and many recompiled prefixes.
+            const circuit::QuantumCircuit &logical = program->circuit();
+            sim::IdealSimulator ideal;
+            const Pmf full = ideal.idealPmf(logical);
+            for (const JigsawOptions &options :
+                 {JigsawOptions{}, core::jigsawMOptions()}) {
+                const core::SubsetPlan plan =
+                    core::planSubsets(logical, 8192, options);
+                const core::CompiledJobs jobs =
+                    core::compileJobs(logical, dev, plan, options);
+
+                const circuit::QuantumCircuit &global = jobs.global.physical;
+                std::vector<int> all(static_cast<std::size_t>(
+                    full.nQubits()));
+                std::iota(all.begin(), all.end(), 0);
+                EXPECT_LE(maxOutcomeGap(full.marginal(all),
+                                        ideal.marginalPmfs(
+                                            global,
+                                            {global.measuredQubits()})[0]),
+                          1e-10)
+                    << program->name() << " global on " << dev.name();
+                for (const core::CpmJob &cpm : jobs.cpms) {
+                    const circuit::QuantumCircuit &physical =
+                        cpm.compiled.physical;
+                    EXPECT_LE(maxOutcomeGap(
+                                  full.marginal(cpm.subset),
+                                  ideal.marginalPmfs(
+                                      physical,
+                                      {physical.measuredQubits()})[0]),
+                              1e-10)
+                        << program->name() << " CPM on " << dev.name();
+                    ++(cpm.fromGlobal ? global_mapped : recompiled);
+                }
+            }
+        }
+    }
+    // Both CPM kinds were actually covered.
+    EXPECT_GT(recompiled, 0u);
+    EXPECT_GT(global_mapped, 0u);
+}
+
+TEST(LogicalBinding, RecompiledJigsawMJobEvolvesOnce)
+{
+    // However many routed prefixes recompilation produces, a job's
+    // global and every CPM fold from one evolution of the program.
+    const device::DeviceModel dev = device::manhattan();
+    std::size_t multi_prefix_jobs = 0;
+    for (const auto &program : workloads::paperBenchmarks()) {
+        sim::NoisySimulator executor(dev, {.seed = 5}); // fresh per job
+        core::JigsawSession session(program->circuit(), dev, executor,
+                                    16384, core::jigsawMOptions());
+        if (session.schedule().groups.size() > 1)
+            ++multi_prefix_jobs;
+        session.run();
+        EXPECT_EQ(executor.batchStats().baseEvolutions, 1u)
+            << program->name();
+        EXPECT_EQ(executor.batchStats().marginalsServed,
+                  session.compiled().cpms.size() + 1)
+            << program->name();
+    }
+    EXPECT_GT(multi_prefix_jobs, 0u);
+
+    // The classic entry point goes through the same path.
+    sim::NoisySimulator executor(dev, {.seed = 6});
+    core::runJigsaw(workloads::Ghz(10).circuit(), dev, executor, 16384,
+                    core::jigsawMOptions());
+    EXPECT_EQ(executor.batchStats().baseEvolutions, 1u);
+}
+
+TEST(LogicalBinding, BoundAndUnboundKeysNeverCollide)
+{
+    // The bound global spec and run() of the global physical circuit
+    // measure the same clbits of the same circuit, but their ideal
+    // PMFs come from different evolutions. Each call must draw the
+    // same histogram whichever ran first on an executor, and each
+    // must build its own entry.
+    const device::DeviceModel dev = device::toronto();
+    const workloads::Ghz ghz(6);
+    const JigsawOptions options = core::jigsawMOptions();
+    const core::SubsetPlan plan =
+        core::planSubsets(ghz.circuit(), 8192, options);
+    const core::CompiledJobs jobs =
+        core::compileJobs(ghz.circuit(), dev, plan, options);
+    const core::ExecutionSchedule schedule = core::buildSchedule(jobs);
+    const circuit::QuantumCircuit &global = jobs.global.physical;
+
+    sim::CpmSpec bound{global.measuredQubits(), 4096};
+    bound.logical = jobs.logical;
+    bound.clbits.resize(bound.qubits.size());
+    std::iota(bound.clbits.begin(), bound.clbits.end(), 0);
+    const auto boundJob = [&](sim::Executor &executor) {
+        Rng global_draws(5);
+        sim::CpmSpec spec = bound;
+        spec.rng = &global_draws;
+        std::vector<Histogram> out = {executor.run(global, spec)};
+        std::vector<Rng> streams;
+        for (std::size_t g = 0; g < schedule.groups.size(); ++g)
+            streams.emplace_back(100 + g);
+        for (std::size_t g = 0; g < schedule.groups.size(); ++g) {
+            std::vector<sim::CpmSpec> specs = schedule.groups[g].specs;
+            for (sim::CpmSpec &s : specs)
+                s.rng = &streams[g];
+            const circuit::QuantumCircuit &base =
+                schedule.groups[g].usesGlobal
+                    ? global
+                    : jobs.cpms[schedule.groups[g].baseCpm].compiled.physical;
+            for (Histogram &h : executor.runBatch(base, specs))
+                out.push_back(std::move(h));
+        }
+        return out;
+    };
+    const auto unboundRun = [&](sim::Executor &executor) {
+        Rng draws(5);
+        return executor.run(global, 4096, draws);
+    };
+
+    sim::NoisySimulator bound_first(dev, {.seed = 1});
+    const std::vector<Histogram> job_a = boundJob(bound_first);
+    const std::uint64_t job_misses = bound_first.cacheMisses();
+    const Histogram run_a = unboundRun(bound_first);
+    EXPECT_EQ(bound_first.cacheMisses(), job_misses + 1);
+
+    sim::NoisySimulator run_first(dev, {.seed = 1});
+    const Histogram run_b = unboundRun(run_first);
+    EXPECT_EQ(run_first.cacheMisses(), 1u);
+    const std::vector<Histogram> job_b = boundJob(run_first);
+    EXPECT_EQ(run_first.cacheMisses(), job_misses + 1);
+
+    EXPECT_EQ(run_a.counts(), run_b.counts());
+    ASSERT_EQ(job_a.size(), job_b.size());
+    for (std::size_t i = 0; i < job_a.size(); ++i)
+        EXPECT_EQ(job_a[i].counts(), job_b[i].counts()) << "draw " << i;
+
+    // The physical measurement is part of the key too: the same
+    // logical clbits read through other physical qubits (other
+    // noise) build their own entry.
+    sim::CpmSpec moved = bound;
+    std::reverse(moved.qubits.begin(), moved.qubits.end());
+    const std::uint64_t before = run_first.cacheMisses();
+    run_first.prepareBatch(global, {moved});
+    EXPECT_EQ(run_first.cacheMisses(), before + 1);
+}
+
 // ------------------------------------------------- cross-program merge
 
 /** One program's pipeline artifacts plus its merge-source plumbing. */
@@ -189,6 +385,16 @@ struct PreparedProgram
     Rng stream;
 };
 
+/** Every source folded into one MergedSchedule, in source order. */
+core::MergedSchedule
+mergeAll(const std::vector<core::MergeSource> &sources)
+{
+    core::MergedSchedule merged;
+    for (std::size_t s = 0; s < sources.size(); ++s)
+        core::mergeSourceInto(merged, sources, s);
+    return merged;
+}
+
 TEST(MergeSchedules, GroupsByDeviceAndPrefix)
 {
     const device::DeviceModel dev = device::toronto();
@@ -207,7 +413,7 @@ TEST(MergeSchedules, GroupsByDeviceAndPrefix)
         {1, &b.jobs, &b.schedule, &b.plan, key, &shared, &b.stream},
         {2, &c.jobs, &c.schedule, &c.plan, key, &shared, &c.stream},
     };
-    const core::MergedSchedule merged = core::mergeSchedules(sources);
+    const core::MergedSchedule merged = mergeAll(sources);
 
     // Identical programs a and b merge group-for-group; the distinct
     // circuit c keeps its own groups.
@@ -241,7 +447,7 @@ TEST(MergeSchedules, DistinctDevicesNeverMerge)
         {1, &b.jobs, &b.schedule, &b.plan, devices[1].fingerprint(),
          &ex_b, &b.stream},
     };
-    const core::MergedSchedule merged = core::mergeSchedules(sources);
+    const core::MergedSchedule merged = mergeAll(sources);
     EXPECT_EQ(merged.crossProgramGroups(), 0u);
     EXPECT_EQ(merged.groups.size(),
               a.schedule.groups.size() + b.schedule.groups.size());
@@ -272,7 +478,7 @@ TEST(MergeSchedules, MergedExecutionMatchesPrivateExecutors)
                            &prepared[i]->plan, key, &shared,
                            &prepared[i]->stream});
     }
-    const core::MergedSchedule merged = core::mergeSchedules(sources);
+    const core::MergedSchedule merged = mergeAll(sources);
     const std::vector<core::ExecutionResult> results =
         core::executeMergedSchedules(sources, merged);
     ASSERT_EQ(results.size(), prepared.size());
@@ -314,7 +520,7 @@ TEST(MergeSchedules, PooledGlobalsMatchAndAreCounted)
         {0, &a.jobs, &a.schedule, &a.plan, key, &shared, &a.stream},
         {1, &b.jobs, &b.schedule, &b.plan, key, &shared, &b.stream},
     };
-    const core::MergedSchedule merged = core::mergeSchedules(sources);
+    const core::MergedSchedule merged = mergeAll(sources);
     core::MergedExecutionStats stats;
     const std::vector<core::ExecutionResult> results =
         core::executeMergedSchedules(sources, merged, &stats);
@@ -329,9 +535,9 @@ TEST(MergeSchedules, PooledGlobalsMatchAndAreCounted)
 
 TEST(MergeSchedules, IncrementalMergeMatchesBatchMerge)
 {
-    // mergeSourceInto folded over the sources — the streaming
+    // mergeSourceInto applied one source at a time — the streaming
     // scheduler's window-accretion path — must produce exactly what
-    // one-shot mergeSchedules does.
+    // the one-shot mergeAll fold does.
     const device::DeviceModel dev = device::toronto();
     compiler::clearTranspileCache();
     PreparedProgram a(workloads::Ghz(6).circuit(), dev, 8192,
@@ -347,7 +553,7 @@ TEST(MergeSchedules, IncrementalMergeMatchesBatchMerge)
         {1, &b.jobs, &b.schedule, &b.plan, key, &shared, &b.stream},
         {2, &c.jobs, &c.schedule, &c.plan, key, &shared, &c.stream},
     };
-    const core::MergedSchedule batch = core::mergeSchedules(sources);
+    const core::MergedSchedule batch = mergeAll(sources);
     core::MergedSchedule incremental;
     for (std::size_t s = 0; s < sources.size(); ++s)
         core::mergeSourceInto(incremental, sources, s);
