@@ -28,7 +28,6 @@ constexpr const char *kKernelNames[kKernelCount] = {
     "stratum_phase_table",
     "phase_table",
     "norm2",
-    "reweight_round",
 };
 
 constexpr const char *kBackendNames[kBackendCount] = {
@@ -219,7 +218,6 @@ const KernelTable scalarTable = {
     scalarStratumPhaseTable,
     scalarPhaseTable,
     scalarNorm2,
-    detail::reweightRound,
 };
 
 bool
@@ -278,49 +276,6 @@ void
 countDispatch(int kernel, int backend)
 {
     g_dispatch[kernel][backend].fetch_add(1, std::memory_order_relaxed);
-}
-
-double
-reweightRound(const double *cur, double *next, const ReweightTerm *terms,
-              U64 n_terms, double c0, U64 lo, U64 hi)
-{
-    countDispatch(kReweightRound, kBackendScalar);
-    // One block of kReweightLanes outcomes at a time, term by term:
-    // element l of a block is lane l, so a term's bucket ids and
-    // weights are read as one contiguous run per block, and a block's
-    // mass updates never share a row.
-    constexpr U64 lanes = kReweightLanes;
-    double bc[lanes] = {};
-    for (U64 i = lo; i < hi; i += lanes) {
-        const U64 len = std::min(lanes, hi - i);
-        double v[lanes];
-        for (U64 l = 0; l < len; ++l)
-            v[l] = c0;
-        for (U64 t = 0; t < n_terms; ++t) {
-            const std::uint32_t *b = terms[t].bucketOf + i;
-            const double *w = terms[t].weight;
-            for (U64 l = 0; l < len; ++l)
-                v[l] += w[b[l]];
-        }
-        for (U64 l = 0; l < len; ++l) {
-            v[l] *= cur[i + l];
-            next[i + l] = v[l];
-        }
-        for (U64 t = 0; t < n_terms; ++t) {
-            const std::uint32_t *b = terms[t].bucketOf + i;
-            double *mass = terms[t].mass;
-            const U64 stride = terms[t].stride;
-            for (U64 l = 0; l < len; ++l)
-                mass[l * stride + b[l]] += v[l];
-        }
-        for (U64 l = 0; l < len; ++l)
-            if (cur[i + l] > 0.0 && v[l] > 0.0)
-                bc[l] += std::sqrt(cur[i + l] * v[l]);
-    }
-    double total = 0.0;
-    for (double lane : bc)
-        total += lane;
-    return total;
 }
 
 } // namespace detail

@@ -52,19 +52,6 @@ struct Mat2Split
     double im[4];
 };
 
-/** Lanes of reweightRound's lane-split reductions. */
-constexpr std::uint64_t kReweightLanes = 8;
-
-/** One marginal's buckets in a reweightRound pass. */
-struct ReweightTerm
-{
-    const std::uint32_t *bucketOf; ///< Outcome index -> bucket.
-    const double *weight;          ///< Bucket -> additive weight.
-    /** kReweightLanes rows of @c stride bucket masses, accumulated. */
-    double *mass;
-    std::uint64_t stride; ///< Buckets per lane row.
-};
-
 /**
  * One implementation of every amplitude kernel. All kernels operate on
  * split real/imaginary arrays and cover the half-open index range
@@ -151,33 +138,6 @@ struct KernelTable
     /** Sum of re[i]^2 + im[i]^2 over [lo, hi). */
     double (*norm2)(const double *re, const double *im, std::uint64_t lo,
                     std::uint64_t hi);
-
-    /**
-     * One fused Bayesian reconstruction round (core/bayesian.cpp) over
-     * the outcome range [lo, hi):
-     *
-     *   next[i] = cur[i] * (c0 + w_0[b_0(i)] + ... + w_{n-1}[b_{n-1}(i)])
-     *
-     * with w_t = terms[t].weight, b_t(i) = terms[t].bucketOf[i], and
-     * the weights added left to right. The same pass accumulates
-     * next[i] into every term's lane-split bucket masses,
-     * mass[l * stride + b_t(i)] with lane l = (i - lo) mod
-     * kReweightLanes (the next round's masses), and returns the
-     * Bhattacharyya sum of sqrt(cur[i] * next[i]) over the elements
-     * where both are positive, accumulated per lane and reduced in
-     * lane order. Lanes keep runs of outcomes in one bucket off a
-     * single store-to-load chain. Every table points at the one
-     * portable loop, detail::reweightRound; gather-based AVX2 and
-     * AVX-512 loops gained too little end to end to keep (see
-     * docs/performance.md). A backend that supplies its own loop must
-     * add in the same order without FMA contraction, so next, the
-     * masses and the returned sum stay bitwise identical across
-     * backends.
-     */
-    double (*reweightRound)(const double *cur, double *next,
-                            const ReweightTerm *terms,
-                            std::uint64_t n_terms, double c0,
-                            std::uint64_t lo, std::uint64_t hi);
 };
 
 /** The portable scalar kernels (always available). */
@@ -229,7 +189,6 @@ enum Kernel : int
     kStratumPhaseTable,
     kPhaseTable,
     kNorm2,
-    kReweightRound,
     kKernelCount
 };
 
@@ -283,12 +242,6 @@ void resetDispatchCounters();
 namespace detail {
 /** Record one invocation; called by the backend that runs the loop. */
 void countDispatch(int kernel, int backend);
-
-/** The portable KernelTable::reweightRound loop every table uses;
- *  counts under the scalar backend. */
-double reweightRound(const double *cur, double *next,
-                     const ReweightTerm *terms, std::uint64_t n_terms,
-                     double c0, std::uint64_t lo, std::uint64_t hi);
 } // namespace detail
 /** @} */
 

@@ -708,7 +708,6 @@ const KernelTable avx2Table = {
     avx2StratumPhaseTable,
     avx2PhaseTable,
     avx2Norm2,
-    detail::reweightRound,
 };
 
 } // namespace

@@ -488,7 +488,6 @@ const KernelTable avx512Table = {
     avx512StratumPhaseTable,
     avx512PhaseTable,
     avx512Norm2,
-    detail::reweightRound,
 };
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/bitops.h"
 #include "common/error.h"
 #include "common/parallel.h"
 
@@ -41,11 +42,105 @@ evidenceOdds(double pry)
 constexpr std::size_t kMaxDenseKeyBits = 12;
 
 /**
+ * Support outcomes per slot of a joint bucket table. A layer's
+ * marginals are packed into groups whose bit positions span at most W
+ * bits, W the largest with kOutcomesPerJointSlot * 2^W <= support
+ * (capped at kMaxDenseKeyBits). A round's table work (joint weights,
+ * partial-mass zeroing and reduction, marginalising per member) grows
+ * with 2^W; the gathers and scatters it saves grow with the support.
+ * Measured on 18-bit JigSaw-M inputs (sliding windows of 2-5 bits, 16
+ * fixed rounds per layer, one thread, x86-64, two sweeps): 8, 16 and
+ * 32 stayed within the host's run-to-run spread of each other from
+ * 3,000 to 60,000 outcomes. From 20,000 outcomes 4 ran 25-40% slower;
+ * at 300, 64 ran 20-35% slower, while 4 and 8 saved under 0.5 ms. A
+ * fixed W = 10 ran 7.6x slower at 300 outcomes, 3x at 1,000 and 1.8x
+ * at 3,000, so W must follow the support.
+ */
+constexpr std::size_t kOutcomesPerJointSlot = 16;
+
+/** The joint-key width W for a support of @p n outcomes. */
+std::size_t
+jointKeyBits(std::size_t n)
+{
+    std::size_t bits = 0;
+    while (bits < kMaxDenseKeyBits &&
+           (kOutcomesPerJointSlot << (bits + 1)) <= n)
+        ++bits;
+    return bits;
+}
+
+/**
+ * extractBits over a fixed list of positions, one run of consecutive
+ * ascending positions at a time: bit j of a key is still bit
+ * positions[j], but a run moves with one shift and mask. Sliding
+ * windows, and the unions of neighbouring windows, are one or two
+ * runs, so indexing an outcome costs a few operations instead of a few
+ * per bit.
+ */
+class BitRuns
+{
+  public:
+    explicit BitRuns(const Subset &positions)
+    {
+        for (std::size_t j = 0; j < positions.size();) {
+            std::size_t end = j + 1;
+            while (end < positions.size() &&
+                   positions[end] == positions[end - 1] + 1)
+                ++end;
+            const std::size_t width = end - j;
+            runs_.push_back({positions[j], static_cast<int>(j),
+                             width == 64 ? ~BasisState{0}
+                                         : (BasisState{1} << width) - 1});
+            j = end;
+        }
+    }
+
+    BasisState operator()(BasisState state) const
+    {
+        BasisState key = 0;
+        for (const Run &run : runs_)
+            key |= ((state >> run.from) & run.mask) << run.to;
+        return key;
+    }
+
+  private:
+    struct Run
+    {
+        int from;        ///< Lowest source position.
+        int to;          ///< Its bit in the key.
+        BasisState mask; ///< Run width, as low bits.
+    };
+    std::vector<Run> runs_;
+};
+
+/** Each bucket's evidence odds (< 0 keeps the prior, as for a subset
+ *  value the local PMF never observed). */
+std::vector<double>
+bucketOdds(const Marginal &m, const std::vector<BasisState> &bucket_keys,
+           double evidence_threshold)
+{
+    std::vector<double> odds(bucket_keys.size());
+    for (std::size_t b = 0; b < bucket_keys.size(); ++b) {
+        const double pry = m.local.prob(bucket_keys[b]);
+        odds[b] = pry > evidence_threshold ? evidenceOdds(pry) : -1.0;
+    }
+    return odds;
+}
+
+/** The dense subset keys 0 .. 2^k - 1 of a k-bit subset. */
+std::vector<BasisState>
+denseKeys(std::size_t k)
+{
+    std::vector<BasisState> keys(std::size_t{1} << k);
+    std::iota(keys.begin(), keys.end(), BasisState{0});
+    return keys;
+}
+
+/**
  * Compiles marginal @p m against the flat outcome list: writes each
  * outcome's bucket to @p bucket_of and returns each bucket's evidence
- * odds (< 0 keeps the prior, as for a subset value the local PMF never
- * observed). Valid for every round because reconstruction never grows
- * the support.
+ * odds. Valid for every round because reconstruction never grows the
+ * support.
  */
 std::vector<double>
 indexMarginal(const std::vector<BasisState> &outcomes, const Marginal &m,
@@ -55,17 +150,16 @@ indexMarginal(const std::vector<BasisState> &outcomes, const Marginal &m,
     const std::size_t k = m.qubits.size();
 
     // Each bucket's subset key, in the local PMF's bit order.
+    const BitRuns key_of(m.qubits);
     std::vector<BasisState> bucket_keys;
     if (k <= kMaxDenseKeyBits) {
         for (std::size_t i = 0; i < n; ++i)
-            bucket_of[i] = static_cast<std::uint32_t>(
-                extractBits(outcomes[i], m.qubits));
-        bucket_keys.resize(std::size_t{1} << k);
-        std::iota(bucket_keys.begin(), bucket_keys.end(), BasisState{0});
+            bucket_of[i] = static_cast<std::uint32_t>(key_of(outcomes[i]));
+        bucket_keys = denseKeys(k);
     } else {
         std::vector<BasisState> keys(n);
         for (std::size_t i = 0; i < n; ++i)
-            keys[i] = extractBits(outcomes[i], m.qubits);
+            keys[i] = key_of(outcomes[i]);
         bucket_keys = keys;
         std::sort(bucket_keys.begin(), bucket_keys.end());
         bucket_keys.erase(
@@ -77,19 +171,159 @@ indexMarginal(const std::vector<BasisState> &outcomes, const Marginal &m,
                                  keys[i]) -
                 bucket_keys.begin());
     }
+    return bucketOdds(m, bucket_keys, evidence_threshold);
+}
 
-    std::vector<double> odds(bucket_keys.size());
-    for (std::size_t b = 0; b < bucket_keys.size(); ++b) {
-        const double pry = m.local.prob(bucket_keys[b]);
-        odds[b] = pry > evidence_threshold ? evidenceOdds(pry) : -1.0;
+/**
+ * Packs a layer's marginals, in layer order, into groups whose bit
+ * positions span at most @p width bits; a marginal wider than
+ * @p width forms its own group. Returns each group's layer indices.
+ */
+std::vector<std::vector<std::size_t>>
+packGroups(const std::vector<const Marginal *> &layer, std::size_t width)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    BasisState span = 0;
+    bool open = false; // whether the last group may take more members
+    for (std::size_t mi = 0; mi < layer.size(); ++mi) {
+        const Subset &qubits = layer[mi]->qubits;
+        BasisState bits = 0;
+        for (int q : qubits)
+            bits |= BasisState{1} << q;
+        const bool fits = qubits.size() <= width;
+        if (open && fits &&
+            static_cast<std::size_t>(popcount(span | bits)) <= width) {
+            groups.back().push_back(mi);
+            span |= bits;
+        } else {
+            groups.push_back({mi});
+            span = bits;
+            open = fits;
+        }
     }
-    return odds;
+    return groups;
 }
 
 /** Outcomes per shard (at least; see reconstructLayer). Independent
  *  of the thread count, so shard boundaries — and therefore every
  *  reduction's grouping — are deterministic. */
 constexpr std::size_t kShardSize = 1ULL << 14;
+
+/** Lanes of a pass's lane-split partial masses: outcome i of a shard
+ *  accumulates into row i mod kLanes, which keeps runs of outcomes in
+ *  one slot off a single store-to-load chain. */
+constexpr std::size_t kLanes = 8;
+
+/** One marginal of a group. */
+struct Member
+{
+    /** Joint key -> this marginal's bucket; empty in a group of one,
+     *  whose slots are the marginal's own buckets. */
+    std::vector<std::uint32_t> bucketOfKey;
+    std::vector<double> odds;   ///< Evidence odds per bucket.
+    std::vector<double> mass;   ///< Bucket masses (mapped members).
+    std::vector<double> weight; ///< f_m, then g_m, per bucket.
+    double invPostSum = 1.0;    ///< s_m of the current round.
+};
+
+/** Marginals that share one table of slots: the joint keys over the
+ *  union of their bits, or a lone marginal's own buckets. */
+struct Group
+{
+    std::vector<Member> members;
+    std::vector<double> weight;  ///< W_g per slot (groups of two or more).
+    std::vector<double> mass;    ///< M_g per slot, reduced.
+    std::vector<double> partial; ///< [shard][lane][slot] partial masses.
+
+    bool joint() const { return members.size() > 1; }
+
+    const std::vector<double> &memberMass(const Member &m) const
+    {
+        return joint() ? m.mass : mass;
+    }
+
+    /** The slot weights a pass adds. */
+    const double *slotWeights() const
+    {
+        return joint() ? weight.data() : members.front().weight.data();
+    }
+};
+
+/** One group's table in a pass over a shard. */
+struct Term
+{
+    const std::uint32_t *slotOf; ///< Outcome index -> slot.
+    const double *weight;        ///< Slot -> additive weight.
+    double *mass;                ///< kLanes rows of stride slot masses.
+    std::size_t stride;          ///< Slots per lane row.
+};
+
+/**
+ * One block of the fused pass: outcomes [i, i + len), len <= kLanes,
+ * outcome i + l in lane l. Walks the block term by term, so a term's
+ * slot ids are read as one contiguous run and the block's mass updates
+ * never share a row. Full blocks (kFull) have a compile-time length,
+ * which lets the compiler unroll them.
+ */
+template <bool kFull>
+inline void
+reweightBlock(const double *cur, double *next, const Term *terms,
+              std::size_t n_terms, double c0, std::size_t i,
+              std::size_t len, double *bc)
+{
+    const std::size_t width = kFull ? kLanes : len;
+    double v[kLanes];
+    for (std::size_t l = 0; l < width; ++l)
+        v[l] = c0;
+    for (std::size_t t = 0; t < n_terms; ++t) {
+        const std::uint32_t *s = terms[t].slotOf + i;
+        const double *w = terms[t].weight;
+        for (std::size_t l = 0; l < width; ++l)
+            v[l] += w[s[l]];
+    }
+    for (std::size_t l = 0; l < width; ++l) {
+        v[l] *= cur[i + l];
+        next[i + l] = v[l];
+    }
+    for (std::size_t t = 0; t < n_terms; ++t) {
+        const std::uint32_t *s = terms[t].slotOf + i;
+        double *mass = terms[t].mass;
+        const std::size_t stride = terms[t].stride;
+        for (std::size_t l = 0; l < width; ++l)
+            mass[l * stride + s[l]] += v[l];
+    }
+    for (std::size_t l = 0; l < width; ++l)
+        if (cur[i + l] > 0.0 && v[l] > 0.0)
+            bc[l] += std::sqrt(cur[i + l] * v[l]);
+}
+
+/**
+ * The fused pass over outcomes [lo, hi):
+ *
+ *   next[i] = cur[i] * (c0 + w_0[s_0(i)] + ... + w_{n-1}[s_{n-1}(i)])
+ *
+ * with the weights added left to right. Accumulates next[i] into every
+ * term's lane-split slot masses, mass[l * stride + s_t(i)] with lane
+ * l = (i - lo) mod kLanes, and returns the Bhattacharyya sum of
+ * sqrt(cur[i] * next[i]) over the elements where both are positive,
+ * accumulated per lane and reduced in lane order.
+ */
+double
+reweightShard(const double *cur, double *next, const Term *terms,
+              std::size_t n_terms, double c0, std::size_t lo,
+              std::size_t hi)
+{
+    double bc[kLanes] = {};
+    std::size_t i = lo;
+    for (; i + kLanes <= hi; i += kLanes)
+        reweightBlock<true>(cur, next, terms, n_terms, c0, i, kLanes, bc);
+    if (i < hi)
+        reweightBlock<false>(cur, next, terms, n_terms, c0, i, hi - i, bc);
+    double total = 0.0;
+    for (double lane : bc)
+        total += lane;
+    return total;
+}
 
 /**
  * Iterated rounds of one layer's marginals over the flat outcome
@@ -98,95 +332,146 @@ constexpr std::size_t kShardSize = 1ULL << 14;
  * A round's Bayesian update of marginal m rescales every outcome i in
  * bucket b by f_m[b] = odds[b] / mass_m[b], or 1 where the prior is
  * kept, so its posterior sum is sum_b mass_m[b] f_m[b] and the round
- * total follows from the bucket masses alone. The round is then one
- * pass per shard:
+ * total follows from the bucket masses alone. The marginals are packed
+ * into groups (packGroups) that share one table of slots each, and the
+ * round is one pass per shard:
  *
- *   next[i] = cur[i] * (1/total + sum_m s_m f_m[b_m(i)] / total)
+ *   next[i] = cur[i] * (1/total + sum_g W_g[key_g(i)])
+ *   W_g[key] = sum_{m in g} s_m f_m[b_m(key)] / total
  *
- * with s_m the inverse posterior sum, which also accumulates the
- * Bhattacharyya term and the next round's lane-split bucket masses.
- * Partial masses reduce lanes, then shards, in a fixed order, so the
- * result is bitwise identical whatever the thread count and backend.
+ * with s_m the inverse posterior sum and W_g summed in member order.
+ * The pass also accumulates the Bhattacharyya term and each group's
+ * lane-split joint masses M_g; those reduce lanes, then shards, in a
+ * fixed order, and each member's bucket masses are M_g marginalised in
+ * key order, so the result is bitwise identical whatever the thread
+ * count. A pass costs one gather and one scatter per group and
+ * outcome instead of one per marginal.
  */
 void
 reconstructLayer(std::vector<double> &cur, std::vector<double> &next,
                  const std::vector<BasisState> &outcomes,
                  const std::vector<const Marginal *> &layer,
-                 const ReconstructionOptions &options,
-                 const simd::KernelTable &kt)
+                 const ReconstructionOptions &options)
 {
     if (options.maxRounds <= 0)
         return;
     const std::size_t n = cur.size();
-    const std::size_t n_m = layer.size();
-    constexpr std::size_t lanes = simd::kReweightLanes;
+    const std::vector<std::vector<std::size_t>> packing =
+        packGroups(layer, jointKeyBits(n));
+    const std::size_t n_g = packing.size();
 
-    // Every marginal's bucket of every outcome, in one allocation.
-    std::vector<std::uint32_t> bucket_of(n_m * n);
-    std::vector<std::vector<double>> odds(n_m);
+    // Every group's slot of every outcome, in one allocation.
+    std::vector<std::uint32_t> slot_of(n_g * n);
+    std::vector<Group> groups(n_g);
     std::size_t widest = 0;
-    for (std::size_t mi = 0; mi < n_m; ++mi) {
-        odds[mi] = indexMarginal(outcomes, *layer[mi],
-                                 options.evidenceThreshold,
-                                 bucket_of.data() + mi * n);
-        widest = std::max(widest, odds[mi].size());
+    for (std::size_t g = 0; g < n_g; ++g) {
+        Group &group = groups[g];
+        std::uint32_t *slots = slot_of.data() + g * n;
+        if (packing[g].size() == 1) {
+            Member &m = group.members.emplace_back();
+            m.odds = indexMarginal(outcomes, *layer[packing[g].front()],
+                                   options.evidenceThreshold, slots);
+            m.weight.resize(m.odds.size());
+            group.mass.resize(m.odds.size());
+        } else {
+            // Joint keys over the union of the members' bits.
+            Subset bits;
+            for (std::size_t mi : packing[g])
+                bits.insert(bits.end(), layer[mi]->qubits.begin(),
+                            layer[mi]->qubits.end());
+            std::sort(bits.begin(), bits.end());
+            bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
+            const BitRuns joint_key(bits);
+            for (std::size_t i = 0; i < n; ++i)
+                slots[i] = static_cast<std::uint32_t>(joint_key(outcomes[i]));
+            const std::size_t n_keys = std::size_t{1} << bits.size();
+            for (std::size_t mi : packing[g]) {
+                const Marginal &marginal = *layer[mi];
+                Member &m = group.members.emplace_back();
+                // Bit j of a member's key is joint-key bit u_j, where
+                // bits[u_j] == qubits[j].
+                Subset in_joint;
+                for (int q : marginal.qubits)
+                    in_joint.push_back(static_cast<int>(
+                        std::lower_bound(bits.begin(), bits.end(), q) -
+                        bits.begin()));
+                const BitRuns bucket_of_key(in_joint);
+                m.bucketOfKey.resize(n_keys);
+                for (std::size_t key = 0; key < n_keys; ++key)
+                    m.bucketOfKey[key] =
+                        static_cast<std::uint32_t>(bucket_of_key(key));
+                m.odds = bucketOdds(marginal,
+                                    denseKeys(marginal.qubits.size()),
+                                    options.evidenceThreshold);
+                m.mass.resize(m.odds.size());
+                m.weight.resize(m.odds.size());
+            }
+            group.weight.resize(n_keys);
+            group.mass.resize(n_keys);
+        }
+        widest = std::max(widest, group.mass.size());
     }
 
     // Shards hold at least four outcomes per partial-mass slot of the
     // widest table, so zeroing and reducing the partials stays a small
     // part of a pass.
     const std::size_t shard_size =
-        std::max(kShardSize, 4 * lanes * widest);
+        std::max(kShardSize, 4 * kLanes * widest);
     const std::size_t n_shards = (n + shard_size - 1) / shard_size;
 
-    // Per marginal: [shard][lane][bucket] partial masses, the reduced
-    // masses, and the weights g_m = s_m f_m / total of the next pass
-    // (all zero for the first pass, which therefore copies cur into
-    // next and only accumulates the starting masses).
-    std::vector<std::vector<double>> partial(n_m), mass(n_m), weight(n_m);
-    std::vector<simd::ReweightTerm> terms(n_shards * n_m);
-    for (std::size_t mi = 0; mi < n_m; ++mi) {
-        const std::size_t n_b = odds[mi].size();
-        partial[mi].resize(n_shards * lanes * n_b);
-        mass[mi].resize(n_b);
-        weight[mi].resize(n_b);
+    // The first pass runs with every weight zero, so it copies cur
+    // into next and only accumulates the starting masses.
+    std::vector<Term> terms(n_shards * n_g);
+    for (std::size_t g = 0; g < n_g; ++g) {
+        Group &group = groups[g];
+        const std::size_t n_s = group.mass.size();
+        group.partial.resize(n_shards * kLanes * n_s);
         for (std::size_t s = 0; s < n_shards; ++s)
-            terms[s * n_m + mi] = {bucket_of.data() + mi * n,
-                                   weight[mi].data(),
-                                   partial[mi].data() + s * lanes * n_b,
-                                   n_b};
+            terms[s * n_g + g] = {slot_of.data() + g * n,
+                                  group.slotWeights(),
+                                  group.partial.data() + s * kLanes * n_s,
+                                  n_s};
     }
     std::vector<double> shard_bc(n_shards);
 
     // One fused pass cur -> next; returns the Bhattacharyya sum and
-    // leaves next's bucket masses in mass.
+    // leaves next's slot masses in each group and bucket masses in
+    // each mapped member.
     const auto pass = [&](double c0) {
         parallelFor(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
                 const std::size_t i0 = s * shard_size;
                 const std::size_t i1 = std::min(n, i0 + shard_size);
-                for (std::size_t mi = 0; mi < n_m; ++mi) {
-                    double *rows = terms[s * n_m + mi].mass;
-                    std::fill(rows, rows + lanes * mass[mi].size(), 0.0);
+                for (std::size_t g = 0; g < n_g; ++g) {
+                    double *rows = terms[s * n_g + g].mass;
+                    std::fill(rows, rows + kLanes * groups[g].mass.size(),
+                              0.0);
                 }
-                shard_bc[s] = kt.reweightRound(cur.data(), next.data(),
-                                               &terms[s * n_m], n_m, c0,
-                                               i0, i1);
+                shard_bc[s] = reweightShard(cur.data(), next.data(),
+                                            &terms[s * n_g], n_g, c0, i0,
+                                            i1);
             }
         });
-        for (std::size_t mi = 0; mi < n_m; ++mi) {
-            const std::size_t n_b = mass[mi].size();
-            for (std::size_t b = 0; b < n_b; ++b) {
+        for (Group &group : groups) {
+            const std::size_t n_s = group.mass.size();
+            for (std::size_t key = 0; key < n_s; ++key) {
                 double total = 0.0;
                 for (std::size_t s = 0; s < n_shards; ++s) {
                     const double *rows =
-                        partial[mi].data() + s * lanes * n_b + b;
+                        group.partial.data() + s * kLanes * n_s + key;
                     double shard_mass = 0.0;
-                    for (std::size_t l = 0; l < lanes; ++l)
-                        shard_mass += rows[l * n_b];
+                    for (std::size_t l = 0; l < kLanes; ++l)
+                        shard_mass += rows[l * n_s];
                     total += shard_mass;
                 }
-                mass[mi][b] = total;
+                group.mass[key] = total;
+            }
+            if (!group.joint())
+                continue;
+            for (Member &m : group.members) {
+                std::fill(m.mass.begin(), m.mass.end(), 0.0);
+                for (std::size_t key = 0; key < n_s; ++key)
+                    m.mass[m.bucketOfKey[key]] += group.mass[key];
             }
         }
         double bc = 0.0;
@@ -196,29 +481,42 @@ reconstructLayer(std::vector<double> &cur, std::vector<double> &next,
     };
 
     pass(1.0);
-    std::vector<double> inv_post_sum(n_m);
     for (int round = 0; round < options.maxRounds; ++round) {
         // The round total: the prior's mass plus every marginal's
-        // normalized posterior (1, or 0 for an all-zero posterior).
+        // normalized posterior (1, or 0 for an all-zero posterior),
+        // added in layer order.
         double total = 0.0;
-        for (double m : mass[0])
+        for (double m : groups.front().memberMass(groups.front().members[0]))
             total += m;
-        for (std::size_t mi = 0; mi < n_m; ++mi) {
-            double post_sum = 0.0;
-            for (std::size_t b = 0; b < odds[mi].size(); ++b) {
-                const double m = mass[mi][b];
-                const double o = odds[mi][b];
-                const double f = o >= 0.0 && m > 0.0 ? o / m : 1.0;
-                weight[mi][b] = f;
-                post_sum += m * f;
+        for (Group &group : groups) {
+            for (Member &m : group.members) {
+                const std::vector<double> &mass = group.memberMass(m);
+                double post_sum = 0.0;
+                for (std::size_t b = 0; b < m.odds.size(); ++b) {
+                    const double o = m.odds[b];
+                    const double f =
+                        o >= 0.0 && mass[b] > 0.0 ? o / mass[b] : 1.0;
+                    m.weight[b] = f;
+                    post_sum += mass[b] * f;
+                }
+                m.invPostSum = post_sum > 0.0 ? 1.0 / post_sum : 1.0;
+                total += m.invPostSum * post_sum;
             }
-            inv_post_sum[mi] = post_sum > 0.0 ? 1.0 / post_sum : 1.0;
-            total += inv_post_sum[mi] * post_sum;
         }
         const double inv_total = total > 0.0 ? 1.0 / total : 1.0;
-        for (std::size_t mi = 0; mi < n_m; ++mi)
-            for (double &g : weight[mi])
-                g = inv_post_sum[mi] * g * inv_total;
+        for (Group &group : groups) {
+            for (Member &m : group.members)
+                for (double &w : m.weight)
+                    w = m.invPostSum * w * inv_total;
+            if (!group.joint())
+                continue;
+            for (std::size_t key = 0; key < group.weight.size(); ++key) {
+                double w = 0.0;
+                for (const Member &m : group.members)
+                    w += m.weight[m.bucketOfKey[key]];
+                group.weight[key] = w;
+            }
+        }
 
         const double bc = pass(inv_total);
         const double moved = std::sqrt(std::max(0.0, 1.0 - bc));
@@ -251,11 +549,8 @@ reconstructLayers(const Pmf &global,
         }
     }
 
-    const simd::KernelTable &kt =
-        options.kernels != nullptr ? *options.kernels
-                                   : simd::activeKernels();
     for (const std::vector<const Marginal *> &layer : layers)
-        reconstructLayer(cur, next, outcomes, layer, options, kt);
+        reconstructLayer(cur, next, outcomes, layer, options);
 
     Pmf output(global.nQubits());
     output.reserve(n);

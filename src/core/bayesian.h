@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/simd.h"
 #include "core/subsets.h"
 
 namespace jigsaw {
@@ -26,8 +25,10 @@ namespace core {
 /** A CPM's evidence: its local PMF over the measured bit positions. */
 struct Marginal
 {
-    Pmf local;     ///< PMF over the subset (bit j = qubits[j]).
-    Subset qubits; ///< Measured bit positions, ascending.
+    Pmf local; ///< PMF over the subset: bit j of a key is bit qubits[j].
+    /** Measured bit positions, in any order: bit j of a local key is
+     *  global bit qubits[j] (extractBits). */
+    Subset qubits;
 };
 
 /** Order in which multi-size marginal layers update the prior. */
@@ -55,13 +56,6 @@ struct ReconstructionOptions
      * pruning would have dropped cannot skew an update.
      */
     double evidenceThreshold = 1e-14;
-    /**
-     * Kernel table the round loop dispatches through; null resolves to
-     * simd::activeKernels(). Tests and benches override this to pin a
-     * specific backend (e.g. scalar-vs-active comparisons on identical
-     * inputs). Every backend produces a bitwise-identical result.
-     */
-    const simd::KernelTable *kernels = nullptr;
 };
 
 /**
@@ -80,14 +74,17 @@ Pmf bayesianUpdate(const Pmf &prior, const Marginal &m,
  * which is what bounds the complexity; Section 7.1).
  *
  * Implementation note: because the support is invariant across
- * rounds, every marginal's bucket of every outcome is resolved once,
- * by the dense subset key, and a round is one fused pass over the
- * flat outcome vector (simd::KernelTable::reweightRound) split into
- * fixed-size shards: it applies all marginals' updates and the
+ * rounds, every outcome's bucket is resolved once. Marginals whose
+ * bits overlap are packed, in order, into groups that share one joint
+ * table keyed by the union of their bits (at most W bits, W set by the
+ * support size; bit j of a marginal's key is still bit qubits[j], in
+ * whatever order the subset lists them). A round is one fused pass
+ * over the flat outcome vector split into fixed-size shards: one table
+ * lookup per group and outcome applies all marginals' updates and the
  * normalization at once, and accumulates the convergence measure and
- * the next round's bucket masses, reduced in shard order. The result
- * is bitwise identical however many threads ran and whichever kernel
- * backend ran.
+ * the next round's joint masses, reduced in shard order and then
+ * marginalised per member. The result is bitwise identical however
+ * many threads ran.
  */
 Pmf bayesianReconstruct(const Pmf &global,
                         const std::vector<Marginal> &marginals,

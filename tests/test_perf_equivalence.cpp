@@ -241,19 +241,31 @@ TEST(KernelEquivalence, SingleGateApplyMatchesCircuitApply)
 
 // ------------------------------------------- reconstruction equivalence
 
+/** Random local PMFs, every key observed, over @p subsets. */
+std::vector<core::Marginal>
+randomMarginalsOn(const std::vector<core::Subset> &subsets, Rng &rng)
+{
+    std::vector<core::Marginal> marginals;
+    for (const core::Subset &s : subsets) {
+        const int size = static_cast<int>(s.size());
+        Pmf local(size);
+        for (BasisState v = 0; v < (1ULL << size); ++v)
+            local.set(v, rng.uniform(0.05, 1.0));
+        local.normalize();
+        marginals.push_back({local, s});
+    }
+    return marginals;
+}
+
+/** Random local PMFs over the sliding windows of each size. */
 std::vector<core::Marginal>
 randomMarginals(int n_qubits, const std::vector<int> &sizes, Rng &rng)
 {
     std::vector<core::Marginal> marginals;
     for (int size : sizes) {
-        for (const core::Subset &s :
-             core::slidingWindowSubsets(n_qubits, size)) {
-            Pmf local(size);
-            for (BasisState v = 0; v < (1ULL << size); ++v)
-                local.set(v, rng.uniform(0.05, 1.0));
-            local.normalize();
-            marginals.push_back({local, s});
-        }
+        const std::vector<core::Marginal> layer = randomMarginalsOn(
+            core::slidingWindowSubsets(n_qubits, size), rng);
+        marginals.insert(marginals.end(), layer.begin(), layer.end());
     }
     return marginals;
 }
@@ -354,25 +366,6 @@ reconstructOnOneThread(const Pmf &global,
     return out;
 }
 
-/** The kernel tables this build and CPU can run. */
-std::vector<const simd::KernelTable *>
-runnableKernelTables()
-{
-    std::vector<const simd::KernelTable *> tables = {
-        &simd::scalarKernels()};
-#if defined(__GNUC__) || defined(__clang__)
-    if (simd::avx2Kernels() != nullptr &&
-        __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2"))
-        tables.push_back(simd::avx2Kernels());
-    if (simd::avx512Kernels() != nullptr &&
-        __builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("bmi2"))
-        tables.push_back(simd::avx512Kernels());
-#endif
-    return tables;
-}
-
 TEST(ReconstructionEquivalence, MultiShardSupportMatchesReference)
 {
     // A support spanning several 16384-outcome shards.
@@ -405,23 +398,71 @@ TEST(ReconstructionEquivalence, BitwiseAcrossPoolSizes)
                   core::multiLayerReconstruct(global, marginals, options));
 }
 
-TEST(ReconstructionEquivalence, BitwiseAcrossKernelBackends)
+TEST(ReconstructionEquivalence, GroupedRoundsMatchReference)
 {
-    Rng rng(17);
-    const Pmf global = randomGlobal(16, 40000, rng);
-    const std::vector<core::Marginal> marginals =
-        randomMarginals(16, {2, 3}, rng);
+    // The 18-bit JigSaw-M plan (sliding windows of 2-5 bits) with 16
+    // fixed rounds per layer, at supports on both sides of the grouping
+    // threshold: 200, 2,000 and 20,000 outcomes pack overlapping
+    // windows into joint tables of up to 3, 6 and 10 bits.
     core::ReconstructionOptions options;
-    options.kernels = &simd::scalarKernels();
-    const Pmf scalar =
-        core::multiLayerReconstruct(global, marginals, options);
-    for (const simd::KernelTable *table : runnableKernelTables()) {
-        SCOPED_TRACE(table->name);
-        options.kernels = table;
-        expectBitwise(scalar,
-                      core::multiLayerReconstruct(global, marginals,
-                                                  options));
+    options.maxRounds = 16;
+    options.tolerance = 0.0;
+    Rng rng(20);
+    for (const std::size_t support : {200, 2000, 20000}) {
+        SCOPED_TRACE("support " + std::to_string(support));
+        const Pmf global = randomGlobal(18, support, rng);
+        const std::vector<core::Marginal> marginals =
+            randomMarginals(18, {2, 3, 4, 5}, rng);
+        expectGolden(
+            core::referenceMultiLayerReconstruct(global, marginals, options),
+            core::multiLayerReconstruct(global, marginals, options));
     }
+    const Pmf global = randomGlobal(18, 2000, rng);
+    {
+        SCOPED_TRACE("scattered subsets");
+        // Random 4- and 5-bit subsets rarely fit a 6-bit union, so
+        // nearly every group holds one marginal.
+        std::vector<core::Marginal> marginals =
+            randomMarginalsOn(core::randomSubsets(18, 5, 10, rng), rng);
+        const std::vector<core::Marginal> fours =
+            randomMarginalsOn(core::randomSubsets(18, 4, 10, rng), rng);
+        marginals.insert(marginals.end(), fours.begin(), fours.end());
+        expectGolden(
+            core::referenceMultiLayerReconstruct(global, marginals, options),
+            core::multiLayerReconstruct(global, marginals, options));
+    }
+    {
+        SCOPED_TRACE("one reversed-order subset");
+        // Window {5,6,7} listed as {7,6,5} inside a joint group: its
+        // local key still reads bit j from qubits[j].
+        std::vector<core::Marginal> marginals =
+            randomMarginals(18, {2, 3}, rng);
+        core::Subset &reversed = marginals[18 + 5].qubits;
+        ASSERT_EQ(reversed, (core::Subset{5, 6, 7}));
+        std::reverse(reversed.begin(), reversed.end());
+        expectGolden(
+            core::referenceMultiLayerReconstruct(global, marginals, options),
+            core::multiLayerReconstruct(global, marginals, options));
+    }
+}
+
+TEST(ReconstructionEquivalence, GroupedRoundsBitwiseAcrossPoolSizes)
+{
+    // Full 12-bit joint tables over two shards (a shard holds at least
+    // four outcomes per partial-mass slot: 4 x 8 lanes x 4096 slots),
+    // with convergence enabled so the stopping round is compared too.
+    Rng rng(21);
+    const Pmf global = randomGlobal(18, 140000, rng);
+    const std::vector<core::Marginal> marginals =
+        randomMarginals(18, {2, 3, 4, 5}, rng);
+    const core::ReconstructionOptions options;
+
+    const Pmf pooled =
+        core::multiLayerReconstruct(global, marginals, options);
+    expectBitwise(pooled,
+                  reconstructOnOneThread(global, marginals, options));
+    expectBitwise(pooled,
+                  core::multiLayerReconstruct(global, marginals, options));
 }
 
 TEST(ReconstructionEquivalence, DegenerateInputsMatchReference)
@@ -507,7 +548,7 @@ TEST(ReconstructionEquivalence, LargeSupportManyShards)
 {
     // The >1M-outcome regime: dozens of shards, with the fused round
     // loop doing essentially all the work. Golden against the
-    // reference and bitwise across backends and pool sizes. Too slow
+    // reference and bitwise across pool sizes. Too slow
     // for the default test run, so it is opt-in.
     if (std::getenv("JIGSAW_LARGE_TESTS") == nullptr)
         GTEST_SKIP() << "set JIGSAW_LARGE_TESTS=1 to run (>1M outcomes)";
@@ -531,9 +572,6 @@ TEST(ReconstructionEquivalence, LargeSupportManyShards)
                  active);
     expectBitwise(active,
                   reconstructOnOneThread(global, marginals, options));
-    options.kernels = &simd::scalarKernels();
-    expectBitwise(active,
-                  core::multiLayerReconstruct(global, marginals, options));
 }
 
 TEST(ReconstructionEquivalence, SparseLocalPmfKeepsPriorMass)
@@ -1048,100 +1086,10 @@ expectScatteredTablesMatchScalar(const simd::KernelTable &active)
     }
 }
 
-/**
- * The fused reconstruction round against scalar: next, every lane of
- * every term's masses and the returned Bhattacharyya sum must be
- * BITWISE identical (same addition order, no FMA contraction), over
- * unaligned ranges with short tails.
- */
-void
-expectReconstructionKernelsMatchScalar(const simd::KernelTable &active)
-{
-    const simd::KernelTable &scalar = simd::scalarKernels();
-    constexpr std::uint64_t lanes = simd::kReweightLanes;
-    Rng rng(4242);
-    for (const std::size_t n : {std::size_t{19}, std::size_t{1000},
-                                std::size_t{4096}}) {
-        std::vector<double> cur(n);
-        for (std::size_t i = 0; i < n; ++i)
-            cur[i] = i % 7 == 0 ? 0.0 : rng.uniform(0.0, 1.0);
-
-        // Three terms: a tiny table (long same-bucket runs), a dense
-        // 64-slot one and a wide one, with zero weights mixed in.
-        const std::size_t n_terms = 3;
-        const std::size_t n_buckets[n_terms] = {2, 64, 1 + n / 4};
-        std::vector<std::vector<std::uint32_t>> bucket_of(n_terms);
-        std::vector<std::vector<double>> weight(n_terms);
-        std::vector<std::vector<double>> mass_s(n_terms), mass_a(n_terms);
-        for (std::size_t t = 0; t < n_terms; ++t) {
-            for (std::size_t i = 0; i < n; ++i)
-                bucket_of[t].push_back(static_cast<std::uint32_t>(
-                    t == 0 ? (i * 2) / n : rng.word() % n_buckets[t]));
-            for (std::size_t b = 0; b < n_buckets[t]; ++b)
-                weight[t].push_back(b % 5 == 0 ? 0.0
-                                               : rng.uniform(0.0, 3.0));
-            // Masses accumulate into whatever the rows hold.
-            for (std::size_t r = 0; r < lanes * n_buckets[t]; ++r)
-                mass_s[t].push_back(rng.uniform(0.0, 1.0));
-            mass_a[t] = mass_s[t];
-        }
-        const std::vector<std::vector<double>> mass_init = mass_s;
-        const auto terms = [&](std::vector<std::vector<double>> &mass) {
-            std::vector<simd::ReweightTerm> out;
-            for (std::size_t t = 0; t < n_terms; ++t)
-                out.push_back({bucket_of[t].data(), weight[t].data(),
-                               mass[t].data(), n_buckets[t]});
-            return out;
-        };
-        const std::vector<simd::ReweightTerm> terms_s = terms(mass_s);
-        const std::vector<simd::ReweightTerm> terms_a = terms(mass_a);
-
-        // Unaligned range with a short tail.
-        const std::uint64_t lo = n > 64 ? 3 : 1;
-        const std::uint64_t hi = n - (n > 64 ? 5 : 1);
-        std::vector<double> next_s(n, -1.0), next_a(n, -1.0);
-        const double bc_s =
-            scalar.reweightRound(cur.data(), next_s.data(), terms_s.data(),
-                                 n_terms, 0.731, lo, hi);
-        const double bc_a =
-            active.reweightRound(cur.data(), next_a.data(), terms_a.data(),
-                                 n_terms, 0.731, lo, hi);
-        EXPECT_EQ(bc_s, bc_a);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(next_s[i], next_a[i]) << "index " << i;
-        for (std::size_t t = 0; t < n_terms; ++t)
-            for (std::size_t r = 0; r < mass_s[t].size(); ++r)
-                EXPECT_EQ(mass_s[t][r], mass_a[t][r])
-                    << "term " << t << " row " << r;
-
-        // The contract itself, recomputed naively on the scalar result.
-        double bc = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) {
-            double factor = 0.731;
-            for (std::size_t t = 0; t < n_terms; ++t)
-                factor += weight[t][bucket_of[t][i]];
-            EXPECT_EQ(next_s[i], cur[i] * factor) << "index " << i;
-            if (cur[i] > 0.0 && next_s[i] > 0.0)
-                bc += std::sqrt(cur[i] * next_s[i]);
-        }
-        EXPECT_NEAR(bc_s, bc, 1e-12 * bc);
-        for (std::size_t t = 0; t < n_terms; ++t) {
-            std::vector<double> mass = mass_init[t];
-            for (std::size_t i = lo; i < hi; ++i)
-                mass[((i - lo) % lanes) * n_buckets[t] + bucket_of[t][i]] +=
-                    next_s[i];
-            EXPECT_EQ(mass, mass_s[t]) << "term " << t;
-        }
-        EXPECT_EQ(next_s[0], -1.0);
-        EXPECT_EQ(next_s[n - 1], -1.0);
-    }
-}
-
 TEST(SimdKernels, ActiveMatchesScalarOnEveryKernel)
 {
     expectMatchesScalar(simd::activeKernels());
     expectScatteredTablesMatchScalar(simd::activeKernels());
-    expectReconstructionKernelsMatchScalar(simd::activeKernels());
 }
 
 TEST(SimdKernels, Avx2MatchesScalar)
@@ -1156,7 +1104,6 @@ TEST(SimdKernels, Avx2MatchesScalar)
 #endif
     expectMatchesScalar(*simd::avx2Kernels());
     expectScatteredTablesMatchScalar(*simd::avx2Kernels());
-    expectReconstructionKernelsMatchScalar(*simd::avx2Kernels());
 }
 
 TEST(SimdKernels, Avx512MatchesScalar)
@@ -1172,7 +1119,6 @@ TEST(SimdKernels, Avx512MatchesScalar)
 #endif
     expectMatchesScalar(*simd::avx512Kernels());
     expectScatteredTablesMatchScalar(*simd::avx512Kernels());
-    expectReconstructionKernelsMatchScalar(*simd::avx512Kernels());
 }
 
 // ------------------------------------------------------------ primitives
