@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -295,8 +296,10 @@ main(int argc, char **argv)
         // JigSaw-M's CPM structure: every sliding window of sizes
         // 2..5 over one shared compilation. The per-CPM path pays one
         // evolution per subset (each CPM is a distinct circuit, so
-        // the PMF cache never hits); the batched path evolves the
-        // prefix once and reads every marginal off the final state.
+        // the PMF cache never hits); the batched path binds every
+        // spec to the logical program, evolves it once and folds
+        // every marginal off its PMF. base measures qubit q into
+        // clbit q, so each subset is also its specs' clbits.
         QuantumCircuit base = randomCircuit(n_qubits, 8, rng);
         base.measureAll();
         std::vector<sim::CpmSpec> specs;
@@ -317,6 +320,11 @@ main(int argc, char **argv)
 
         sim::IdealSimulator batched(11);
         start = std::chrono::steady_clock::now();
+        const auto logical = std::make_shared<const sim::LogicalProgram>(base);
+        for (sim::CpmSpec &spec : specs) {
+            spec.logical = logical;
+            spec.clbits = spec.qubits;
+        }
         const std::vector<Histogram> hs = batched.runBatch(base, specs);
         (void)hs;
         const double opt_ms = msSince(start);

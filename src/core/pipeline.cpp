@@ -236,7 +236,7 @@ buildSchedule(const CompiledJobs &jobs)
         for (int q : measured)
             fatalIf(q < 0, "buildSchedule: CPM with unused classical bit");
         ExecutionSchedule::Group &group = schedule.groups[it->second];
-        group.specs.push_back({std::move(measured), cpm.trials, nullptr, -1,
+        group.specs.push_back({std::move(measured), cpm.trials, nullptr,
                                jobs.logical, cpm.subset});
         group.members.push_back(i);
     }
@@ -316,7 +316,6 @@ buildMergedDispatch(const std::vector<MergeSource> &sources,
         for (std::size_t j = 0; j < group.specs.size(); ++j) {
             sim::CpmSpec spec = group.specs[j];
             spec.rng = src.rng;
-            spec.program = static_cast<std::int64_t>(src.program);
             dispatch.specs.push_back(std::move(spec));
             dispatch.origin.push_back({member.source, group.members[j]});
         }
@@ -481,7 +480,6 @@ executeMergedSchedules(const std::vector<MergeSource> &sources,
             const MergeSource &src = sources[s];
             sim::CpmSpec spec = globalSpec(*src.jobs, src.plan->globalTrials);
             spec.rng = src.rng;
-            spec.program = static_cast<std::int64_t>(src.program);
             return spec;
         };
         for (const std::vector<std::size_t> &pool : pools) {

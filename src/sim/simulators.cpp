@@ -32,6 +32,8 @@ checkTerminalMeasurements(const QuantumCircuit &qc)
             any = true;
             fatalIf(clbit_used[static_cast<std::size_t>(g.clbit)],
                     "duplicate measurement into one classical bit");
+            fatalIf(measured[static_cast<std::size_t>(g.qubits[0])],
+                    "qubit measured twice: measurements must be terminal");
             clbit_used[static_cast<std::size_t>(g.clbit)] = true;
             measured[static_cast<std::size_t>(g.qubits[0])] = true;
             continue;
@@ -44,33 +46,8 @@ checkTerminalMeasurements(const QuantumCircuit &qc)
     fatalIf(!any, "circuit has no measurements");
 }
 
-namespace detail {
-
-/**
- * A shared-prefix evolution: the final state of a batch base circuit's
- * unitary gates, compacted onto the qubits they touch. Every CPM
- * marginal of that base is a measurementPmf over a subset of this one
- * state.
- */
-struct BatchState
-{
-    BatchState(StateVector s, std::vector<int> dense)
-        : state(std::move(s)), denseOf(std::move(dense))
-    {
-    }
-
-    StateVector state;
-    /** denseOf[physical] = compact index, or -1 when gate-untouched. */
-    std::vector<int> denseOf;
-};
-
-} // namespace detail
-
 namespace {
 
-using detail::BatchState;
-using BatchStateCache =
-    std::unordered_map<std::uint64_t, std::unique_ptr<BatchState>>;
 using SplitStateCache =
     std::unordered_map<std::uint64_t, std::unique_ptr<StateVector>>;
 
@@ -213,130 +190,53 @@ exactOutputPmf(const QuantumCircuit &physical, const SplitContext &split)
     return state.measurementPmf(dense_qubits);
 }
 
-/**
- * The evolved shared-prefix state for @p base (measurements ignored),
- * from @p cache when present. @p stats tracks evolutions vs reuses.
- * @p mutex guards both the cache and the stats; the evolution itself
- * runs unlocked (a lost insert race wastes one evolution, the first
- * inserted entry wins and stays pointer-stable). @p split carries the
- * executor's skeleton split-prefix cache, so a re-bound diagonal tail
- * pays only its own application on top of the cached prefix state.
- */
-const BatchState &
-evolvedBase(BatchStateCache &cache, std::mutex &mutex,
-            const QuantumCircuit &base, BatchStats &stats,
-            const SplitContext &split)
-{
-    const QuantumCircuit prefix = base.withoutMeasurements();
-    const std::uint64_t key = prefix.structuralHash();
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        const auto it = cache.find(key);
-        if (it != cache.end()) {
-            ++stats.baseStateHits;
-            return *it->second;
-        }
-    }
-    CompactCircuit compact = compactCircuit(prefix);
-    StateVector state = evolveCompact(compact.circuit, split);
-    auto entry = std::make_unique<BatchState>(std::move(state),
-                                              std::move(compact.denseOf));
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto [it, inserted] = cache.emplace(key, std::move(entry));
-    if (inserted)
-        ++stats.baseEvolutions;
-    else
-        ++stats.baseStateHits;
-    return *it->second;
-}
-
-/**
- * Marginal PMF of @p bs over @p qubits (physical indices, clbit
- * order). Qubits outside the compacted register were never touched by
- * a gate, so their bits are deterministically 0 and are re-inserted
- * after the dense-space marginalization.
- */
-Pmf
-marginalFromState(const BatchState &bs, const std::vector<int> &qubits)
-{
-    fatalIf(qubits.empty(), "runBatch: empty measurement subset");
-    std::vector<int> dense;
-    std::vector<int> present; // spec positions with a dense index
-    dense.reserve(qubits.size());
-    present.reserve(qubits.size());
-    for (std::size_t j = 0; j < qubits.size(); ++j) {
-        const int q = qubits[j];
-        fatalIf(q < 0, "runBatch: negative qubit index");
-        const int d = q < static_cast<int>(bs.denseOf.size())
-                          ? bs.denseOf[static_cast<std::size_t>(q)]
-                          : -1;
-        if (d >= 0) {
-            dense.push_back(d);
-            present.push_back(static_cast<int>(j));
-        }
-    }
-    if (present.empty()) {
-        // No measured qubit is ever touched: the outcome is all-zero.
-        Pmf pmf(static_cast<int>(qubits.size()));
-        pmf.set(0, 1.0);
-        return pmf;
-    }
-    const Pmf sub = bs.state.measurementPmf(dense);
-    if (present.size() == qubits.size())
-        return sub;
-    Pmf pmf(static_cast<int>(qubits.size()));
-    pmf.reserve(sub.support());
-    for (const auto &[key, p] : sub.probabilities())
-        pmf.set(depositBits(key, present), p);
-    return pmf;
-}
-
-/**
- * True when @p specs carry two or more distinct non-negative program
- * tags — a merged cross-program batch.
- */
-bool
-spansPrograms(const std::vector<CpmSpec> &specs)
-{
-    std::int64_t first = -1;
-    for (const CpmSpec &spec : specs) {
-        if (spec.program < 0)
-            continue;
-        if (first < 0)
-            first = spec.program;
-        else if (spec.program != first)
-            return true;
-    }
-    return false;
-}
-
 /** Mixed into every bound spec key (the ASCII bytes of "logical"). */
 constexpr std::uint64_t kBoundSpecTag = 0x6c6f676963616cULL;
 
 /**
- * The cache key of one spec of @p base. Unbound: the structural hash
- * of the measurement variant, exactly what run() of that circuit keys
- * on. Bound: the logical program, its clbits and that same physical
- * hash mixed under a tag. The physical hash pins the noise operator,
- * the program and clbits pin the ideal PMF, and the tag keeps a bound
- * entry (folded from the logical evolution) from ever answering an
- * unbound lookup (evolved from the physical circuit), whose PMF can
+ * The cache key of a spec of @p base bound to its logical program: the
+ * program, its clbits and the measurement variant's structural hash
+ * mixed under a tag. The physical hash pins the noise operator, the
+ * program and clbits pin the ideal PMF, and the tag keeps a bound
+ * entry (folded from the logical evolution) from ever answering a
+ * run() lookup (evolved from the physical circuit), whose PMF can
  * differ in the last bits.
  */
 std::uint64_t
-specKey(const QuantumCircuit &base, const CpmSpec &spec)
+boundKey(const QuantumCircuit &base, const CpmSpec &spec)
 {
-    const std::uint64_t physical = base.measurementSubsetHash(spec.qubits);
-    if (spec.logical == nullptr)
-        return physical;
     std::uint64_t h = kFnvOffsetBasis;
     fnvMixWord(h, kBoundSpecTag);
     fnvMixWord(h, spec.logical->hash);
     fnvMixWord(h, spec.clbits.size());
     for (int c : spec.clbits)
         fnvMixWord(h, static_cast<std::uint64_t>(c));
-    fnvMixWord(h, physical);
+    fnvMixWord(h, base.measurementSubsetHash(spec.qubits));
     return h;
+}
+
+/**
+ * @p build applied to the circuit a run() entry stands for: @p base
+ * itself, or its measurement-subset variant when @p subset is set (an
+ * unbound spec), which only a cache miss materializes; runKey() keys
+ * it without the copy.
+ */
+template <class Build>
+auto
+withRunCircuit(const QuantumCircuit &base, const std::vector<int> *subset,
+               Build &&build)
+{
+    if (subset == nullptr)
+        return build(base);
+    return build(base.withMeasurementSubset(*subset));
+}
+
+/** The structural hash of the circuit withRunCircuit() builds. */
+std::uint64_t
+runKey(const QuantumCircuit &base, const std::vector<int> *subset)
+{
+    return subset != nullptr ? base.measurementSubsetHash(*subset)
+                             : base.structuralHash();
 }
 
 /**
@@ -399,15 +299,14 @@ namespace detail {
 
 /**
  * The ideal-distribution side every simulator shares: the ideal PMF of
- * each logical program bound specs fold from, the shared-prefix states
- * unbound specs take marginals off, the skeleton split-prefix states,
- * and the counters over them. One mutex guards the maps and stats;
- * every evolution runs outside it.
+ * each logical program bound specs fold from, the skeleton split-prefix
+ * states, and the counters over them. One mutex guards the maps and
+ * stats; every evolution runs outside it.
  */
 class IdealSource
 {
   public:
-    /** Exact output PMF of a full circuit (the run() path). */
+    /** Exact output PMF of a full circuit (run() and unbound specs). */
     Pmf
     circuitPmf(const QuantumCircuit &physical)
     {
@@ -415,42 +314,24 @@ class IdealSource
     }
 
     /**
-     * Ideal PMF of one spec of @p base. Bound: a fold of its logical
-     * program's PMF onto its clbits, whatever the base circuit's
-     * mapping. Unbound: the marginal off the shared-prefix state of
-     * @p base, resolved lazily into @p bs (null until a spec needs it,
-     * so one batch resolves its prefix once).
+     * Ideal PMF of a bound spec: a fold of its logical program's PMF
+     * onto its clbits, whatever the mapping of the circuit it runs on.
      */
     Pmf
-    specPmf(const QuantumCircuit &base, const CpmSpec &spec,
-            const BatchState *&bs)
+    boundPmf(const CpmSpec &spec)
     {
-        if (spec.logical != nullptr) {
-            fatalIf(spec.clbits.size() != spec.qubits.size(),
-                    "bound spec: clbits and qubits differ in width");
-            const Pmf &full = logicalPmf(*spec.logical);
-            for (int c : spec.clbits) {
-                fatalIf(c < 0 || c >= full.nQubits(),
-                        "bound spec: clbit outside the logical program");
-            }
-            countServed();
-            return full.marginal(spec.clbits);
+        fatalIf(spec.clbits.size() != spec.qubits.size(),
+                "bound spec: clbits and qubits differ in width");
+        const Pmf &full = logicalPmf(*spec.logical);
+        for (int c : spec.clbits) {
+            fatalIf(c < 0 || c >= full.nQubits(),
+                    "bound spec: clbit outside the logical program");
         }
-        if (bs == nullptr)
-            bs = &evolvedBase(states_, mutex_, base, stats_, split());
-        countServed();
-        return marginalFromState(*bs, spec.qubits);
-    }
-
-    /** Count a batch spanning programs (see BatchStats). */
-    void
-    countBatch(const std::vector<CpmSpec> &specs)
-    {
-        if (!spansPrograms(specs))
-            return;
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.crossProgramBatches;
-        stats_.crossProgramMarginals += specs.size();
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.marginalsServed;
+        }
+        return full.marginal(spec.clbits);
     }
 
     const BatchStats &stats() const { return stats_; }
@@ -470,13 +351,6 @@ class IdealSource
     split()
     {
         return {&splits_, &mutex_, &skeletonHits_, &skeletonMisses_};
-    }
-
-    void
-    countServed()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.marginalsServed;
     }
 
     /**
@@ -509,7 +383,6 @@ class IdealSource
     std::mutex mutex_;
     std::unordered_map<std::uint64_t, std::unique_ptr<LogicalEntry>>
         logical_;
-    BatchStateCache states_;
     SplitStateCache splits_;
     std::atomic<std::uint64_t> skeletonHits_{0};
     std::atomic<std::uint64_t> skeletonMisses_{0};
@@ -588,26 +461,27 @@ IdealSimulator::batchStats() const
 }
 
 const IdealSimulator::Cached &
-IdealSimulator::circuitEntry(const QuantumCircuit &physical)
+IdealSimulator::circuitEntry(const QuantumCircuit &base,
+                             const std::vector<int> *subset)
 {
     return cachedEntry(cache_, cacheMutex_, cacheHits_, cacheMisses_,
-                       physical.structuralHash(), [&] {
-                           Pmf pmf = source_->circuitPmf(physical);
-                           MultinomialSampler sampler(pmf);
-                           return Cached{std::move(pmf), std::move(sampler)};
+                       runKey(base, subset), [&] {
+                           return withRunCircuit(
+                               base, subset, [&](const QuantumCircuit &c) {
+                                   return Cached(source_->circuitPmf(c));
+                               });
                        });
 }
 
 const IdealSimulator::Cached &
 IdealSimulator::specEntry(const QuantumCircuit &base_circuit,
-                          const CpmSpec &spec, const BatchState *&bs)
+                          const CpmSpec &spec)
 {
+    if (spec.logical == nullptr)
+        return circuitEntry(base_circuit, &spec.qubits);
     return cachedEntry(cache_, cacheMutex_, cacheHits_, cacheMisses_,
-                       specKey(base_circuit, spec), [&] {
-                           Pmf pmf = source_->specPmf(base_circuit, spec, bs);
-                           MultinomialSampler sampler(pmf);
-                           return Cached{std::move(pmf), std::move(sampler)};
-                       });
+                       boundKey(base_circuit, spec),
+                       [&] { return Cached(source_->boundPmf(spec)); });
 }
 
 Histogram
@@ -633,8 +507,7 @@ Histogram
 IdealSimulator::run(const QuantumCircuit &base_circuit, const CpmSpec &spec)
 {
     injectFaultPoint("executor.run");
-    const BatchState *bs = nullptr;
-    return drawShots(specEntry(base_circuit, spec, bs).sampler, spec.shots,
+    return drawShots(specEntry(base_circuit, spec).sampler, spec.shots,
                      spec.rng, rng_, rngMutex_);
 }
 
@@ -648,9 +521,8 @@ void
 IdealSimulator::prepareBatch(const QuantumCircuit &base_circuit,
                              const std::vector<CpmSpec> &specs)
 {
-    const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs)
-        specEntry(base_circuit, spec, bs);
+        specEntry(base_circuit, spec);
 }
 
 Pmf
@@ -659,29 +531,15 @@ IdealSimulator::idealPmf(const QuantumCircuit &physical_circuit)
     return circuitEntry(physical_circuit).pmf;
 }
 
-std::vector<Pmf>
-IdealSimulator::marginalPmfs(const QuantumCircuit &base_circuit,
-                             const std::vector<std::vector<int>> &subsets)
-{
-    std::vector<Pmf> out;
-    out.reserve(subsets.size());
-    const BatchState *bs = nullptr;
-    for (const std::vector<int> &qubits : subsets)
-        out.push_back(specEntry(base_circuit, CpmSpec{qubits}, bs).pmf);
-    return out;
-}
-
 std::vector<Histogram>
 IdealSimulator::runBatch(const QuantumCircuit &base_circuit,
                          const std::vector<CpmSpec> &specs)
 {
     injectFaultPoint("executor.runBatch");
-    source_->countBatch(specs);
     std::vector<Histogram> out;
     out.reserve(specs.size());
-    const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs) {
-        out.push_back(drawShots(specEntry(base_circuit, spec, bs).sampler,
+        out.push_back(drawShots(specEntry(base_circuit, spec).sampler,
                                 spec.shots, spec.rng, rng_, rngMutex_));
     }
     return out;
@@ -766,8 +624,7 @@ NoisySimulator::run(const QuantumCircuit &base_circuit, const CpmSpec &spec)
         return Executor::run(base_circuit, spec);
     injectFaultPoint("executor.run");
     checkDeviceSpace(base_circuit, dev_);
-    const BatchState *bs = nullptr;
-    return drawShots(specEntry(base_circuit, spec, bs).noisy, spec.shots,
+    return drawShots(specEntry(base_circuit, spec).noisy, spec.shots,
                      spec.rng, rng_, rngMutex_);
 }
 
@@ -787,31 +644,35 @@ NoisySimulator::prepareBatch(const QuantumCircuit &base_circuit,
     checkDeviceSpace(base_circuit, dev_);
     if (options_.trajectories > 0)
         return;
-    const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs)
-        specEntry(base_circuit, spec, bs);
+        specEntry(base_circuit, spec);
 }
 
 const NoisySimulator::Cached &
-NoisySimulator::circuitEntry(const QuantumCircuit &physical)
+NoisySimulator::circuitEntry(const QuantumCircuit &base,
+                             const std::vector<int> *subset)
 {
     return cachedEntry(cache_, cacheMutex_, cacheHits_, cacheMisses_,
-                       physical.structuralHash(), [&] {
-                           checkDenseWidth(physical.nClbits());
-                           return noisyEntry(physical,
-                                             source_->circuitPmf(physical));
+                       runKey(base, subset), [&] {
+                           return withRunCircuit(
+                               base, subset, [&](const QuantumCircuit &c) {
+                                   checkDenseWidth(c.nClbits());
+                                   return noisyEntry(c, source_->circuitPmf(c));
+                               });
                        });
 }
 
 const NoisySimulator::Cached &
 NoisySimulator::specEntry(const QuantumCircuit &base_circuit,
-                          const CpmSpec &spec, const BatchState *&bs)
+                          const CpmSpec &spec)
 {
+    if (spec.logical == nullptr)
+        return circuitEntry(base_circuit, &spec.qubits);
     return cachedEntry(
         cache_, cacheMutex_, cacheHits_, cacheMisses_,
-        specKey(base_circuit, spec), [&] {
+        boundKey(base_circuit, spec), [&] {
             checkDenseWidth(static_cast<int>(spec.qubits.size()));
-            const Pmf pmf = source_->specPmf(base_circuit, spec, bs);
+            const Pmf pmf = source_->boundPmf(spec);
             // The spec's circuit is only materialized on a miss, for
             // the noise derivations: the gate-only success probability
             // ignores measurements, so every spec of one base inherits
@@ -845,12 +706,10 @@ NoisySimulator::runBatch(const QuantumCircuit &base_circuit,
     if (options_.trajectories > 0)
         return Executor::runBatch(base_circuit, specs);
 
-    source_->countBatch(specs);
     std::vector<Histogram> out;
     out.reserve(specs.size());
-    const BatchState *bs = nullptr;
     for (const CpmSpec &spec : specs) {
-        out.push_back(drawShots(specEntry(base_circuit, spec, bs).noisy,
+        out.push_back(drawShots(specEntry(base_circuit, spec).noisy,
                                 spec.shots, spec.rng, rng_, rngMutex_));
     }
     return out;

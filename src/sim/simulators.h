@@ -31,9 +31,7 @@ namespace jigsaw {
 namespace sim {
 
 namespace detail {
-/** A cached shared-prefix evolution (defined in simulators.cpp). */
-struct BatchState;
-/** The ideal-distribution caches every simulator shares (ditto). */
+/** The ideal-distribution caches every simulator shares. */
 class IdealSource;
 } // namespace detail
 
@@ -65,45 +63,38 @@ struct LogicalProgram
  * program its own seeded stream — the draws then match what the
  * program's private executor would have produced, whatever else is in
  * the batch. The caller must guarantee exclusive use of each stream
- * for the duration of the call. @p program tags the submitting
- * program (provenance for the cross-program BatchStats counters; -1 =
- * untagged).
+ * for the duration of the call.
  *
  * A spec may also be bound to the logical program it was compiled
  * from: @p logical plus @p clbits, the logical classical bit behind
  * each spec bit. The ideal distribution of a routed circuit does not
  * depend on its mapping, so a simulator serves a bound spec's ideal
  * PMF as a fold (Pmf::marginal) of the one cached ideal PMF of
- * @p logical, and takes only the noise from the base circuit. Unbound
- * specs (@p logical null) evolve the base circuit's own gate prefix.
+ * @p logical, and takes only the noise from the base circuit. An
+ * unbound spec (@p logical null) is run() of the measurement-subset
+ * variant base.withMeasurementSubset(qubits): same cache entry, same
+ * evolution of that physical circuit.
  */
 struct CpmSpec
 {
     std::vector<int> qubits;
     std::uint64_t shots = 0;
     Rng *rng = nullptr;
-    std::int64_t program = -1;
     std::shared_ptr<const LogicalProgram> logical{};
     std::vector<int> clbits{}; ///< Logical clbit per spec bit (bound only).
 };
 
 /**
- * Counters for the spec execution path: how many evolutions actually
- * ran, how many were reused, and how many spec PMFs were served off a
- * shared evolution instead of a per-CPM one.
+ * Counters for the bound-spec path: how many logical programs were
+ * evolved, how many lookups reused one, and how many spec PMFs were
+ * folded off one instead of evolved per CPM. Unbound specs are run()
+ * entries and count only in the PMF cache counters.
  */
 struct BatchStats
 {
-    /** Evolutions run: one per logical program (bound specs) or per
-     *  distinct physical gate prefix (unbound specs). */
-    std::uint64_t baseEvolutions = 0;
+    std::uint64_t baseEvolutions = 0;  ///< Logical programs evolved.
     std::uint64_t baseStateHits = 0;   ///< Lookups reusing an evolution.
-    std::uint64_t marginalsServed = 0; ///< Spec PMFs taken from one.
-    /** @name Cross-program counters (merged-service batches).
-     *  @{ */
-    std::uint64_t crossProgramBatches = 0; ///< Batches spanning >1 program.
-    std::uint64_t crossProgramMarginals = 0; ///< Specs in those batches.
-    /** @} */
+    std::uint64_t marginalsServed = 0; ///< Bound spec PMFs folded off one.
 
     /** Full evolutions avoided vs the per-CPM path. */
     std::uint64_t evolutionsSaved() const
@@ -176,8 +167,8 @@ class Executor
      * the unitary gates of @p base_circuit (its own measurements, if
      * any, are ignored — each spec defines its own), which is exactly
      * JigSaw's CPM structure, so simulator backends override this to
-     * evolve the shared prefix once and read every marginal off the
-     * single final state. Specs carrying an Rng sample from it (see
+     * fold every spec bound to one logical program off that program's
+     * single evolution. Specs carrying an Rng sample from it (see
      * CpmSpec). This default runs each CPM individually.
      */
     virtual std::vector<Histogram>
@@ -210,29 +201,28 @@ class Executor
  * metrics use as the golden reference distribution.
  *
  * Exact PMFs (and their samplers) are memoized per structural circuit
- * hash (run()) or spec key (specs), so JigSaw's repeated runs of an
- * identical circuit skip state-vector evolution entirely. A spec bound
- * to its logical program (CpmSpec::logical) keys on that program, its
- * clbits and the base circuit's measurementSubsetHash; its PMF is a
- * fold of the program's ideal PMF, which the executor evolves once
- * and keeps. A JigSaw job — its global and every CPM, recompiled or
- * not — therefore costs one evolution. Each run() or CpmSpec is then
- * one multinomial draw over the PMF's sorted support
- * (MultinomialSampler).
+ * hash (run() and unbound specs, which key on their subset circuit's
+ * hash) or bound-spec key, so JigSaw's repeated runs of an identical
+ * circuit skip state-vector evolution entirely. A spec bound to its
+ * logical program (CpmSpec::logical) keys on that program, its clbits
+ * and the base circuit's measurementSubsetHash; its PMF is a fold of
+ * the program's ideal PMF, which the executor evolves once and keeps.
+ * A JigSaw job — its global and every CPM, recompiled or not —
+ * therefore costs one evolution. Each run() or CpmSpec is then one
+ * multinomial draw over the PMF's sorted support (MultinomialSampler).
  *
  * Thread-safety: run()/runBatch()/idealPmf() may be called from
- * concurrent sessions sharing one executor. The PMF/state caches are
+ * concurrent sessions sharing one executor. The caches are
  * mutex-guarded (evolutions happen outside the lock; a lost insert
- * race wastes one prefix evolution but stays correct, and concurrent
- * first lookups of one logical program wait on its single evolution),
- * counters are atomic,
- * and sampling serializes on the RNG mutex so the draw stream stays
- * well-defined. Deterministic per-program results on a shared
- * executor require per-program streams (the run(..., Rng&) overload /
- * CpmSpec::rng — what the merged service path does); sampling from
- * the internal generator instead interleaves its stream in completion
- * order. batchStats() is safe to read once concurrent runs have
- * completed.
+ * race on a run() entry wastes one evolution but stays correct, and
+ * concurrent first lookups of one logical program wait on its single
+ * evolution), counters are atomic, and sampling serializes on the RNG
+ * mutex so the draw stream stays well-defined. Deterministic
+ * per-program results on a shared executor require per-program
+ * streams (the run(..., Rng&) overload / CpmSpec::rng — what the
+ * merged service path does); sampling from the internal generator
+ * instead interleaves its stream in completion order. batchStats() is
+ * safe to read once concurrent runs have completed.
  */
 class IdealSimulator : public Executor
 {
@@ -252,11 +242,9 @@ class IdealSimulator : public Executor
 
     /**
      * Batched CPM execution: each bound spec folds the cached ideal
-     * PMF of its logical program, each unbound spec takes its
-     * marginal off one evolution of the shared gate prefix (per
-     * distinct prefix, cached across calls), and each is then one
-     * draw. Unbound specs land in the same per-circuit cache run()
-     * uses, so mixing the two paths stays coherent and deterministic.
+     * PMF of its logical program, each unbound spec is run() of its
+     * measurement-subset circuit (same cache entry), and each is then
+     * one draw.
      */
     std::vector<Histogram>
     runBatch(const circuit::QuantumCircuit &base_circuit,
@@ -271,15 +259,6 @@ class IdealSimulator : public Executor
 
     /** Exact output distribution over the circuit's classical bits. */
     Pmf idealPmf(const circuit::QuantumCircuit &physical_circuit);
-
-    /**
-     * Exact marginal PMFs of @p base_circuit over each subset of
-     * physical qubits (classical-bit order), all served from one
-     * evolution of the shared gate prefix.
-     */
-    std::vector<Pmf>
-    marginalPmfs(const circuit::QuantumCircuit &base_circuit,
-                 const std::vector<std::vector<int>> &subsets);
 
     /** PMF lookups served from the cache. */
     std::uint64_t cacheHits() const { return cacheHits_.load(); }
@@ -301,14 +280,21 @@ class IdealSimulator : public Executor
   private:
     struct Cached
     {
+        explicit Cached(Pmf exact) : pmf(std::move(exact)), sampler(pmf) {}
+
         Pmf pmf;
         MultinomialSampler sampler;
     };
 
-    const Cached &circuitEntry(const circuit::QuantumCircuit &physical);
+    /**
+     * The run() entry of @p base or, when @p subset is set, of its
+     * measurement-subset variant (where an unbound spec lands).
+     */
+    const Cached &circuitEntry(const circuit::QuantumCircuit &base,
+                               const std::vector<int> *subset = nullptr);
+    /** circuitEntry() of an unbound spec, else the bound fold's entry. */
     const Cached &specEntry(const circuit::QuantumCircuit &base_circuit,
-                            const CpmSpec &spec,
-                            const detail::BatchState *&bs);
+                            const CpmSpec &spec);
 
     std::unique_ptr<detail::IdealSource> source_;
     Rng rng_;
@@ -355,7 +341,8 @@ struct NoisySimulatorOptions
  * exact noisy output distribution P' = C * R * G * P over the k
  * classical bits (noisyOutcomeDistribution): P is the ideal PMF — for
  * a bound spec a fold of its logical program's ideal PMF (keyed as in
- * IdealSimulator), else the state-vector PMF of the circuit itself;
+ * IdealSimulator), else the state-vector PMF of the circuit itself
+ * (for an unbound spec, its measurement-subset circuit);
  * G flips each bit independently with gateNoiseBitFlip in the
  * 1 - gateSuccessProbability share of trials that suffer a gate error
  * (a localized depolarizing approximation of accumulated gate error);
@@ -383,13 +370,13 @@ class NoisySimulator : public Executor
                   const CpmSpec &spec) override;
 
     /**
-     * Batched CPM execution (channel mode): each spec's ideal PMF — a
-     * fold of its logical program's cached ideal PMF when bound, a
-     * marginal off one shared-prefix evolution when not — is folded
-     * with the gate noise and the per-subset readout channel of the
-     * base circuit into the spec's P' exactly as in run(); each spec
-     * is one multinomial draw over it. Trajectory mode falls back to
-     * the per-CPM default, simulating the physical circuits.
+     * Batched CPM execution (channel mode): a bound spec's ideal PMF,
+     * a fold of its logical program's cached ideal PMF, is folded with
+     * the gate noise and the per-subset readout channel of the base
+     * circuit into the spec's P' exactly as in run(); an unbound spec
+     * is run() of its measurement-subset circuit. Each spec is one
+     * multinomial draw over its P'. Trajectory mode falls back to the
+     * per-CPM default, simulating the physical circuits.
      */
     std::vector<Histogram>
     runBatch(const circuit::QuantumCircuit &base_circuit,
@@ -429,7 +416,7 @@ class NoisySimulator : public Executor
     /**
      * What a channel-mode draw needs, derived from the circuit alone:
      * the sampler over its noisy distribution P'. Cached per
-     * structural hash (run()) or spec key (bound and unbound specs).
+     * structural hash (run() and unbound specs) or bound-spec key.
      */
     struct Cached
     {
@@ -440,10 +427,12 @@ class NoisySimulator : public Executor
     Cached noisyEntry(const circuit::QuantumCircuit &circuit,
                       const Pmf &ideal) const;
 
-    const Cached &circuitEntry(const circuit::QuantumCircuit &physical);
+    /** As in IdealSimulator: run()'s entry, unbound specs included. */
+    const Cached &circuitEntry(const circuit::QuantumCircuit &base,
+                               const std::vector<int> *subset = nullptr);
+    /** circuitEntry() of an unbound spec, else the bound fold's entry. */
     const Cached &specEntry(const circuit::QuantumCircuit &base_circuit,
-                            const CpmSpec &spec,
-                            const detail::BatchState *&bs);
+                            const CpmSpec &spec);
 
     Histogram runTrajectoryMode(const circuit::QuantumCircuit &physical,
                                 std::uint64_t shots, Rng &rng);
@@ -460,8 +449,9 @@ class NoisySimulator : public Executor
 };
 
 /**
- * Verify that every measurement in @p qc is terminal and measured
- * classical bits are distinct; throws std::invalid_argument otherwise.
+ * Verify that every measurement in @p qc is terminal, each qubit is
+ * measured at most once and measured classical bits are distinct;
+ * throws std::invalid_argument otherwise.
  */
 void checkTerminalMeasurements(const circuit::QuantumCircuit &qc);
 

@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/multinomial.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -692,36 +694,69 @@ cpmSubsets(int n)
     return subsets;
 }
 
+/**
+ * Specs bound to @p logical, one per subset: the logical program
+ * measures qubit q into clbit q and runs unrouted, so each subset
+ * names both the spec's physical qubits and its logical clbits.
+ */
+std::vector<sim::CpmSpec>
+boundSpecs(const std::shared_ptr<const sim::LogicalProgram> &logical,
+           const std::vector<std::vector<int>> &subsets, std::uint64_t shots)
+{
+    std::vector<sim::CpmSpec> specs;
+    for (const std::vector<int> &s : subsets)
+        specs.push_back({s, shots, nullptr, logical, s});
+    return specs;
+}
+
 TEST(BatchedExecution, MarginalsMatchPerCpmAndReference)
 {
-    // Every CPM marginal served off the one shared evolution must
+    // Every CPM marginal folded off the one logical evolution must
     // match both the per-circuit cached executor PMF and the naive
     // reference evolution, within the golden-equivalence bounds.
+    QuantumCircuit random = randomU3CxCircuit(8, 4, 21);
+    random.measureAll();
     const std::vector<QuantumCircuit> workloads = {
         workloads::Ghz(8).circuit(),
         workloads::BernsteinVazirani(8).circuit(),
         workloads::QftAdjoint(7).circuit(),
-        randomU3CxCircuit(8, 4, 21),
+        random,
     };
+    const std::uint64_t shots = 256;
     for (const QuantumCircuit &qc : workloads) {
         const std::vector<std::vector<int>> subsets =
-            cpmSubsets(qc.nQubits());
+            cpmSubsets(qc.nClbits());
+        const auto logical = std::make_shared<const sim::LogicalProgram>(qc);
+        std::vector<sim::CpmSpec> specs = boundSpecs(logical, subsets, shots);
+        std::vector<Rng> streams;
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            streams.emplace_back(100 + i);
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            specs[i].rng = &streams[i];
 
         sim::IdealSimulator batched(5);
-        const std::vector<Pmf> marginals =
-            batched.marginalPmfs(qc, subsets);
-        ASSERT_EQ(marginals.size(), subsets.size());
+        const std::vector<Histogram> hists = batched.runBatch(qc, specs);
+        ASSERT_EQ(hists.size(), subsets.size());
         EXPECT_EQ(batched.batchStats().baseEvolutions, 1u);
         EXPECT_EQ(batched.batchStats().marginalsServed, subsets.size());
 
+        // The exact marginals: the same evolution of the program, folded.
+        const Pmf full = batched.idealPmf(qc);
         sim::IdealSimulator per_cpm(5);
         for (std::size_t i = 0; i < subsets.size(); ++i) {
+            const Pmf marginal = full.marginal(subsets[i]);
             const Pmf cached = per_cpm.idealPmf(
                 qc.withMeasurementSubset(subsets[i]));
-            expectIdenticalPmf(cached, marginals[i]);
+            expectIdenticalPmf(cached, marginal);
             const Pmf reference =
                 sim::referenceMeasurementPmf(qc, subsets[i]);
-            expectIdenticalPmf(reference, marginals[i]);
+            expectIdenticalPmf(reference, marginal);
+            // The batch drew from exactly this fold.
+            Rng replay(100 + i);
+            const Histogram expected =
+                MultinomialSampler(marginal).draw(shots, replay);
+            for (const auto &[outcome, count] : expected.counts())
+                EXPECT_EQ(count, hists[i].count(outcome));
         }
         // Per-CPM execution paid one evolution per subset; the batch
         // paid exactly one in total.
@@ -759,9 +794,9 @@ TEST(BatchedExecution, RunBatchPopulatesTheRunCache)
     EXPECT_EQ(ideal.cacheMisses(), subsets.size());
     EXPECT_EQ(ideal.cacheHits(), subsets.size());
 
-    // A second identical batch reuses every PMF and evolves nothing.
+    // A second identical batch reuses every PMF.
     ideal.runBatch(qc, specs);
-    EXPECT_EQ(ideal.batchStats().baseEvolutions, 1u);
+    EXPECT_EQ(ideal.cacheMisses(), subsets.size());
     EXPECT_EQ(ideal.cacheHits(), 2 * subsets.size());
 }
 
@@ -793,10 +828,13 @@ TEST(BatchedExecution, CountersAndSamplesAreDeterministic)
 TEST(BatchedExecution, NoisyBatchSharesEvolutionAndKeying)
 {
     const device::DeviceModel dev = device::toronto();
+    QuantumCircuit program(4, 4);
+    program.h(0).cx(0, 1).cx(1, 2).x(3).measureAll();
+    const auto logical = std::make_shared<const sim::LogicalProgram>(program);
     QuantumCircuit base(dev.nQubits(), 2);
     base.h(0).cx(0, 1).cx(1, 2).x(3);
-    const std::vector<sim::CpmSpec> specs = {
-        {{0, 1}, 400}, {{1, 2}, 400}, {{2, 3}, 400}, {{0, 3}, 400}};
+    const std::vector<sim::CpmSpec> specs =
+        boundSpecs(logical, {{0, 1}, {1, 2}, {2, 3}, {0, 3}}, 400);
 
     sim::NoisySimulator a(dev, {.seed = 77});
     const std::vector<Histogram> ha = a.runBatch(base, specs);
@@ -804,11 +842,12 @@ TEST(BatchedExecution, NoisyBatchSharesEvolutionAndKeying)
     EXPECT_EQ(a.batchStats().marginalsServed, specs.size());
     EXPECT_EQ(a.cacheMisses(), specs.size()); // one P' per spec
 
-    // Per-CPM run() of the same subsets: every PMF is already there.
+    // Single-spec run() of the same specs: every P' is already there.
     for (const sim::CpmSpec &spec : specs)
-        a.run(base.withMeasurementSubset(spec.qubits), 100);
+        a.run(base, spec);
     EXPECT_EQ(a.cacheMisses(), specs.size());
     EXPECT_EQ(a.cacheHits(), specs.size());
+    EXPECT_EQ(a.batchStats().baseEvolutions, 1u);
 
     // Same seed, same batch: identical histograms.
     sim::NoisySimulator b(dev, {.seed = 77});
@@ -822,23 +861,34 @@ TEST(BatchedExecution, NoisyBatchSharesEvolutionAndKeying)
 
 TEST(BatchedExecution, GateUntouchedQubitsReadZero)
 {
-    // A measured qubit no gate ever touches stays |0>: its marginal
-    // bit must be deterministically zero, matching per-CPM execution.
+    // A measured qubit no gate ever touches stays |0>: its folded bit
+    // must be deterministically zero, matching per-CPM execution.
     QuantumCircuit qc(4, 4);
     qc.h(0).cx(0, 1); // qubits 2 and 3 untouched
     qc.measureAll();
+    const auto logical = std::make_shared<const sim::LogicalProgram>(qc);
+    const std::vector<std::vector<int>> subsets = {{0, 2}, {3, 1}, {2, 3}};
     sim::IdealSimulator batched(2);
-    const std::vector<Pmf> ms =
-        batched.marginalPmfs(qc, {{0, 2}, {3, 1}, {2, 3}});
+    const std::vector<Histogram> hists =
+        batched.runBatch(qc, boundSpecs(logical, subsets, 500));
+    EXPECT_EQ(batched.batchStats().baseEvolutions, 1u);
+
+    const Pmf full = batched.idealPmf(qc);
     sim::IdealSimulator per_cpm(2);
-    expectIdenticalPmf(per_cpm.idealPmf(qc.withMeasurementSubset({0, 2})),
-                       ms[0]);
-    expectIdenticalPmf(per_cpm.idealPmf(qc.withMeasurementSubset({3, 1})),
-                       ms[1]);
-    for (const auto &[outcome, p] : ms[2].probabilities()) {
+    for (std::size_t i = 0; i < 2; ++i) {
+        const Pmf expected =
+            per_cpm.idealPmf(qc.withMeasurementSubset(subsets[i]));
+        expectIdenticalPmf(expected, full.marginal(subsets[i]));
+        // The batch drew in the spec's bit order.
+        for (const auto &[outcome, count] : hists[i].counts())
+            EXPECT_GT(expected.prob(outcome), 0.0) << outcome;
+    }
+    const Pmf untouched = full.marginal(subsets[2]);
+    for (const auto &[outcome, p] : untouched.probabilities()) {
         EXPECT_EQ(outcome, 0u);
         EXPECT_NEAR(p, 1.0, 1e-12);
     }
+    EXPECT_EQ(hists[2].count(0), 500u);
 }
 
 // --------------------------------------------------------- SIMD kernels

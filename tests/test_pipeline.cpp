@@ -222,7 +222,7 @@ TEST(LogicalBinding, LogicalFoldMatchesEveryRoutedMarginal)
          {device::toronto(), device::manhattan()}) {
         for (const auto &program : workloads::paperBenchmarks()) {
             // One simulator per (device, program): both schemes share
-            // the global prefix and many recompiled prefixes.
+            // the global circuit and many recompiled CPM circuits.
             const circuit::QuantumCircuit &logical = program->circuit();
             sim::IdealSimulator ideal;
             const Pmf full = ideal.idealPmf(logical);
@@ -238,19 +238,14 @@ TEST(LogicalBinding, LogicalFoldMatchesEveryRoutedMarginal)
                     full.nQubits()));
                 std::iota(all.begin(), all.end(), 0);
                 EXPECT_LE(maxOutcomeGap(full.marginal(all),
-                                        ideal.marginalPmfs(
-                                            global,
-                                            {global.measuredQubits()})[0]),
+                                        ideal.idealPmf(global)),
                           1e-10)
                     << program->name() << " global on " << dev.name();
                 for (const core::CpmJob &cpm : jobs.cpms) {
                     const circuit::QuantumCircuit &physical =
                         cpm.compiled.physical;
-                    EXPECT_LE(maxOutcomeGap(
-                                  full.marginal(cpm.subset),
-                                  ideal.marginalPmfs(
-                                      physical,
-                                      {physical.measuredQubits()})[0]),
+                    EXPECT_LE(maxOutcomeGap(full.marginal(cpm.subset),
+                                            ideal.idealPmf(physical)),
                               1e-10)
                         << program->name() << " CPM on " << dev.name();
                     ++(cpm.fromGlobal ? global_mapped : recompiled);

@@ -131,10 +131,12 @@ TEST(ConcurrentCaches, TranspileCacheSurvivesHammering)
 
 TEST(ConcurrentCaches, SharedExecutorSurvivesConcurrentRuns)
 {
-    // One executor hammered from many tasks: the PMF/state caches and
-    // counters must stay coherent (results are nondeterministic in
-    // the draw stream but every histogram must be well-formed).
+    // One executor hammered from many tasks: the PMF caches, the
+    // logical program's single evolution and the counters must stay
+    // coherent (results are nondeterministic in the draw stream but
+    // every histogram must be well-formed).
     const circuit::QuantumCircuit qc = workloads::Ghz(7).circuit();
+    const auto logical = std::make_shared<const sim::LogicalProgram>(qc);
     const std::vector<std::vector<int>> subsets = {
         {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {0, 6}};
     sim::IdealSimulator shared(33);
@@ -147,8 +149,9 @@ TEST(ConcurrentCaches, SharedExecutorSurvivesConcurrentRuns)
                 totals[i] = shared.run(qc, 500).totalCount();
             } else {
                 std::vector<sim::CpmSpec> specs;
+                // Unrouted GHZ measures qubit q into clbit q.
                 for (const std::vector<int> &s : subsets)
-                    specs.push_back({s, 200});
+                    specs.push_back({s, 200, nullptr, logical, s});
                 std::uint64_t total = 0;
                 for (const Histogram &h : shared.runBatch(qc, specs))
                     total += h.totalCount();
@@ -159,7 +162,8 @@ TEST(ConcurrentCaches, SharedExecutorSurvivesConcurrentRuns)
     group.wait();
     for (std::size_t i = 0; i < totals.size(); ++i)
         EXPECT_EQ(totals[i], i % 3 == 0 ? 500u : 200u * subsets.size());
-    // Exactly one evolution of the shared prefix ever ran.
+    // Exactly one evolution of the logical program ever ran, however
+    // many first lookups raced on it.
     EXPECT_EQ(shared.batchStats().baseEvolutions, 1u);
 }
 
@@ -472,10 +476,10 @@ TEST(CrossProgramBatching, CallerSuppliedExecutorStaysUnmerged)
 
 TEST(CrossProgramBatching, ExecutorCountsCrossProgramBatches)
 {
-    // runBatch with specs tagged by different programs, each on its
-    // own stream: the per-program histograms must match what each
-    // program's private executor would draw, and the cross-program
-    // counters must tick.
+    // runBatch with specs from two programs, each on its own stream:
+    // the per-program histograms must match what each program's
+    // private executor would draw. (StreamStats::crossProgramGroups
+    // counts such sharing on the service path.)
     const circuit::QuantumCircuit qc = workloads::Ghz(6).circuit();
     const std::vector<std::vector<int>> subsets = {
         {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}};
@@ -484,14 +488,12 @@ TEST(CrossProgramBatching, ExecutorCountsCrossProgramBatches)
     Rng stream_b(902);
     std::vector<sim::CpmSpec> specs;
     for (const std::vector<int> &s : subsets)
-        specs.push_back({s, 300, &stream_a, 0});
+        specs.push_back({s, 300, &stream_a});
     for (const std::vector<int> &s : subsets)
-        specs.push_back({s, 300, &stream_b, 1});
+        specs.push_back({s, 300, &stream_b});
 
     sim::IdealSimulator shared(1);
     const std::vector<Histogram> hists = shared.runBatch(qc, specs);
-    EXPECT_EQ(shared.batchStats().crossProgramBatches, 1u);
-    EXPECT_EQ(shared.batchStats().crossProgramMarginals, specs.size());
 
     // Private-executor reference for each program.
     for (int program = 0; program < 2; ++program) {

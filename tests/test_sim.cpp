@@ -271,6 +271,13 @@ TEST(TerminalMeasurements, RejectsDuplicateClbit)
     EXPECT_THROW(checkTerminalMeasurements(qc), std::invalid_argument);
 }
 
+TEST(TerminalMeasurements, RejectsQubitMeasuredTwice)
+{
+    QuantumCircuit qc(2, 2);
+    qc.h(0).measure(0, 0).measure(0, 1);
+    EXPECT_THROW(checkTerminalMeasurements(qc), std::invalid_argument);
+}
+
 TEST(TerminalMeasurements, RejectsNoMeasurement)
 {
     QuantumCircuit qc(2, 2);
@@ -585,6 +592,34 @@ TEST(NoisySimulator, SubsetRunMatchesRunBatchSpec)
         ASSERT_EQ(single.uniqueOutcomes(), batch.uniqueOutcomes());
         for (const auto &[outcome, count] : single.counts())
             EXPECT_EQ(count, batch.count(outcome));
+    }
+}
+
+TEST(Simulators, UnboundSpecsRejectMalformedSubsets)
+{
+    // An unbound spec runs as its measurement-subset circuit, so the
+    // circuit layer checks the subset: an empty one, a qubit outside
+    // the register (negative or too large) and a qubit measured twice
+    // are each rejected, in a batch and on their own, by both
+    // simulators.
+    const DeviceModel dev = pairedDevice();
+    const QuantumCircuit base = pairedCircuit();
+    IdealSimulator ideal(3);
+    NoisySimulator noisy(dev, {.seed = 3});
+    for (Executor *executor : {static_cast<Executor *>(&ideal),
+                               static_cast<Executor *>(&noisy)}) {
+        // The base itself is fine: a well-formed subset runs.
+        EXPECT_EQ(executor->runBatch(base, {CpmSpec{{0, 1}, 100}})
+                      .front()
+                      .totalCount(),
+                  100u);
+        for (const std::vector<int> &qubits :
+             std::vector<std::vector<int>>{{}, {-1, 0}, {0, 4}, {1, 1}}) {
+            const CpmSpec spec{qubits, 100};
+            EXPECT_THROW(executor->runBatch(base, {spec}),
+                         std::invalid_argument);
+            EXPECT_THROW(executor->run(base, spec), std::invalid_argument);
+        }
     }
 }
 
