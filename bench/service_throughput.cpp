@@ -2,9 +2,9 @@
  * @file
  * Service-mode throughput: the evaluation sweep's JigSaw runs (three
  * schemes per device x workload cell) pushed through the concurrent
- * JigsawService — cross-program batching merges the schemes sharing a
- * (circuit, device) pair — against the same programs run
- * sequentially. Verifies the outputs match bitwise and reports the
+ * JigsawService — the schemes sharing a (circuit, device) pair share
+ * the service's per-device executor caches — against the same
+ * programs run sequentially. Verifies the outputs match bitwise and reports the
  * service speedup, programs/second, and per-program latency
  * percentiles (see docs/performance.md).
  *
@@ -61,8 +61,6 @@ main(int argc, char **argv)
     std::cout << "latency p50:         " << run.latencyP50Ms << " ms\n";
     std::cout << "latency p95:         " << run.latencyP95Ms << " ms\n";
     std::cout << "merged programs:     " << run.mergedPrograms << "\n";
-    std::cout << "cross-program groups: " << run.crossProgramGroups
-              << "\n";
     if (compare) {
         std::cout << "outputs match:       "
                   << (run.outputsMatch ? "yes (bitwise)" : "NO") << "\n";

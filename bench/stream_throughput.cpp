@@ -3,10 +3,11 @@
  * Streaming-scheduler load generator: the 45-program duplicated-
  * circuit workload (5 circuits x 3 JigSaw schemes x 3 seeds) pushed
  * through the submit/poll scheduler twice — submit-and-run-
- * immediately (MergePolicy::Never, zero window: today's path, job by
- * job) vs windowed merging (MergePolicy::Auto, a small merge window)
- * — under an open-loop burst or a closed-loop pool of submitter
- * threads. Reports wall time, throughput, merge counters, and the
+ * immediately (windowMs 0: every job dispatches on readiness) vs a
+ * small merge window — under an open-loop burst or a closed-loop pool
+ * of submitter threads. Both runs execute every job on the shared
+ * per-device executor. Reports wall time, throughput, window
+ * counters, and the
  * per-priority-class latency split (queue-wait vs execute, p50/p95),
  * and verifies the two runs' outputs match bitwise (both are defined
  * to equal sequential runJigsaw).
@@ -23,7 +24,7 @@
  *   --rate R paces the open-loop burst at R jobs/second (0 = as fast
  *     as possible).
  *   --workers W adds a third run: the windowed configuration with
- *     windows dispatched to a W-worker execution tier over the
+ *     jobs dispatched to a W-worker execution tier over the
  *     in-process transport (core/worker.h). Reports the lease
  *     counters and the per-worker completion split, and holds the
  *     worker-tier outputs to the same bitwise gate as the local runs.
@@ -263,7 +264,6 @@ runOverloadScenario(const std::vector<ServiceProgram> &programs,
     // Phase A: capacity probe — an open-loop burst with no admission
     // bound. Its results double as the bitwise reference below.
     StreamOptions windowed;
-    windowed.mergePolicy = core::MergePolicy::Auto;
     windowed.windowMs = window_ms;
     compiler::clearTranspileCache();
     const LoadRun probe = runLoad(windowed, programs, 0, 0.0);
@@ -526,10 +526,8 @@ main(int argc, char **argv)
                              : ""))
               << "\n";
 
-    // Immediate dispatch: every job an independent session with a
-    // private executor — submit-and-run-immediately, today's path.
+    // Immediate dispatch: every job dispatches on readiness.
     StreamOptions immediate;
-    immediate.mergePolicy = core::MergePolicy::Never;
     immediate.windowMs = 0.0;
     const auto immediate_trace = trace.attach(immediate);
     compiler::clearTranspileCache();
@@ -541,10 +539,8 @@ main(int argc, char **argv)
               << " programs/s)\n";
     printClassTable(naive.stats);
 
-    // Windowed merging: compatible jobs share merge windows and
-    // per-device executors.
+    // Windowed: compatible jobs wait in merge windows first.
     StreamOptions windowed;
-    windowed.mergePolicy = core::MergePolicy::Auto;
     windowed.windowMs = window_ms;
     const auto windowed_trace = trace.attach(windowed);
     compiler::clearTranspileCache();
@@ -556,12 +552,9 @@ main(int argc, char **argv)
                      merged.wallMs
               << " programs/s, window " << window_ms << " ms)\n";
     printClassTable(merged.stats);
-    std::cout << "merge counters: " << merged.stats.mergedWindows
+    std::cout << "window counters: " << merged.stats.mergedWindows
               << " merged windows, " << merged.stats.mergedJobs
-              << " merged jobs, " << merged.stats.crossProgramGroups
-              << " cross-program groups, "
-              << merged.stats.pooledGlobalPrograms
-              << " pooled globals\n";
+              << " merged jobs\n";
     std::cout << "speedup:      " << naive.wallMs / merged.wallMs
               << "x (windowed over immediate)\n";
 
@@ -581,9 +574,9 @@ main(int argc, char **argv)
 
     if (workers > 0) {
         // Worker tier: the same windowed configuration, but every
-        // merged window travels the transport seam to a worker fleet
-        // that late-binds its own executors. Results are defined to
-        // stay bitwise-identical to local execution.
+        // job travels the transport seam to a worker fleet that binds
+        // its own executors. Results are defined to stay
+        // bitwise-identical to local execution.
         StreamOptions tiered = windowed;
         tiered.worker.workers = workers;
         const auto tiered_trace = trace.attach(tiered);

@@ -253,16 +253,13 @@ runEvaluationSuiteService(std::uint64_t trials, std::uint64_t seed,
     run.latencyP50Ms = stats.latencyPercentileMs(0.5);
     run.latencyP95Ms = stats.latencyPercentileMs(0.95);
     run.mergedPrograms = stats.mergedJobs;
-    run.crossProgramGroups = stats.crossProgramGroups;
     if (!quiet) {
         std::cerr << "  [suite] service mode: " << programs.size()
                   << " programs concurrent in " << run.serviceMs
                   << " ms (" << run.programsPerSecond()
                   << " programs/s, latency p50 " << run.latencyP50Ms
                   << " ms / p95 " << run.latencyP95Ms << " ms, "
-                  << run.mergedPrograms << " merged over "
-                  << run.crossProgramGroups
-                  << " cross-program groups)\n";
+                  << run.mergedPrograms << " in merge windows)\n";
     }
 
     if (compare_sequential) {

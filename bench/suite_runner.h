@@ -100,8 +100,7 @@ struct ServiceSuiteRun
     double sequentialMs = 0.0; ///< Same jobs serially (0 when skipped).
     double latencyP50Ms = 0.0; ///< Median per-program service latency.
     double latencyP95Ms = 0.0; ///< Tail per-program service latency.
-    std::size_t mergedPrograms = 0; ///< Programs in merged windows.
-    std::size_t crossProgramGroups = 0; ///< Merged groups spanning programs.
+    std::size_t mergedPrograms = 0; ///< Programs in merge windows.
     /** Every service PMF bitwise-matched its sequential run. */
     bool outputsMatch = true;
 

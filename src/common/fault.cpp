@@ -86,13 +86,12 @@ const std::vector<std::string> &
 FaultInjector::knownSites()
 {
     // One name per injectFaultPoint()/fireBehavioral() call site in
-    // the instrumented layers (pipeline stages, executors, the merged
-    // execution path, and the worker tier's transport/worker points).
+    // the instrumented layers (pipeline stages, executors, and the
+    // worker tier's transport/worker points).
     static const std::vector<std::string> sites = {
         "stage.plan",     "stage.compile",     "stage.reconstruct",
-        "executor.run",   "executor.runBatch", "merge.execute",
-        "transport.send", "transport.recv",    "worker.crash",
-        "worker.stall",
+        "executor.run",   "executor.runBatch", "transport.send",
+        "transport.recv", "worker.crash",      "worker.stall",
     };
     return sites;
 }

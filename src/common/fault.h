@@ -27,14 +27,16 @@
  * (FaultInjector::knownSites()); a typo'd site is rejected at parse
  * time instead of silently never firing.
  *
- * Example: "executor.run:first=2;merge.execute@2:first=1:terminal"
- * fails the first two executor runs transiently and the first merged
- * execution covering exactly 2 sources terminally.
+ * Example: "stage.compile:first=2;executor.run@4096:first=1:terminal"
+ * fails the first two compile stages transiently and the first
+ * 4096-shot executor run terminally.
  *
  * Two kinds of sites exist. Throwing sites (stage.*, executor.*,
- * merge.execute, transport.*) raise from injectFaultPoint when a rule
- * fires, and their rule detail is a MATCHER against the point's
- * runtime detail. Behavioral sites (worker.crash, worker.stall) are
+ * transport.*) raise from injectFaultPoint when a rule fires, and
+ * their rule detail is a MATCHER against the point's runtime detail
+ * (executor.run's detail is the run's shot count, which tells one
+ * job's global run from another's; the other throwing sites carry
+ * none). Behavioral sites (worker.crash, worker.stall) are
  * polled with fireBehavioral() instead: the worker tier asks "did
  * this fault fire?" and acts out the failure itself (die silently,
  * sleep), and the rule's detail is a PARAMETER handed back to the
@@ -152,6 +154,16 @@ injectFaultPoint(const char *site, const std::string &detail = {})
     FaultInjector &injector = FaultInjector::instance();
     if (injector.armed())
         injector.maybeInject(site, detail);
+}
+
+/** injectFaultPoint() with a numeric detail, formatted only when the
+ *  injector is armed. */
+inline void
+injectFaultPoint(const char *site, std::uint64_t detail)
+{
+    FaultInjector &injector = FaultInjector::instance();
+    if (injector.armed())
+        injector.maybeInject(site, std::to_string(detail));
 }
 
 } // namespace jigsaw

@@ -2,8 +2,8 @@
  * @file
  * FNV-1a mixing primitives shared by every content hash in the
  * library (circuit structural hashes, device fingerprints). One
- * definition keeps the hash streams these caches and the
- * cross-program merge pass key on from drifting apart.
+ * definition keeps the hash streams these caches and the scheduler's
+ * shared executors key on from drifting apart.
  */
 #ifndef JIGSAW_COMMON_FNV_H
 #define JIGSAW_COMMON_FNV_H

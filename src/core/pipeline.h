@@ -16,7 +16,7 @@
  * core::JigsawSession drives the stages for one program (resumable,
  * artifacts inspectable for benches and ablations); runJigsaw() is a
  * thin wrapper over a session; core::JigsawService schedules many
- * sessions concurrently. Keeping the stages free functions means each
+ * sessions concurrently, each executing its own schedule. Keeping the stages free functions means each
  * is independently swappable — a different subset planner or a
  * sharded reconstruction backend plugs in without touching the rest.
  */
@@ -121,13 +121,8 @@ struct ExecutionSchedule
         bool usesGlobal = false;
         /** When !usesGlobal: CPM index whose compilation is the base. */
         std::size_t baseCpm = 0;
-        /**
-         * Structural hash of the shared gate prefix (the base
-         * circuit without its measurements) — the provenance tag the
-         * cross-program merge pass keys on: two groups from different
-         * programs with equal prefix hashes (on equal devices) batch
-         * against one shared evolution.
-         */
+        /** Structural hash of the shared gate prefix (the base
+         *  circuit without its measurements): the grouping key. */
         std::uint64_t prefixHash = 0;
         std::vector<sim::CpmSpec> specs; ///< Parallel to members.
         std::vector<std::size_t> members; ///< CPM indices, plan order.
@@ -155,129 +150,20 @@ struct ExecutionResult
  * the CPM specs. Dispatch order (global first, groups in first-member
  * order) is fixed so a seeded executor's draw stream — and therefore
  * the whole run — is deterministic.
+ *
+ * With @p rng set, every spec samples from that stream (CpmSpec::rng)
+ * instead of the executor's internal generator. A job on an executor
+ * shared with other jobs passes its private Rng(seed) here: every
+ * cached entry is a deterministic function of (logical program,
+ * clbits, circuit, device), so its draws — and its result — are
+ * bitwise those of a private executor seeded the same way. The caller
+ * must hold @p rng exclusively for the call.
  */
 ExecutionResult executeSchedule(sim::Executor &executor,
                                 const CompiledJobs &jobs,
                                 const ExecutionSchedule &schedule,
-                                const SubsetPlan &plan);
-
-/**
- * One program's artifacts offered to the cross-program merge pass.
- * The executor is shared by every source with the same deviceKey and
- * must support external sampling; the rng is this program's private
- * draw stream, seeded exactly like the private executor a sequential
- * run would use, so merged results stay bitwise-identical to
- * sequential runJigsaw.
- *
- * Distribution boundary: executor and rng are the only fields bound
- * to the local process — everything else is (a pointer to) immutable
- * compiled data. The worker tier (core/transport.h) exploits this by
- * shipping sources UNBOUND (both null) and having the serving worker
- * late-bind its own executor plus a fresh Rng(executorSeed); a wire
- * transport would serialize the artifacts and do the same on the far
- * side.
- */
-struct MergeSource
-{
-    std::size_t program = 0; ///< Caller-assigned provenance tag.
-    const CompiledJobs *jobs = nullptr;
-    const ExecutionSchedule *schedule = nullptr;
-    const SubsetPlan *plan = nullptr;
-    std::uint64_t deviceKey = 0; ///< device::DeviceModel::fingerprint().
-    sim::Executor *executor = nullptr; ///< Shared per deviceKey.
-    Rng *rng = nullptr;                ///< Per-program stream.
-    /**
-     * False marks a retired slot: a source that joined an incremental
-     * merge and was then withdrawn (a cancelled streaming job). Its
-     * members must already be gone from the MergedSchedule (see
-     * removeSourceFrom); executeMergedSchedules skips it entirely,
-     * keeping the indices of the surviving sources stable.
-     */
-    bool enabled = true;
-};
-
-/**
- * Schedule groups from all in-flight sources merged by
- * (deviceKey, shared CPM gate prefix): each merged group is executed
- * as one multi-program Executor::runBatch against the shared
- * executor, whose caches serve every program sharing a logical
- * program (and every identical CPM) from one evolution and one P'.
- * Within one source, prefix hashes are unique (that is what
- * buildSchedule groups by), so a merged group holds at most one group
- * per source.
- */
-struct MergedSchedule
-{
-    /** One source group inside a merged group. */
-    struct Member
-    {
-        std::size_t source = 0; ///< Index into the sources vector.
-        std::size_t group = 0;  ///< Index into that source's schedule.
-    };
-    struct Group
-    {
-        std::uint64_t deviceKey = 0;
-        std::uint64_t prefixHash = 0;
-        std::vector<Member> members; ///< In source-index order.
-    };
-    std::vector<Group> groups;
-
-    /** Merged groups with members from more than one source. */
-    std::size_t crossProgramGroups() const;
-};
-
-/**
- * Add source @p s (an index into @p sources) to @p merged, keyed by
- * (deviceKey, prefix hash). The streaming scheduler maintains one
- * MergedSchedule per open merge window with this, folding each job in
- * as it joins instead of re-merging the whole pending set per arrival.
- */
-void mergeSourceInto(MergedSchedule &merged,
-                     const std::vector<MergeSource> &sources,
-                     std::size_t s);
-
-/**
- * Withdraw source @p s from @p merged: drop every member referencing
- * it and any group left empty (a streaming job cancelled while its
- * merge window was still open). Returns the number of members
- * removed. The caller should also clear MergeSource::enabled on the
- * slot so a later executeMergedSchedules skips its global pass.
- */
-std::size_t removeSourceFrom(MergedSchedule &merged, std::size_t s);
-
-/** Counters reported by executeMergedSchedules. */
-struct MergedExecutionStats
-{
-    /** Multi-program global runBatch calls issued (pooled globals). */
-    std::size_t pooledGlobalBatches = 0;
-    /** Sources whose global sampling rode a pooled batch. */
-    std::size_t pooledGlobalPrograms = 0;
-};
-
-/**
- * Execute every enabled source's schedule through @p merged and split
- * the results back per source (parallel to @p sources; disabled slots
- * keep a default-constructed result).
- *
- * Two phases: a warm-up pass prepares each merged group's specs (and
- * each distinct global spec) concurrently over the thread pool —
- * deterministic work, no randomness — then globals and merged groups
- * are sampled in an order that preserves every source's sequential
- * dispatch order (global first, groups in schedule order), each spec
- * drawing from its own source's rng. Sources sharing a (device,
- * global circuit) pair have their global sampling pooled into one
- * multi-program runBatch of their bound global specs, which key
- * exactly as executeSchedule's run() of the same spec; a source
- * alone samples through run(). Because each source's draws come from
- * its private stream in its sequential order, and every cached entry
- * is a deterministic function of (logical program, clbits, circuit,
- * device), the per-source results are bitwise-identical to running
- * executeSchedule against a private executor seeded the same way.
- */
-std::vector<ExecutionResult>
-executeMergedSchedules(const std::vector<MergeSource> &sources,
-                       const MergedSchedule &merged,
-                       MergedExecutionStats *stats = nullptr);
+                                const SubsetPlan &plan,
+                                Rng *rng = nullptr);
 
 /** Stage 4 input: the prior and the evidence, nothing else. */
 struct ReconstructionInput

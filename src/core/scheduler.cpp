@@ -61,15 +61,13 @@ isSet(std::chrono::steady_clock::time_point point)
  * Key under which compatible jobs share a merge window. Keyed on the
  * parameter-invariant skeletonHash so parametric iterations of one
  * program — same gates, fresh angles — window together: their compiled
- * prefixes differ only in diagonal-rotation angles, which the merged
+ * prefixes differ only in diagonal-rotation angles, which the shared
  * executor deduplicates via its skeleton split-prefix cache.
  */
 std::uint64_t
-windowKeyFor(MergePolicy policy, std::uint64_t device_key,
+windowKeyFor(std::uint64_t device_key,
              const circuit::QuantumCircuit &circuit)
 {
-    if (policy == MergePolicy::Always)
-        return device_key; // mergeSourceInto separates prefixes inside
     return device_key ^
            (circuit.skeletonHash() * 0x9e3779b97f4a7c15ULL);
 }
@@ -123,7 +121,7 @@ StreamingScheduler::StreamingScheduler(StreamOptions options)
     }
     // Worker tier: a caller-supplied transport wins (the test seam);
     // otherwise worker.workers > 0 builds the in-process fleet. Null
-    // means every window runs on the local pool, as before.
+    // means every job runs on the local pool.
     if (options_.transport != nullptr)
         transport_ = options_.transport;
     else if (options_.worker.workers > 0)
@@ -154,16 +152,14 @@ StreamingScheduler::~StreamingScheduler()
         // dispatcher exits only once all submitted work is terminal
         // (pending retries run without backoff under stopping_).
         const auto now = Clock::now();
-        for (auto &[id, window] : windows_) {
-            if (!window->closed)
-                window->deadline = now;
-        }
+        for (auto &[id, window] : windows_)
+            window->deadline = now;
     }
     dispatcherCv_.notify_all();
     dispatcher_.join();
     group_.wait(); // completion callbacks all ran; nothing in flight
     if (transport_ != nullptr) {
-        // A stale worker (revoked lease, window finished elsewhere)
+        // A stale worker (revoked lease, job finished elsewhere)
         // may still be executing: clear the doorbell so it cannot
         // fire into a dying scheduler, then drop the transport — the
         // in-process fleet's destructor joins its worker threads,
@@ -216,22 +212,18 @@ StreamingScheduler::registerMetrics()
          "Submits rejected by bounded admission.", &StreamStats::shed);
     bind("jigsaw_stream_retries_total",
          "Transient-failure pipeline restarts.", &StreamStats::retries);
-    bind("jigsaw_stream_quarantined_jobs_total",
-         "Jobs re-queued solo after a poisoned merged window.",
-         &StreamStats::quarantinedJobs);
-    const char *windows_help = "Dispatched execution units by kind.";
+    const char *windows_help =
+        "Merge windows closed with >= 2 jobs (merged) and jobs "
+        "dispatched without a window partner (lone).";
     bind("jigsaw_stream_windows_total", windows_help,
          &StreamStats::mergedWindows, {{"kind", "merged"}});
     bind("jigsaw_stream_windows_total", windows_help,
          &StreamStats::loneDispatches, {{"kind", "lone"}});
     bind("jigsaw_stream_merged_jobs_total",
-         "Jobs that rode a merged window.", &StreamStats::mergedJobs);
-    const char *resize_help =
-        "Merge windows opened at an adapted width, by direction.";
-    bind("jigsaw_window_resizes_total", resize_help,
+         "Jobs in merge windows of >= 2 jobs.", &StreamStats::mergedJobs);
+    bind("jigsaw_window_resizes_total",
+         "Merge windows opened at an adapted width, by direction.",
          &StreamStats::windowShrinks, {{"direction", "shrink"}});
-    bind("jigsaw_window_resizes_total", resize_help,
-         &StreamStats::windowGrows, {{"direction", "grow"}});
     const char *lease_help = "Worker-tier lease lifecycle events.";
     bind("jigsaw_stream_lease_events_total", lease_help,
          &StreamStats::leasesGranted, {{"event", "granted"}});
@@ -280,17 +272,12 @@ StreamingScheduler::registerMetrics()
     backlogGauge_ =
         &reg.gauge("jigsaw_stream_backlog_jobs",
                    "Undispatched live jobs (admission backlog).");
-    inFlightGauge_ =
-        &reg.gauge("jigsaw_stream_inflight",
-                   "Dispatched windows/solo jobs still running.");
+    inFlightGauge_ = &reg.gauge("jigsaw_stream_inflight",
+                                "Dispatched jobs still running.");
     windowWidthGauge_ =
         &reg.gauge("jigsaw_window_width_ms",
                    "Effective merge-window width after overload "
-                   "shrink and burst growth.");
-    burstScoreGauge_ = &reg.gauge(
-        "jigsaw_burst_score",
-        "Drain EWMA over arrival EWMA; > 1 means jobs arrive faster "
-        "than they drain.");
+                   "shrink.");
     windowWidthGauge_->set(std::max(options_.windowMs, 0.0));
 }
 
@@ -355,29 +342,17 @@ StreamingScheduler::submit(ServiceProgram program, Priority priority)
     const std::uint64_t id = nextJobId_++;
     auto job = std::make_unique<Job>(id, priority, std::move(program));
     job->submitAt = Clock::now();
-    // Inter-arrival EWMA: the burst detector's numerator-side signal
-    // (effectiveWindowMsLocked compares it against the drain EWMA).
-    if (isSet(lastSubmitAt_)) {
-        const double gap = msBetweenImpl(lastSubmitAt_, job->submitAt);
-        arrivalEwmaMs_ = arrivalEwmaMs_ > 0.0
-                             ? 0.8 * arrivalEwmaMs_ + 0.2 * gap
-                             : gap;
-    }
-    lastSubmitAt_ = job->submitAt;
-    job->mergeEligible = options_.mergePolicy != MergePolicy::Never &&
-                         job->program.executor == nullptr;
-    if (job->mergeEligible) {
+    job->shared = job->program.executor == nullptr;
+    if (job->shared) {
         job->deviceKey = job->program.device.fingerprint();
-        job->windowKey = windowKeyFor(options_.mergePolicy,
-                                      job->deviceKey,
-                                      job->program.circuit);
+        job->windowKey = windowKeyFor(job->deviceKey, job->program.circuit);
     }
     if (job->program.deadlineMs > 0.0) {
         job->deadlineAt =
             job->submitAt + msDuration(job->program.deadlineMs);
         deadlined_.push_back(id);
     }
-    if (tenantDeficit_.emplace(job->program.tenant, 0.0).second)
+    if (tenants_.insert(job->program.tenant).second)
         tenantRotation_.push_back(job->program.tenant);
     jobs_.emplace(id, std::move(job));
     admission_.push_back(id);
@@ -540,41 +515,20 @@ StreamingScheduler::withdrawLocked(Job &job, JobState terminal_state,
         return true;
       }
       case JobState::Windowed: {
-        if (job.windowSlot == kNoSlot) {
-            // A prepared solo job awaiting its dispatch slot (it
-            // never joins a window): pull it off the dispatch queue.
-            std::erase_if(readyQueue_, [&](const ReadyEntry &entry) {
-                return !entry.isWindow && entry.id == job.id;
-            });
-            finishJob(job, terminal_state, error);
-            releaseJobState(job);
-            return true;
-        }
-        // Unwind the job from its (open or closed-but-undispatched)
-        // window: members out of the incremental merged schedule,
-        // slot disabled so the executor pass skips it.
+        // In its still-open window (partners untouched), or awaiting
+        // a dispatch slot.
         const auto wit = windows_.find(job.windowId);
-        panicIf(wit == windows_.end(),
-                "withdraw: windowed job without window");
-        Window &window = *wit->second;
-        panicIf(window.dispatched,
-                "withdraw: windowed job in dispatched window");
-        removeSourceFrom(window.merged, job.windowSlot);
-        window.sources[job.windowSlot].enabled = false;
-        window.slotJob[job.windowSlot] = 0;
-        std::erase(window.jobIds, job.id);
-        finishJob(job, terminal_state, error);
-        // The disabled slot's MergeSource now dangles into this
-        // job's released session/stream, but executeMergedSchedules
-        // never dereferences a disabled source (and removeSourceFrom
-        // left it no members), so the release is safe.
-        releaseJobState(job);
-        if (window.jobIds.empty()) {
+        if (wit != windows_.end()) {
+            std::erase(wit->second->jobIds, job.id);
+            if (wit->second->jobIds.empty())
+                windows_.erase(wit);
+        } else {
             std::erase_if(readyQueue_, [&](const ReadyEntry &entry) {
-                return entry.isWindow && entry.id == window.id;
+                return entry.id == job.id;
             });
-            windows_.erase(wit);
         }
+        finishJob(job, terminal_state, error);
+        releaseJobState(job);
         return true;
       }
       default:
@@ -652,7 +606,7 @@ StreamingScheduler::awaitTerminal(const std::vector<JobHandle> *handles)
         const bool settled = admission_.empty() && preparing_ == 0 &&
                              scheduleReady_.empty();
         for (auto &[id, window] : windows_) {
-            if (settled && !window->closed && window->deadline > now) {
+            if (settled && window->deadline > now) {
                 window->deadline = now;
                 closed_any = true;
             }
@@ -698,53 +652,28 @@ StreamingScheduler::inFlightCap() const
 double
 StreamingScheduler::effectiveWindowMsLocked()
 {
-    // Two opposing adaptive signals compose here, per window opened:
-    //
-    //  - Overload degradation: when the backlog fills the admission
-    //    budget, trading latency for merging stops making sense —
-    //    shrink the window linearly from full (<= half capacity) to
-    //    immediate dispatch (>= capacity). Restores by itself as the
-    //    queue drains. Without an admission bound there is no
-    //    overload signal — a deep backlog is then just a batch burst,
-    //    where merging is the whole point — so no shrink applies.
-    //  - Burst growth: while jobs arrive faster than they drain
-    //    (burst score = drain EWMA / arrival EWMA > 1), wider windows
-    //    merge best, so the window grows by the score up to
-    //    StreamOptions::burstGrowMax. The default cap of 1 only
-    //    counteracts the shrink — the window never exceeds its
-    //    configured width unless the caller opts in.
+    // Overload degradation: when the backlog fills the admission
+    // budget, holding jobs in windows stops making sense — shrink the
+    // window linearly from full (<= half capacity) to immediate
+    // dispatch (>= capacity). Restores by itself as the queue drains.
+    // Without an admission bound there is no overload signal, so no
+    // shrink applies.
     const double window_ms = std::max(options_.windowMs, 0.0);
-    double burst_score = 0.0;
-    if (arrivalEwmaMs_ > 0.0 && drainEwmaMs_ > 0.0)
-        burst_score = drainEwmaMs_ / arrivalEwmaMs_;
-    burstScoreGauge_->set(burst_score);
-    if (window_ms == 0.0) {
-        windowWidthGauge_->set(0.0);
-        return 0.0;
-    }
     double shrink = 1.0;
     const std::size_t capacity = options_.maxQueuedJobs;
-    if (capacity > 0) {
+    if (window_ms > 0.0 && capacity > 0) {
         const double utilization = static_cast<double>(backlog_) /
                                    static_cast<double>(capacity);
         if (utilization > 0.5)
             shrink = std::clamp(2.0 * (1.0 - utilization), 0.0, 1.0);
     }
-    const double grow_cap = std::max(options_.burstGrowMax, 1.0);
-    const double grow = std::clamp(burst_score, 1.0, grow_cap);
-    const double effective =
-        window_ms * std::min(shrink * grow, grow_cap);
-    if (effective < window_ms)
-        ++stats_.windowShrinks;
-    else if (effective > window_ms)
-        ++stats_.windowGrows;
+    const double effective = window_ms * shrink;
     windowWidthGauge_->set(effective);
-    if (effective != window_ms) {
+    if (effective < window_ms) {
+        ++stats_.windowShrinks;
         JIGSAW_LOG_DEBUG(schedulerLog(), "window width adapted",
                          log::kv("width_ms", effective),
-                         log::kv("configured_ms", window_ms),
-                         log::kv("burst_score", burst_score),
-                         log::kv("shrink", shrink));
+                         log::kv("configured_ms", window_ms));
     }
     return effective;
 }
@@ -753,12 +682,12 @@ void
 StreamingScheduler::startPrepare(Job &job)
 {
     job.state = JobState::Preparing;
-    if (job.mergeEligible) {
+    if (job.shared) {
         std::shared_ptr<sim::Executor> &shared =
             sharedExecutors_[job.deviceKey];
         if (!shared) {
             // The shared executor's own seed never matters: every
-            // merged draw comes from the job's private stream.
+            // draw comes from the jobs' private streams.
             shared = std::make_shared<sim::NoisySimulator>(
                 job.program.device,
                 sim::NoisySimulatorOptions{
@@ -766,16 +695,12 @@ StreamingScheduler::startPrepare(Job &job)
         }
         job.executor = shared;
         job.stream = std::make_unique<Rng>(job.program.executorSeed);
-    } else if (job.program.executor) {
-        job.executor = job.program.executor;
     } else {
-        job.executor = std::make_shared<sim::NoisySimulator>(
-            job.program.device,
-            sim::NoisySimulatorOptions{.seed = job.program.executorSeed});
+        job.executor = job.program.executor;
     }
     job.session = std::make_shared<JigsawSession>(
         job.program.circuit, job.program.device, *job.executor,
-        job.program.trials, job.program.options);
+        job.program.trials, job.program.options, job.stream.get());
     ++preparing_;
     JigsawSession *session = job.session.get();
     const std::uint64_t id = job.id;
@@ -818,18 +743,9 @@ StreamingScheduler::onPrepared(std::uint64_t job_id,
             // go too.
             releaseJobState(*it->second);
         } else if (error) {
-            handleJobFailure(*it->second, error, Clock::now(), false);
-        } else if (it->second->mergeEligible) {
-            scheduleReady_.push_back(job_id);
+            handleJobFailure(*it->second, error, Clock::now());
         } else {
-            Job &job = *it->second;
-            job.state = JobState::Windowed; // dispatchable, no window
-            ReadyEntry entry;
-            entry.id = job_id;
-            entry.cls = job.priority;
-            entry.readySince = Clock::now();
-            entry.tenant = job.program.tenant;
-            readyQueue_.push_back(std::move(entry));
+            scheduleReady_.push_back(job_id);
         }
     }
     dispatcherCv_.notify_all();
@@ -837,82 +753,85 @@ StreamingScheduler::onPrepared(std::uint64_t job_id,
 }
 
 void
-StreamingScheduler::joinWindow(Job &job, Clock::time_point now)
+StreamingScheduler::scheduleLocked(Job &job, Clock::time_point now)
 {
+    job.state = JobState::Windowed;
     Window *window = nullptr;
-    if (!job.quarantined) {
+    if (job.shared) {
         for (auto &[id, candidate] : windows_) {
-            if (!candidate->closed && !candidate->exclusive &&
-                candidate->key == job.windowKey &&
+            if (candidate->key == job.windowKey &&
                 candidate->jobIds.size() < options_.windowMaxJobs) {
                 window = candidate.get();
                 break;
             }
         }
     }
+    // High-priority jobs never trade latency for a window: they close
+    // the one they join (with whatever has joined so far) or skip it.
+    const bool hurry = job.priority == Priority::High || stopping_;
     if (window == nullptr) {
+        const double width =
+            job.shared && !hurry ? effectiveWindowMsLocked() : 0.0;
+        if (width <= 0.0) {
+            ++stats_.loneDispatches;
+            readyLocked(job, now);
+            return;
+        }
         auto fresh = std::make_unique<Window>();
         fresh->id = nextWindowId_++;
         fresh->key = job.windowKey;
-        // A quarantined job must still ride the merged machinery (its
-        // draws come from its private stream), but alone: an
-        // exclusive window admits no partners for it to poison.
-        fresh->exclusive = job.quarantined;
         fresh->openedAt = now;
-        fresh->deadline = now + msDuration(effectiveWindowMsLocked());
+        fresh->deadline = now + msDuration(width);
         window = fresh.get();
         windows_.emplace(fresh->id, std::move(fresh));
         JIGSAW_LOG_TRACE(schedulerLog(), "window opened",
                          log::kv("window", window->id),
-                         log::kv("key", window->key),
-                         log::kv("exclusive", window->exclusive));
+                         log::kv("key", window->key));
     }
-    const std::size_t slot = window->sources.size();
-    window->sources.push_back({slot, &job.session->compiled(),
-                               &job.session->schedule(),
-                               &job.session->plan(), job.deviceKey,
-                               job.executor.get(), job.stream.get(),
-                               true});
-    mergeSourceInto(window->merged, window->sources, slot);
-    window->slotJob.push_back(job.id);
     window->jobIds.push_back(job.id);
-    window->bestClass = std::min(window->bestClass, job.priority);
-    job.state = JobState::Windowed;
     job.windowId = window->id;
-    job.windowSlot = slot;
     job.windowStartAt = now;
     JIGSAW_LOG_TRACE(schedulerLog(), "job joined window",
                      log::kv("job", job.id),
-                     log::kv("window", window->id),
-                     log::kv("slot", slot));
-    // High-priority jobs never trade latency for merging: their
-    // window closes on the spot (with whatever has joined so far).
-    // Quarantined retries close theirs too — they have waited enough.
-    if (job.priority == Priority::High || job.quarantined || stopping_)
+                     log::kv("window", window->id));
+    if (hurry)
         window->deadline = now;
     if (window->jobIds.size() >= options_.windowMaxJobs ||
-        window->exclusive || window->deadline <= now)
-        closeWindow(*window, now);
+        window->deadline <= now)
+        closeWindow(window->id, now);
 }
 
 void
-StreamingScheduler::closeWindow(Window &window, Clock::time_point now)
+StreamingScheduler::closeWindow(std::uint64_t window_id,
+                                Clock::time_point now)
 {
-    if (window.closed)
-        return;
-    window.closed = true;
+    const auto it = windows_.find(window_id);
+    const std::vector<std::uint64_t> members =
+        std::move(it->second->jobIds);
     JIGSAW_LOG_DEBUG(schedulerLog(), "window closed",
-                     log::kv("window", window.id),
-                     log::kv("jobs", window.jobIds.size()),
+                     log::kv("window", window_id),
+                     log::kv("jobs", members.size()),
                      log::kv("waited_ms",
-                             msBetweenImpl(window.openedAt, now)));
+                             msBetweenImpl(it->second->openedAt, now)));
+    windows_.erase(it);
+    if (members.size() >= 2) {
+        ++stats_.mergedWindows;
+        stats_.mergedJobs += members.size();
+    } else {
+        ++stats_.loneDispatches;
+    }
+    for (const std::uint64_t id : members)
+        readyLocked(*jobs_.at(id), now);
+}
+
+void
+StreamingScheduler::readyLocked(Job &job, Clock::time_point now)
+{
     ReadyEntry entry;
-    entry.isWindow = true;
-    entry.id = window.id;
-    entry.cls = window.bestClass;
+    entry.id = job.id;
+    entry.cls = job.priority;
     entry.readySince = now;
-    entry.cost = std::max<std::size_t>(window.jobIds.size(), 1);
-    entry.tenant = jobs_.at(window.jobIds.front())->program.tenant;
+    entry.tenant = job.program.tenant;
     readyQueue_.push_back(std::move(entry));
 }
 
@@ -930,14 +849,9 @@ StreamingScheduler::dispatchNext(Clock::time_point now)
                            msBetweenImpl(entry.readySince, now),
                            options_.agingMs));
     }
-    // ...then, inside that class, each tenant's earliest-ready entry
-    // is its candidate and deficit round-robin picks among tenants:
-    // every visited tenant earns one quantum, a candidate dispatches
-    // once its tenant's deficit covers the entry's cost (its window's
-    // job count), so a hot tenant pays for big windows while idle
-    // tenants' deficits reset. One scan of the rotation per quantum;
-    // a candidate always exists in-class, so the sweep terminates
-    // within rotation * (windowMaxJobs + 1) visits.
+    // ...then, inside that class, each tenant's earliest-ready job is
+    // its candidate and the round-robin cursor picks among tenants,
+    // so a hot tenant cannot starve the rest.
     std::unordered_map<std::string, std::size_t> candidate;
     for (std::size_t i = 0; i < readyQueue_.size(); ++i) {
         const ReadyEntry &entry = readyQueue_[i];
@@ -950,350 +864,141 @@ StreamingScheduler::dispatchNext(Clock::time_point now)
             entry.readySince < readyQueue_[it->second].readySince)
             candidate[entry.tenant] = i;
     }
-    const std::size_t rotation = tenantRotation_.size();
-    panicIf(rotation == 0 || candidate.empty(),
-            "dispatch: ready entry without tenant");
-    const std::size_t max_steps =
-        rotation * (options_.windowMaxJobs + 2);
-    for (std::size_t step = 0; step < max_steps; ++step) {
-        const std::string &tenant =
-            tenantRotation_[rrCursor_++ % rotation];
-        const auto cit = candidate.find(tenant);
-        if (cit == candidate.end()) {
-            tenantDeficit_[tenant] = 0.0; // idle tenants bank nothing
-            continue;
-        }
-        double &deficit = tenantDeficit_[tenant];
-        const ReadyEntry &entry = readyQueue_[cit->second];
-        deficit += 1.0;
-        if (deficit + 1e-9 < static_cast<double>(entry.cost))
-            continue;
-        deficit -= static_cast<double>(entry.cost);
-        const ReadyEntry taken = entry;
-        readyQueue_.erase(readyQueue_.begin() +
-                          static_cast<std::ptrdiff_t>(cit->second));
-        // Last-chance SLO check: a job aged out while its unit
-        // queued for a slot (or gathered window partners) expires
-        // here instead of executing past its deadline.
-        if (taken.isWindow) {
-            const auto it = windows_.find(taken.id);
-            panicIf(it == windows_.end(), "dispatch: window vanished");
-            const std::vector<std::uint64_t> members =
-                it->second->jobIds;
-            for (const std::uint64_t member : members) {
-                Job &job = *jobs_.at(member);
-                if (isSet(job.deadlineAt) && job.deadlineAt <= now)
-                    withdrawLocked(job, JobState::Expired,
-                                   deadlineError());
-            }
-            // Withdrawing the last member erased the window; the
-            // freed slot still counts as progress.
-            const auto again = windows_.find(taken.id);
-            if (again == windows_.end())
-                return true;
-            dispatchWindow(*again->second, now);
-        } else {
-            Job &job = *jobs_.at(taken.id);
-            if (isSet(job.deadlineAt) && job.deadlineAt <= now) {
-                withdrawLocked(job, JobState::Expired, deadlineError());
-                return true;
-            }
-            dispatchSolo(job, now);
-        }
-        return true;
+    std::size_t pick = readyQueue_.size();
+    for (std::size_t step = 0;
+         step < tenantRotation_.size() && pick == readyQueue_.size();
+         ++step) {
+        const auto it = candidate.find(
+            tenantRotation_[rrCursor_++ % tenantRotation_.size()]);
+        if (it != candidate.end())
+            pick = it->second;
     }
-    panicIf(true, "dispatch: deficit round-robin failed to pick");
-    return false;
+    panicIf(pick == readyQueue_.size(),
+            "dispatch: ready job without tenant");
+    Job &job = *jobs_.at(readyQueue_[pick].id);
+    readyQueue_.erase(readyQueue_.begin() +
+                      static_cast<std::ptrdiff_t>(pick));
+    // Last-chance SLO check: a job aged out while it queued for a
+    // slot expires here instead of executing past its deadline.
+    if (isSet(job.deadlineAt) && job.deadlineAt <= now)
+        withdrawLocked(job, JobState::Expired, deadlineError());
+    else
+        dispatchJob(job, now);
+    return true;
 }
 
 void
-StreamingScheduler::dispatchSolo(Job &job, Clock::time_point now)
+StreamingScheduler::dispatchJob(Job &job, Clock::time_point now)
 {
     job.state = JobState::Dispatched;
     job.dispatchAt = now;
     --backlog_;
     ++inFlight_;
-    ++stats_.loneDispatches;
     obs::TraceRecorder *trace = options_.trace.get();
-    if (trace != nullptr)
-        trace->record(job.id, job.traceEpoch, "dispatch",
-                      trace->toMs(now), 0.0, 0, 0);
-    JIGSAW_LOG_TRACE(schedulerLog(), "solo dispatch",
-                     log::kv("job", job.id));
-    JigsawSession *session = job.session.get();
-    std::shared_ptr<JigsawResult> *result_slot = &job.result;
-    const std::uint64_t id = job.id;
-    const std::uint32_t epoch = job.traceEpoch;
-    group_.run(
-        [session, result_slot, trace, id, epoch] {
-            if (trace != nullptr) {
-                // Stepwise for the span split: executed() runs the
-                // execute stage, run() the remaining reconstruction.
-                const double exec_start = trace->nowMs();
-                session->executed();
-                const double recon_start = trace->nowMs();
-                trace->record(id, epoch, "execute", exec_start,
-                              recon_start - exec_start, 0, 0);
-                *result_slot =
-                    std::make_shared<JigsawResult>(session->run());
-                trace->record(id, epoch, "reconstruct", recon_start,
-                              trace->nowMs() - recon_start, 0, 0);
-            } else {
-                *result_slot =
-                    std::make_shared<JigsawResult>(session->run());
-            }
-        },
-        [this, id](std::exception_ptr error) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                Job &done = *jobs_.at(id);
-                --inFlight_;
-                if (error) {
-                    handleJobFailure(done, error, Clock::now(), false);
-                } else {
-                    finishJob(done, JobState::Done, nullptr);
-                    releaseJobState(done);
-                }
-            }
-            dispatcherCv_.notify_all();
-            jobCv_.notify_all();
-        });
-}
-
-void
-StreamingScheduler::dispatchWindow(Window &window, Clock::time_point now)
-{
-    panicIf(window.jobIds.empty(), "dispatch: empty window");
-    window.dispatched = true;
-    window.remaining = window.jobIds.size();
-    ++inFlight_;
-    if (window.jobIds.size() >= 2) {
-        ++stats_.mergedWindows;
-        stats_.mergedJobs += window.jobIds.size();
-    } else {
-        ++stats_.loneDispatches;
-    }
-    obs::TraceRecorder *trace = options_.trace.get();
-    for (const std::uint64_t id : window.jobIds) {
-        Job &job = *jobs_.at(id);
-        job.state = JobState::Dispatched;
-        job.dispatchAt = now;
-        --backlog_;
-        if (trace != nullptr) {
+    if (trace != nullptr) {
+        if (isSet(job.windowStartAt)) {
             trace->record(job.id, job.traceEpoch, "window",
                           trace->toMs(job.windowStartAt),
                           msBetweenImpl(job.windowStartAt, now),
-                          window.id, 0);
-            trace->record(job.id, job.traceEpoch, "dispatch",
-                          trace->toMs(now), 0.0, window.id, 0);
+                          job.windowId, 0);
         }
+        trace->record(job.id, job.traceEpoch, "dispatch",
+                      trace->toMs(now), 0.0, job.windowId, 0);
     }
-    JIGSAW_LOG_DEBUG(schedulerLog(), "window dispatched",
-                     log::kv("window", window.id),
-                     log::kv("jobs", window.jobIds.size()),
-                     log::kv("backend", transport_ != nullptr
-                                            ? "worker"
-                                            : "local"));
-    if (transport_ != nullptr) {
-        grantLeaseLocked(window, 0, now);
-        return;
-    }
-    runWindowLocallyLocked(window);
+    JIGSAW_LOG_TRACE(schedulerLog(), "job dispatched",
+                     log::kv("job", job.id),
+                     log::kv("backend",
+                             transport_ != nullptr && job.shared
+                                 ? "worker"
+                                 : "local"));
+    if (transport_ != nullptr && job.shared)
+        grantLeaseLocked(job, 0, now);
+    else
+        runOnPoolLocked(job);
 }
 
 void
-StreamingScheduler::runWindowLocallyLocked(Window &window)
+StreamingScheduler::runOnPoolLocked(
+    Job &job, std::shared_ptr<ExecutionResult> execution)
 {
-    const std::uint64_t window_id = window.id;
-    group_.run([this, window_id] { runWindowTask(window_id); },
-               [this, window_id](std::exception_ptr error) {
-                   // runWindowTask handles its own errors; anything
-                   // reaching here is a scheduler bug surfaced as a
-                   // window-wide failure.
-                   if (!error)
-                       return;
-                   std::vector<std::uint64_t> members;
-                   {
-                       std::lock_guard<std::mutex> lock(mutex_);
-                       const auto it = windows_.find(window_id);
-                       if (it == windows_.end())
-                           return;
-                       members = it->second->jobIds;
-                       for (const std::uint64_t id : members) {
-                           Job &job = *jobs_.at(id);
-                           if (job.state == JobState::Dispatched)
-                               finishJob(job, JobState::Failed, error);
-                       }
-                       windows_.erase(it);
-                       --inFlight_;
-                   }
-                   dispatcherCv_.notify_all();
-                   jobCv_.notify_all();
-               });
+    // group_.run only enqueues, so submitting under the lock is safe;
+    // the task itself runs unlocked.
+    JigsawSession *session = job.session.get();
+    std::shared_ptr<JigsawResult> *result_slot = &job.result;
+    obs::TraceRecorder *trace = options_.trace.get();
+    const std::uint64_t id = job.id;
+    const std::uint32_t epoch = job.traceEpoch;
+    const std::uint64_t window_id = job.windowId;
+    group_.run(
+        [session, result_slot, execution, trace, id, epoch, window_id] {
+            if (execution != nullptr) {
+                session->adoptExecution(std::move(*execution));
+            } else if (trace != nullptr) {
+                // Executed apart from run() for the span split.
+                const double exec_start = trace->nowMs();
+                session->executed();
+                trace->record(id, epoch, "execute", exec_start,
+                              trace->nowMs() - exec_start, window_id, 0);
+            }
+            const double recon_start =
+                trace != nullptr ? trace->nowMs() : 0.0;
+            *result_slot = std::make_shared<JigsawResult>(session->run());
+            if (trace != nullptr)
+                trace->record(id, epoch, "reconstruct", recon_start,
+                              trace->nowMs() - recon_start, window_id, 0);
+        },
+        [this, id](std::exception_ptr error) { onExecuted(id, error); });
 }
 
 void
-StreamingScheduler::runWindowTask(std::uint64_t window_id)
+StreamingScheduler::finishDispatchedLocked(Job &job,
+                                           std::exception_ptr error)
 {
-    Window *window = nullptr;
+    --inFlight_;
+    if (error) {
+        handleJobFailure(job, error, Clock::now());
+    } else {
+        finishJob(job, JobState::Done, nullptr);
+        releaseJobState(job);
+    }
+}
+
+void
+StreamingScheduler::onExecuted(std::uint64_t job_id,
+                               std::exception_ptr error)
+{
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        window = windows_.at(window_id).get();
-    }
-    // The window is immutable once dispatched (cancel refuses), so
-    // sources/merged are safe to read without the lock.
-    MergedExecutionStats exec_stats;
-    std::exception_ptr error;
-    std::shared_ptr<std::vector<ExecutionResult>> executions;
-    const auto execute_start = Clock::now();
-    try {
-        executions = std::make_shared<std::vector<ExecutionResult>>(
-            executeMergedSchedules(window->sources, window->merged,
-                                   &exec_stats));
-    } catch (...) {
-        error = std::current_exception();
-    }
-    const double execute_ms =
-        msBetweenImpl(execute_start, Clock::now());
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        completeWindowExecutionLocked(window_id, std::move(executions),
-                                      exec_stats, error, execute_ms,
-                                      0);
+        finishDispatchedLocked(*jobs_.at(job_id), error);
     }
     dispatcherCv_.notify_all();
     jobCv_.notify_all();
 }
 
-void
-StreamingScheduler::completeWindowExecutionLocked(
-    std::uint64_t window_id,
-    std::shared_ptr<std::vector<ExecutionResult>> executions,
-    const MergedExecutionStats &exec_stats, std::exception_ptr error,
-    double execute_ms, std::uint64_t lease_id)
-{
-    Window &window = *windows_.at(window_id);
-    // slotJob is stable once the window dispatched (cancel refuses),
-    // so the live set is the same whichever backend executed it, and
-    // however many lost leases preceded the completing attempt.
-    std::vector<std::pair<std::uint64_t, std::size_t>> live;
-    for (std::size_t slot = 0; slot < window.slotJob.size(); ++slot) {
-        if (window.slotJob[slot] != 0)
-            live.push_back({window.slotJob[slot], slot});
-    }
-    // Counted once per completed window — lost leases never reach
-    // here, so worker re-dispatch cannot inflate the merge counters.
-    stats_.crossProgramGroups += window.merged.crossProgramGroups();
-    stats_.pooledGlobalBatches += exec_stats.pooledGlobalBatches;
-    stats_.pooledGlobalPrograms += exec_stats.pooledGlobalPrograms;
-    if (error) {
-        // Window poisoning: one bad program must not kill its
-        // partners. With >= 2 members each is quarantined for a
-        // solo retry (free of retry-budget charge); a job failing
-        // alone is handled on its own merits (transient retry
-        // within budget, else terminal failure). A window failing
-        // ON A WORKER routes through here identically, so quarantine
-        // composes with the worker tier.
-        const bool quarantine = live.size() >= 2;
-        JIGSAW_LOG_WARN(schedulerLog(), "window execution failed",
-                        log::kv("window", window_id),
-                        log::kv("jobs", live.size()),
-                        log::kv("quarantine", quarantine));
-        const auto now = Clock::now();
-        for (const auto &[id, slot] : live) {
-            Job &job = *jobs_.at(id);
-            handleJobFailure(job, error, now, quarantine);
-        }
-        windows_.erase(window_id);
-        --inFlight_;
-        return;
-    }
-    // Per-job resume: adopt the split-back execution slice and
-    // reconstruct, one pool task per job so reconstructions overlap.
-    // (group_.run only enqueues, so submitting under the lock is
-    // safe; the tasks themselves run unlocked.)
-    obs::TraceRecorder *trace = options_.trace.get();
-    const double execute_end =
-        trace != nullptr ? trace->nowMs() : 0.0;
-    for (const auto &[id, slot] : live) {
-        Job &job = *jobs_.at(id);
-        if (trace != nullptr)
-            trace->record(id, job.traceEpoch, "execute",
-                          execute_end - execute_ms, execute_ms,
-                          window_id, lease_id);
-        JigsawSession *session = job.session.get();
-        std::shared_ptr<JigsawResult> *result_slot = &job.result;
-        const std::uint32_t epoch = job.traceEpoch;
-        group_.run(
-            [session, result_slot, executions, slot = slot, trace,
-             id = id, epoch, window_id] {
-                const double recon_start =
-                    trace != nullptr ? trace->nowMs() : 0.0;
-                session->adoptExecution(
-                    std::move((*executions)[slot]));
-                *result_slot =
-                    std::make_shared<JigsawResult>(session->run());
-                if (trace != nullptr)
-                    trace->record(id, epoch, "reconstruct",
-                                  recon_start,
-                                  trace->nowMs() - recon_start,
-                                  window_id, 0);
-            },
-            [this, id = id, window_id](std::exception_ptr job_error) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    Job &done = *jobs_.at(id);
-                    if (job_error) {
-                        handleJobFailure(done, job_error, Clock::now(),
-                                         false);
-                    } else {
-                        finishJob(done, JobState::Done, nullptr);
-                        releaseJobState(done);
-                    }
-                    Window &done_window = *windows_.at(window_id);
-                    if (--done_window.remaining == 0) {
-                        windows_.erase(window_id);
-                        --inFlight_;
-                    }
-                }
-                dispatcherCv_.notify_all();
-                jobCv_.notify_all();
-            });
-    }
-}
-
-WindowRequest
-StreamingScheduler::buildRequestLocked(Window &window,
+ExecutionRequest
+StreamingScheduler::buildRequestLocked(Job &job,
                                        std::uint64_t lease_id) const
 {
-    WindowRequest request;
+    // No executor and no stream: the worker binds its own executor and
+    // a fresh Rng(executorSeed), leaving the job's stream untouched
+    // for any later local fallback to replay.
+    ExecutionRequest request;
     request.leaseId = lease_id;
     request.heartbeatMs = options_.worker.heartbeatMs;
-    request.sources = window.sources;
-    request.merged = window.merged;
-    request.seeds.resize(window.sources.size(), 0);
-    for (std::size_t slot = 0; slot < window.slotJob.size(); ++slot) {
-        // Unbind: the worker late-binds its own executor and a fresh
-        // Rng(executorSeed) stream, leaving the job's canonical
-        // stream untouched for any later local fallback to replay.
-        request.sources[slot].executor = nullptr;
-        request.sources[slot].rng = nullptr;
-        const std::uint64_t job_id = window.slotJob[slot];
-        if (job_id == 0)
-            continue; // withdrawn slot: stays disabled and unbound
-        const Job &job = *jobs_.at(job_id);
-        request.seeds[slot] = job.program.executorSeed;
-        request.retain.push_back(job.session);
-        if (request.device == nullptr)
-            request.device = std::make_shared<device::DeviceModel>(
-                job.program.device);
-    }
+    // Aliases the retained session's device: no copy per request.
+    request.device = std::shared_ptr<const device::DeviceModel>(
+        job.session, &job.session->device());
+    request.deviceKey = job.deviceKey;
+    request.jobs = &job.session->compiled();
+    request.schedule = &job.session->schedule();
+    request.plan = &job.session->plan();
+    request.seed = job.program.executorSeed;
+    request.session = job.session;
     return request;
 }
 
 void
-StreamingScheduler::grantLeaseLocked(Window &window,
-                                     std::size_t attempts,
+StreamingScheduler::grantLeaseLocked(Job &job, std::size_t attempts,
                                      Clock::time_point now)
 {
     for (; attempts <= options_.worker.workerRetries; ++attempts) {
@@ -1301,21 +1006,21 @@ StreamingScheduler::grantLeaseLocked(Window &window,
             break; // dead fleet: straight to the degradation floor
         const std::uint64_t lease_id = nextLeaseId_++;
         try {
-            transport_->send(buildRequestLocked(window, lease_id));
+            transport_->send(buildRequestLocked(job, lease_id));
         } catch (...) {
             // Send failure (including an injected transport.send
             // fault): the lease never reached the fleet — count it
-            // lost and try again. The jobs' retry budget is never
+            // lost and try again. The job's retry budget is never
             // charged for fleet trouble.
             ++stats_.leasesRevoked;
             JIGSAW_LOG_INFO(schedulerLog(), "lease send failed",
-                            log::kv("window", window.id),
+                            log::kv("job", job.id),
                             log::kv("attempt", attempts));
             continue;
         }
         Lease lease;
         lease.id = lease_id;
-        lease.windowId = window.id;
+        lease.jobId = job.id;
         lease.attempts = attempts;
         lease.deadline =
             now + msDuration(options_.worker.leaseTimeoutMs);
@@ -1324,24 +1029,24 @@ StreamingScheduler::grantLeaseLocked(Window &window,
         if (attempts > 0)
             ++stats_.redispatches;
         JIGSAW_LOG_DEBUG(schedulerLog(),
-                         attempts > 0 ? "window re-dispatched"
+                         attempts > 0 ? "job re-dispatched"
                                       : "lease granted",
                          log::kv("lease", lease_id),
-                         log::kv("window", window.id),
+                         log::kv("job", job.id),
                          log::kv("attempt", attempts));
         return;
     }
     // Graceful degradation: the fleet is dead or burned through
-    // workerRetries leases — run the window on the local pool, the
-    // path a transportless scheduler always takes.
+    // workerRetries leases — run the job on the local pool, the path
+    // a transportless scheduler always takes.
     ++stats_.localFallbacks;
     JIGSAW_LOG_WARN(schedulerLog(),
-                    "worker tier exhausted; window falling back to "
+                    "worker tier exhausted; job falling back to "
                     "local execution",
-                    log::kv("window", window.id),
+                    log::kv("job", job.id),
                     log::kv("lost_leases", attempts),
                     log::kv("live_workers", transport_->liveWorkers()));
-    runWindowLocallyLocked(window);
+    runOnPoolLocked(job);
 }
 
 void
@@ -1360,7 +1065,7 @@ StreamingScheduler::superviseLeasesLocked(Clock::time_point now)
         bool dead = false;
         if (const auto silence = transport_->msSinceHeartbeat(id)) {
             // A worker holds it: heartbeat silence past the timeout
-            // means the worker died mid-window.
+            // means the worker died mid-job.
             dead = *silence > options_.worker.heartbeatTimeoutMs;
         } else {
             // Unassigned: still queued (the deadline covers slow
@@ -1383,12 +1088,10 @@ StreamingScheduler::superviseLeasesLocked(Clock::time_point now)
                             : "worker lost (heartbeat silence); "
                               "revoking lease",
                         log::kv("lease", entry.lease.id),
-                        log::kv("window", entry.lease.windowId),
+                        log::kv("job", entry.lease.jobId),
                         log::kv("attempt", entry.lease.attempts));
-        const auto wit = windows_.find(entry.lease.windowId);
-        panicIf(wit == windows_.end(),
-                "lease supervision: window vanished under a lease");
-        grantLeaseLocked(*wit->second, entry.lease.attempts + 1, now);
+        grantLeaseLocked(*jobs_.at(entry.lease.jobId),
+                         entry.lease.attempts + 1, now);
     }
 }
 
@@ -1396,20 +1099,20 @@ void
 StreamingScheduler::drainTransportLocked()
 {
     for (;;) {
-        std::optional<WindowResponse> response;
+        std::optional<ExecutionResponse> response;
         try {
             response = transport_->tryRecv();
         } catch (...) {
             // recv failure (including an injected transport.recv
             // fault): that response is lost in flight; its lease
-            // deadline re-dispatches the window.
+            // deadline re-dispatches the job.
             continue;
         }
         if (!response)
             return;
         const auto lit = leases_.find(response->leaseId);
         if (lit == leases_.end()) {
-            // A revoked lease answering late: the window already
+            // A revoked lease answering late: the job already
             // completed (or is completing) another way; the envelope
             // is dropped whole, so the duplicate execution is
             // invisible outside this counter.
@@ -1420,29 +1123,27 @@ StreamingScheduler::drainTransportLocked()
                              log::kv("worker", response->worker));
             continue;
         }
-        const std::uint64_t window_id = lit->second.windowId;
+        Job &job = *jobs_.at(lit->second.jobId);
         const std::uint64_t lease_id = lit->first;
         leases_.erase(lit);
-        if (response->ok) {
-            if (stats_.workerCompleted.size() <= response->worker)
-                stats_.workerCompleted.resize(response->worker + 1, 0);
-            ++stats_.workerCompleted[response->worker];
-            completeWindowExecutionLocked(
-                window_id,
-                std::make_shared<std::vector<ExecutionResult>>(
-                    std::move(response->results)),
-                response->execStats, nullptr, response->executeMs,
-                lease_id);
-        } else {
+        if (!response->ok) {
             // A job-level failure ON the worker (not a lost lease):
-            // the regular quarantine/retry routing applies, exactly
-            // as if the local path had thrown.
-            completeWindowExecutionLocked(window_id, nullptr,
-                                          response->execStats,
-                                          responseError(*response),
-                                          response->executeMs,
-                                          lease_id);
+            // the regular retry routing applies, exactly as if the
+            // local path had thrown.
+            finishDispatchedLocked(job, responseError(*response));
+            continue;
         }
+        if (stats_.workerCompleted.size() <= response->worker)
+            stats_.workerCompleted.resize(response->worker + 1, 0);
+        ++stats_.workerCompleted[response->worker];
+        obs::TraceRecorder *trace = options_.trace.get();
+        if (trace != nullptr) {
+            trace->record(job.id, job.traceEpoch, "execute",
+                          trace->nowMs() - response->executeMs,
+                          response->executeMs, job.windowId, lease_id);
+        }
+        runOnPoolLocked(job, std::make_shared<ExecutionResult>(
+                                 std::move(response->result)));
     }
 }
 
@@ -1476,7 +1177,6 @@ StreamingScheduler::requeueLocked(Job &job, Clock::time_point retry_at)
     job.result.reset();
     job.error = nullptr;
     job.windowId = 0;
-    job.windowSlot = kNoSlot;
     job.windowStartAt = {};
     ++job.traceEpoch; // the retry's spans form a fresh attempt set
     job.state = JobState::Queued;
@@ -1488,21 +1188,8 @@ StreamingScheduler::requeueLocked(Job &job, Clock::time_point retry_at)
 
 void
 StreamingScheduler::handleJobFailure(Job &job, std::exception_ptr error,
-                                     Clock::time_point now,
-                                     bool quarantine)
+                                     Clock::time_point now)
 {
-    if (quarantine && !job.quarantined) {
-        // First poisoned window for this job: it may be innocent, so
-        // the solo retry costs no retry budget and no backoff. If its
-        // exclusive window fails too, the failure is its own and the
-        // normal transient/terminal handling below takes over.
-        job.quarantined = true;
-        ++stats_.quarantinedJobs;
-        JIGSAW_LOG_WARN(schedulerLog(), "job quarantined for solo retry",
-                        log::kv("job", job.id));
-        requeueLocked(job, now);
-        return;
-    }
     if (isTransient(error) &&
         job.attempts < options_.maxRetries) {
         ++job.attempts;
@@ -1569,8 +1256,7 @@ StreamingScheduler::releaseJobState(Job &job)
     // artifacts, draw stream, executor reference — is dead weight for
     // a long-running service, so each finish site drops it as soon as
     // no pool task can still touch the session. (Cancel-mid-prepare
-    // defers to onPrepared; the defensive window-task-failure
-    // callback skips the release because member tasks may be live.)
+    // defers to onPrepared.)
     job.session.reset();
     job.stream.reset();
     job.executor.reset();
@@ -1671,7 +1357,7 @@ StreamingScheduler::dispatcherLoop()
         // Expire SLO-missed jobs before they consume anything else.
         expireDueJobsLocked(now);
 
-        // Worker tier: land completed windows first (a response in
+        // Worker tier: land completed jobs first (a response in
         // hand beats re-dispatching its lease), then revoke leases
         // whose worker died or deadline passed.
         if (transport_ != nullptr) {
@@ -1727,18 +1413,27 @@ StreamingScheduler::dispatcherLoop()
                 std::move(scheduleReady_);
             scheduleReady_.clear();
             for (const std::uint64_t id : ready) {
-                Job &job = *jobs_.at(id);
-                if (isTerminal(job.state))
+                const auto it = jobs_.find(id);
+                if (it == jobs_.end())
+                    continue; // withdrawn and released meanwhile
+                if (isTerminal(it->second->state)) {
+                    // Withdrawn after its prepare stage finished: no
+                    // task touches the session any more.
+                    releaseJobState(*it->second);
                     continue;
-                joinWindow(job, now);
+                }
+                scheduleLocked(*it->second, now);
             }
         }
 
         // Close expired windows.
-        for (auto &[id, window] : windows_) {
-            if (!window->closed && window->deadline <= now)
-                closeWindow(*window, now);
+        std::vector<std::uint64_t> due;
+        for (const auto &[id, window] : windows_) {
+            if (window->deadline <= now)
+                due.push_back(id);
         }
+        for (const std::uint64_t id : due)
+            closeWindow(id, now);
 
         // Dispatch while slots are free.
         while (dispatchNext(now)) {
@@ -1765,10 +1460,8 @@ StreamingScheduler::dispatcherLoop()
             if (!next || at < *next)
                 next = at;
         };
-        for (const auto &[id, window] : windows_) {
-            if (!window->closed)
-                consider(window->deadline);
-        }
+        for (const auto &[id, window] : windows_)
+            consider(window->deadline);
         for (const std::uint64_t id : retryQueue_)
             consider(jobs_.at(id)->retryAt);
         for (const std::uint64_t id : deadlined_) {

@@ -5,7 +5,10 @@
  * The one execution path behind JigsawService: submit() serves
  * programs trickling in from concurrent callers, each wanting its
  * result as soon as possible, and a batch JigsawService::run() is
- * submit-all plus drain() over its own handles. One scheduler owns:
+ * submit-all plus drain() over its own handles. Every job executes its
+ * own schedule (core::executeSchedule) — there is one dispatch path,
+ * dispatchJob, which runs the job on the local pool or as a one-job
+ * lease on the worker tier. One scheduler owns:
  *
  *  - a priority-aware admission queue (submit() -> SubmitResult) with
  *    bounded admission: when StreamOptions::maxQueuedJobs caps the
@@ -14,55 +17,46 @@
  *    rate (Low sheds first, High last), and sustained backlog shrinks
  *    the merge window toward immediate dispatch until the queue
  *    drains;
- *  - merge windows: scheduled jobs wait up to StreamOptions::windowMs
- *    (or until windowMaxJobs join) for compatible work, then the
- *    window dispatches as ONE cross-program merged execution
- *    (core::executeMergedSchedules) over a schedule keyed by (device
- *    fingerprint, CPM gate-prefix hash), built incrementally
- *    (core::mergeSourceInto) as jobs join and unwound
- *    (core::removeSourceFrom) when a windowed job is cancelled or
- *    expires;
+ *  - merge windows: prepared jobs sharing a (device, circuit skeleton)
+ *    pair wait up to StreamOptions::windowMs (or until windowMaxJobs
+ *    join); when the window closes each member enters the dispatch
+ *    queue as its own unit. A window only delays dispatch: the shared
+ *    executor's caches already evolve each logical program once;
  *  - a dispatch queue with priority classes, waiting-time aging (no
- *    starvation), deficit round-robin across ServiceProgram::tenant
- *    tags inside each aged class (one hot tenant cannot starve the
- *    rest), and an in-flight cap that makes priority meaningful under
- *    load;
+ *    starvation), round-robin across ServiceProgram::tenant tags
+ *    inside each aged class (one hot tenant cannot starve the rest),
+ *    and an in-flight cap that makes priority meaningful under load;
  *  - fault-tolerant dispatch: a TransientError (common/error.h)
  *    anywhere in a job's pipeline restarts that job from scratch with
- *    capped exponential backoff (StreamOptions::maxRetries); a merged
- *    window whose execution throws quarantines its members — each is
- *    retried in an exclusive single-job window, so one bad program
- *    cannot kill its window partners; a job past its
- *    ServiceProgram::deadlineMs SLO is expired instead of dispatched;
+ *    capped exponential backoff (StreamOptions::maxRetries). With one
+ *    job per execution, a fault fails only the job that raised it. A
+ *    job past its ServiceProgram::deadlineMs SLO is expired instead of
+ *    dispatched;
  *  - per-device persistent shared executors, so circuits recurring
- *    across windows keep hitting warm evolution caches;
+ *    across jobs keep hitting warm evolution caches;
  *  - an optional worker execution tier behind the Transport seam
  *    (core/transport.h): with StreamOptions::worker.workers > 0 (or a
- *    caller-supplied StreamOptions::transport), merged windows are
- *    dispatched to the fleet as LEASES — lease id, deadline
- *    (worker.leaseTimeoutMs), heartbeat interval — and supervised by
- *    the dispatcher. A worker that dies (heartbeat stops), stalls
- *    past the lease deadline, or whose response is lost to a
- *    transport fault has its lease revoked and the window
- *    re-dispatched to another worker; after worker.workerRetries
- *    lost leases (or with no live worker) the window degrades
- *    gracefully to the local executeMergedSchedules path. Lost-lease
- *    re-dispatch never charges the jobs' transient-retry budget: the
- *    jobs did nothing wrong, the fleet did.
+ *    caller-supplied StreamOptions::transport), jobs on the shared
+ *    executors are dispatched to the fleet as LEASES — lease id,
+ *    deadline (worker.leaseTimeoutMs), heartbeat interval — and
+ *    supervised by the dispatcher. A worker that dies (heartbeat
+ *    stops), stalls past the lease deadline, or whose response is
+ *    lost to a transport fault has its lease revoked and the job
+ *    re-dispatched to another worker; after worker.workerRetries lost
+ *    leases (or with no live worker) the job degrades gracefully to
+ *    local execution. Lost-lease re-dispatch never charges the job's
+ *    transient-retry budget: the job did nothing wrong, the fleet did.
  *
- * A lone job whose window expires without partners dispatches
- * immediately as a single-source execution, so streaming latency
- * never regresses below the session-at-a-time path; Priority::High
- * jobs never wait in a window at all.
+ * Priority::High jobs never wait in a window: they close the window
+ * they join, or dispatch window-less.
  *
  * Determinism: a job created with a service-owned executor samples
- * every draw from its own Rng(executorSeed) stream through the merged
- * execution machinery, so its result is bitwise-identical to a
- * sequential runJigsaw with the same inputs — whatever the window
- * composition, submitter interleaving, or pool size. Retries preserve
- * this: a transient failure restarts the whole pipeline (never
- * resumes a half-consumed stream), so the retried job replays the
- * identical draw sequence. That is the contract
+ * every draw from its own Rng(executorSeed) stream, so its result is
+ * bitwise-identical to a sequential runJigsaw with the same inputs —
+ * whatever the window composition, submitter interleaving, or pool
+ * size. Retries preserve this: a transient failure restarts the whole
+ * pipeline (never resumes a half-consumed stream), so the retried job
+ * replays the identical draw sequence. That is the contract
  * tests/test_stream.cpp asserts under concurrent submitters and
  * injected faults (common/fault.h).
  *
@@ -85,12 +79,12 @@
  * scheduler can serve an unbounded job stream in bounded memory.
  *
  * Observability: lifecycle transitions (admission, shed, window
- * open/close/resize, lease grant/revoke, retry, quarantine, expiry)
- * are logged through the "core.scheduler" logger (common/log.h);
- * counters, gauges, and latency histograms are published into the
- * process-wide obs::Registry via a scrape-time collector, optionally
- * served over HTTP (StreamOptions::metricsPort); and per-job pipeline
- * spans are recorded into StreamOptions::trace when set (obs/trace.h).
+ * open/close/resize, lease grant/revoke, retry, expiry) are logged
+ * through the "core.scheduler" logger (common/log.h); counters,
+ * gauges, and latency histograms are published into the process-wide
+ * obs::Registry via a scrape-time collector, optionally served over
+ * HTTP (StreamOptions::metricsPort); and per-job pipeline spans are
+ * recorded into StreamOptions::trace when set (obs/trace.h).
  */
 #ifndef JIGSAW_CORE_SCHEDULER_H
 #define JIGSAW_CORE_SCHEDULER_H
@@ -105,6 +99,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/parallel.h"
@@ -136,11 +131,10 @@ class StreamingScheduler
      * Admit @p program into the scheduler and return immediately —
      * or, under bounded admission with the backlog at this class's
      * shed threshold, reject it (SubmitResult::admitted false) with a
-     * finite tryLaterAfterMs hint. Programs with a caller-supplied
-     * executor (or under MergePolicy::Never) run as independent
-     * sessions against that executor (or a private one seeded with
-     * executorSeed); everything else becomes merge-eligible with a
-     * private Rng(executorSeed) draw stream.
+     * finite tryLaterAfterMs hint. A program with a caller-supplied
+     * executor runs on it, window-less and locally; every other
+     * program runs on its device's shared executor, drawing from a
+     * private Rng(executorSeed) stream.
      */
     SubmitResult submit(ServiceProgram program,
                         Priority priority = Priority::Normal);
@@ -180,11 +174,10 @@ class StreamingScheduler
 
     /**
      * Withdraw a job that has not been dispatched yet: queued,
-     * preparing, awaiting a retry, or sitting in a merge window (its
-     * merge sources are unwound from the window's incremental
-     * schedule). Returns true on success, false once the job is
-     * executing or terminal (it then runs to completion and poll/wait
-     * keep working).
+     * preparing, awaiting a retry, sitting in a merge window (its
+     * partners are untouched), or awaiting a dispatch slot. Returns
+     * true on success, false once the job is executing or terminal
+     * (it then runs to completion and poll/wait keep working).
      */
     bool cancel(JobHandle handle);
 
@@ -223,7 +216,6 @@ class StreamingScheduler
 
   private:
     using Clock = std::chrono::steady_clock;
-    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
     /** One submitted program and everything it accretes. */
     struct Job
@@ -237,10 +229,9 @@ class StreamingScheduler
         Priority priority;
         ServiceProgram program;
         JobState state = JobState::Queued;
-        bool mergeEligible = false;
-        /** Retried solo after a poisoned merged window: joins only an
-         *  exclusive single-job window from now on. */
-        bool quarantined = false;
+        /** Runs on its device's shared executor with its own stream:
+         *  only such jobs join windows and go to the worker tier. */
+        bool shared = false;
         bool delivered = false; ///< wait() returned this result.
         std::uint32_t attempts = 0; ///< Transient retries consumed.
         std::uint64_t deviceKey = 0; ///< DeviceModel::fingerprint().
@@ -251,66 +242,55 @@ class StreamingScheduler
         Clock::time_point deadlineAt{}; ///< Unset when no deadlineMs.
         Clock::time_point retryAt{};    ///< Backoff target (retry queue).
         std::shared_ptr<sim::Executor> executor;
-        std::unique_ptr<Rng> stream; ///< Merged-path draw stream.
-        /** Shared so a worker-tier WindowRequest can retain it: a
+        std::unique_ptr<Rng> stream; ///< Shared-executor draw stream.
+        /** Shared so a worker-tier ExecutionRequest can retain it: a
          *  revoked lease's stale worker may still be reading the
          *  session's const artifacts after the scheduler released the
-         *  job's state (see WindowRequest::retain). */
+         *  job's state (see ExecutionRequest::session). */
         std::shared_ptr<JigsawSession> session;
         std::exception_ptr error;
         std::shared_ptr<JigsawResult> result;
+        /** The window this attempt joined (0 = none); stays set after
+         *  the window closes, for the trace spans. */
         std::uint64_t windowId = 0;
-        std::size_t windowSlot = kNoSlot;
         /** Trace attempt index (obs::TraceRecorder spans): 0 for the
-         *  first pass, bumped on every requeue — retry or quarantine
-         *  — so a retried job's span sets stay distinguishable. */
+         *  first pass, bumped on every retry, so a retried job's span
+         *  sets stay distinguishable. */
         std::uint32_t traceEpoch = 0;
         Clock::time_point windowStartAt{}; ///< Joined its merge window.
     };
 
-    /** One open (or closed, pending dispatch) merge window. */
+    /** One open merge window (closed windows are gone: their members
+     *  wait in the dispatch queue). */
     struct Window
     {
         std::uint64_t id = 0;
         std::uint64_t key = 0;
-        Priority bestClass = Priority::Low;
-        bool exclusive = false; ///< Quarantine window: one job, no joins.
         Clock::time_point openedAt{};
         Clock::time_point deadline{};
-        bool closed = false;
-        bool dispatched = false;
-        std::size_t remaining = 0; ///< Live jobs still running.
-        std::vector<std::uint64_t> jobIds; ///< Live members, join order.
-        /** One slot per join (stable across cancels; parallel). */
-        std::vector<MergeSource> sources;
-        std::vector<std::uint64_t> slotJob; ///< 0 = withdrawn slot.
-        MergedSchedule merged; ///< Maintained incrementally.
+        std::vector<std::uint64_t> jobIds; ///< Members, join order.
     };
 
-    /** One outstanding worker-tier dispatch of a window. Revoking a
+    /** One outstanding worker-tier dispatch of a job. Revoking a
      *  lease and granting a fresh one IS the re-dispatch path; the
-     *  window itself stays parked (dispatched, in-flight) throughout. */
+     *  job itself stays dispatched throughout. */
     struct Lease
     {
         std::uint64_t id = 0;
-        std::uint64_t windowId = 0;
-        /** Lost leases so far for this window (grants = attempts+1);
-         *  past worker.workerRetries the window falls back locally. */
+        std::uint64_t jobId = 0;
+        /** Lost leases so far for this job (grants = attempts+1);
+         *  past worker.workerRetries the job falls back locally. */
         std::size_t attempts = 0;
         Clock::time_point deadline{};
     };
 
-    /** A dispatchable unit waiting for an in-flight slot. */
+    /** A prepared job waiting for an in-flight slot. */
     struct ReadyEntry
     {
-        bool isWindow = false;
-        std::uint64_t id = 0; ///< Window id or (solo) job id.
+        std::uint64_t id = 0; ///< Job id.
         Priority cls = Priority::Normal;
         Clock::time_point readySince{};
-        /** Tenant charged by deficit round-robin (a multi-tenant
-         *  window is attributed to its first member's tenant). */
-        std::string tenant;
-        std::size_t cost = 1; ///< DRR quantum cost (window job count).
+        std::string tenant; ///< Round-robin share.
     };
 
     void dispatcherLoop();
@@ -319,48 +299,51 @@ class StreamingScheduler
     void awaitTerminal(const std::vector<JobHandle> *handles);
     void startPrepare(Job &job);                       // mutex held
     void onPrepared(std::uint64_t job_id, std::exception_ptr error);
-    void joinWindow(Job &job, Clock::time_point now);  // mutex held
-    void closeWindow(Window &window, Clock::time_point now); // held
+    /** Put a prepared job into its merge window, or straight into the
+     *  dispatch queue when it waits for no window. */
+    void scheduleLocked(Job &job, Clock::time_point now);
+    /** Move every member of window @p window_id into the dispatch
+     *  queue and drop the window. */
+    void closeWindow(std::uint64_t window_id, Clock::time_point now);
+    /** Queue @p job for an in-flight slot. */
+    void readyLocked(Job &job, Clock::time_point now);
     bool dispatchNext(Clock::time_point now);          // mutex held
-    void dispatchSolo(Job &job, Clock::time_point now);   // held
-    void dispatchWindow(Window &window, Clock::time_point now); // held
-    void runWindowTask(std::uint64_t window_id);
+    /** The one dispatch path: a lease on the worker tier for a shared
+     *  job when a transport exists, else the local pool. */
+    void dispatchJob(Job &job, Clock::time_point now); // mutex held
+    /** Finish @p job on the local pool: execute it (the no-transport
+     *  path and the worker tier's degradation floor) or adopt
+     *  @p execution, a worker's result, then reconstruct. */
+    void runOnPoolLocked(Job &job,
+                         std::shared_ptr<ExecutionResult> execution = {});
+    /** Completion of a dispatched job: frees its slot and finishes
+     *  it, or routes @p error through retry (mutex held). */
+    void finishDispatchedLocked(Job &job, std::exception_ptr error);
+    /** finishDispatchedLocked() from a pool completion callback. */
+    void onExecuted(std::uint64_t job_id, std::exception_ptr error);
     /** @name Worker tier (all with mutex held). @{ */
-    /** Dispatch @p window on the local pool (the no-transport path
-     *  and the degradation floor). */
-    void runWindowLocallyLocked(Window &window);
-    /** Build the unbound WindowRequest envelope for @p window. */
-    WindowRequest buildRequestLocked(Window &window,
-                                     std::uint64_t lease_id) const;
-    /** Grant (or re-grant, at @p attempts > 0) a lease for
-     *  @p window; falls back to runWindowLocallyLocked once the fleet
-     *  is dead or worker.workerRetries leases were lost. */
-    void grantLeaseLocked(Window &window, std::size_t attempts,
+    /** Build the ExecutionRequest envelope for @p job. */
+    ExecutionRequest buildRequestLocked(Job &job,
+                                        std::uint64_t lease_id) const;
+    /** Grant (or re-grant, at @p attempts > 0) a lease for @p job;
+     *  falls back to runOnPoolLocked once the fleet is dead or
+     *  worker.workerRetries leases were lost. */
+    void grantLeaseLocked(Job &job, std::size_t attempts,
                           Clock::time_point now);
     /** Revoke leases whose worker died (heartbeat silence) or whose
-     *  deadline passed, and re-dispatch their windows. */
+     *  deadline passed, and re-dispatch their jobs. */
     void superviseLeasesLocked(Clock::time_point now);
-    /** Drain transport responses into window completions. */
+    /** Drain transport responses into job completions. */
     void drainTransportLocked();
-    /** Shared completion path for worker and local execution: adopt
-     *  results into the member jobs (spawning their reconstruction
-     *  tasks) or route @p error through quarantine/retry. */
-    void completeWindowExecutionLocked(
-        std::uint64_t window_id,
-        std::shared_ptr<std::vector<ExecutionResult>> executions,
-        const MergedExecutionStats &exec_stats, std::exception_ptr error,
-        double execute_ms, std::uint64_t lease_id);
     /** Earliest lease deadline/heartbeat check the dispatcher must
      *  wake for, or nullopt when no leases are outstanding. */
     std::optional<Clock::time_point>
     nextLeaseEventLocked(Clock::time_point now) const;
     /** @} */
-    /** Route a pipeline failure: quarantine a poisoned-window member,
-     *  schedule a transient retry within budget/deadline, or finish
-     *  the job as Failed/Expired. */
+    /** Route a pipeline failure: schedule a transient retry within
+     *  budget/deadline, or finish the job as Failed/Expired. */
     void handleJobFailure(Job &job, std::exception_ptr error,
-                          Clock::time_point now,
-                          bool quarantine); // mutex held
+                          Clock::time_point now); // mutex held
     /** Reset a job's pipeline state and queue it for (re)admission at
      *  @p retry_at. */
     void requeueLocked(Job &job, Clock::time_point retry_at);
@@ -377,9 +360,8 @@ class StreamingScheduler
     void markDeliveredLocked(Job &job);
     /** Finite backoff hint for a shed submit (drain-rate EWMA). */
     double retryHintMsLocked(std::size_t threshold) const;
-    /** windowMs after backlog-pressure shrinking and burst growth
-     *  (StreamOptions::burstGrowMax); updates the width/burst gauges
-     *  and the shrink/grow counters. */
+    /** windowMs after backlog-pressure shrinking; updates the width
+     *  gauge and the shrink counter. */
     double effectiveWindowMsLocked();
     std::size_t inFlightCap() const;
     /** stats() body, for callers already holding mutex_. */
@@ -407,32 +389,27 @@ class StreamingScheduler
     std::vector<std::uint64_t> admission_;     ///< Queued job ids.
     std::vector<std::uint64_t> retryQueue_;    ///< Awaiting backoff.
     std::vector<std::uint64_t> deadlined_;     ///< Jobs with an SLO.
-    std::vector<std::uint64_t> scheduleReady_; ///< Prepared, unwindowed.
+    std::vector<std::uint64_t> scheduleReady_; ///< Prepared, unscheduled.
     std::vector<ReadyEntry> readyQueue_;       ///< Awaiting dispatch.
     std::deque<std::uint64_t> retired_; ///< Delivered, eviction order.
-    std::size_t inFlight_ = 0;   ///< Dispatched windows/solo jobs.
+    std::size_t inFlight_ = 0;   ///< Dispatched jobs still running.
     std::size_t preparing_ = 0;  ///< Prepare stages on the pool.
     std::size_t liveJobs_ = 0;   ///< Non-terminal jobs.
     std::size_t backlog_ = 0;    ///< Undispatched live jobs.
-    /** @name Deficit round-robin across tenants. @{ */
-    std::unordered_map<std::string, double> tenantDeficit_;
+    /** @name Round-robin across tenants. @{ */
+    std::unordered_set<std::string> tenants_;
     std::vector<std::string> tenantRotation_; ///< First-seen order.
     std::size_t rrCursor_ = 0;
     /** @} */
     double drainEwmaMs_ = 0.0; ///< EWMA ms between completions.
     Clock::time_point lastCompletionAt_{};
-    /** @name Burst detector: EWMA inter-arrival vs the drain EWMA
-     *  decides the grow direction of adaptive windows. @{ */
-    double arrivalEwmaMs_ = 0.0; ///< EWMA ms between submits.
-    Clock::time_point lastSubmitAt_{};
-    /** @} */
-    /** Per-device persistent shared executors (merged path). */
+    /** Per-device persistent shared executors. */
     std::unordered_map<std::uint64_t, std::shared_ptr<sim::Executor>>
         sharedExecutors_;
     /** Parametric prototypes by ParametricHandle::id. */
     std::unordered_map<std::uint64_t, ServiceProgram> prototypes_;
     std::uint64_t nextParametricId_ = 1;
-    /** Worker tier: null means every window runs locally. */
+    /** Worker tier: null means every job runs locally. */
     std::shared_ptr<Transport> transport_;
     std::unordered_map<std::uint64_t, Lease> leases_; ///< By lease id.
     std::uint64_t nextLeaseId_ = 1;
@@ -453,7 +430,6 @@ class StreamingScheduler
     obs::Gauge *backlogGauge_ = nullptr;
     obs::Gauge *inFlightGauge_ = nullptr;
     obs::Gauge *windowWidthGauge_ = nullptr;
-    obs::Gauge *burstScoreGauge_ = nullptr;
     StreamStats published_; ///< Counter values already flushed.
     std::uint64_t collectorId_ = 0;
     /** Optional loopback HTTP/1.0 endpoint (metricsPort >= 0). */

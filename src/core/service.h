@@ -1,26 +1,22 @@
 /**
  * @file
- * JigsawService: many programs through the pipeline, concurrently,
- * with cross-program execution batching.
+ * JigsawService: many programs through the pipeline, concurrently.
  *
  * Every program runs through the service's StreamingScheduler
  * (core/scheduler.h), whether it arrives by submit() or in a batch
  * run(). run() is submit-and-wait: it submits every program, closes
  * the open merge windows once no submitted job can still join them,
- * and returns the results in submission order. Batch and streaming
- * traffic therefore share one merge policy (StreamOptions::
- * mergePolicy): programs the service builds executors for collect in
- * merge windows (by default one per (device, circuit skeleton) pair),
- * and each window executes as one cross-program merged schedule
- * against a shared per-device executor. A (circuit, device) pair submitted by many
- * programs is evolved once per window instead of once per program.
+ * and returns the results in submission order. Each job executes its
+ * own schedule. Programs the service builds executors for share one
+ * NoisySimulator per device, whose caches evolve each logical program
+ * once and build each noisy distribution once, however many jobs run
+ * it.
  *
- * Determinism: each program samples from its own Rng(executorSeed)
- * stream (a private executor when it cannot merge), so every
- * program's result is bitwise-identical to a sequential runJigsaw()
- * with the same inputs, whatever the pool size, completion order,
- * window composition or merge policy — see
- * core::executeMergedSchedules for the argument. Programs sharing a
+ * Determinism: each such program samples from its own
+ * Rng(executorSeed) stream, so every program's result is
+ * bitwise-identical to a sequential runJigsaw() with the same inputs,
+ * whatever the pool size, completion order or window composition (see
+ * core::executeSchedule for the argument). Programs sharing a
  * caller-supplied executor stay data-race-free but interleave its RNG
  * stream nondeterministically.
  */
@@ -69,13 +65,13 @@ struct ServiceProgram
      * Executor for this program. When null, the service owns the
      * executor choice: programs on one device share a thread-safe
      * NoisySimulator while sampling from a private Rng(executorSeed)
-     * stream, or, under MergePolicy::Never, each gets a private
-     * NoisySimulator(device, {.seed = executorSeed}). Both give the
-     * program the exact draw stream a sequential run would.
-     * Caller-supplied executors are never merged (the service cannot
-     * know their noise model is shareable); such programs run as
-     * independent sessions at the cost of a nondeterministic RNG
-     * interleaving when shared.
+     * stream — the exact draw stream a sequential run would use.
+     * Caller-supplied executors are never shared with other programs
+     * or shipped to the worker tier (the service cannot know their
+     * noise model is shareable); such programs run locally and skip
+     * merge windows, at the cost of a nondeterministic RNG
+     * interleaving when the caller shares one executor between
+     * programs.
      */
     std::shared_ptr<sim::Executor> executor;
     std::uint64_t executorSeed; ///< Seed for the program's draw stream.
@@ -93,25 +89,6 @@ struct ServiceProgram
      * merge window or awaiting a retry. 0 disables the deadline.
      */
     double deadlineMs = 0.0;
-};
-
-/**
- * Which jobs share a merge window (StreamOptions::mergePolicy).
- * Only jobs the service builds executors for can merge; a job with a
- * caller-supplied executor always runs as an independent session.
- */
-enum class MergePolicy
-{
-    /**
-     * Window together the jobs sharing a (circuit skeleton, device)
-     * pair — the jobs whose gate prefixes will actually dedupe. The
-     * default.
-     */
-    Auto,
-    /** Window together every job on the same device. */
-    Always,
-    /** Disable merging: every job is an independent session. */
-    Never,
 };
 
 /** Priority classes for streaming submission (High dispatches first). */
@@ -166,10 +143,10 @@ enum class JobState
 {
     Queued,    ///< Admitted, waiting for its pipeline stages to start.
     Preparing, ///< Plan/compile/schedule stages running on the pool.
-    /** Scheduled: collecting partners in an open merge window, or (a
-     *  window-less solo job, closed window) awaiting a dispatch slot. */
+    /** Scheduled: waiting in an open merge window, or (window closed,
+     *  or window-less) awaiting a dispatch slot. */
     Windowed,
-    Dispatched, ///< Executing (merged window or lone session).
+    Dispatched, ///< Executing (locally or on the worker tier).
     Done,       ///< Result available.
     Failed,     ///< Terminal error; wait() rethrows it.
     Cancelled,  ///< Withdrawn before dispatch; wait() throws.
@@ -196,23 +173,24 @@ struct JobStatus
 class Transport; // core/transport.h
 
 /**
- * Worker execution tier (core/transport.h, core/worker.h): merged
- * windows dispatched as leases to a fleet of in-process workers, each
- * owning its own per-device executors and rebuilding every job's draw
- * stream from Rng(executorSeed) — results stay bitwise-identical to
- * local execution. The scheduler supervises each lease and degrades
- * gracefully: a lost lease (worker death, stall past the deadline,
- * transport error) is re-dispatched to the fleet up to workerRetries
- * times, then executed locally via the regular merged path — an
- * empty or all-dead fleet costs throughput, never correctness, and
- * lost leases never charge the jobs' transient-retry budgets.
+ * Worker execution tier (core/transport.h, core/worker.h): each job's
+ * execute stage dispatched as a lease to a fleet of in-process
+ * workers, each owning its own per-device executors and rebuilding
+ * the job's draw stream from Rng(executorSeed) — results stay
+ * bitwise-identical to local execution. The scheduler supervises each
+ * lease and degrades gracefully: a lost lease (worker death, stall
+ * past the deadline, transport error) is re-dispatched to the fleet
+ * up to workerRetries times, then executed locally — an empty or
+ * all-dead fleet costs throughput, never correctness, and lost leases
+ * never charge the jobs' transient-retry budgets. Jobs with a
+ * caller-supplied executor always execute locally.
  */
 struct WorkerOptions
 {
-    /** Fleet size. 0 disables the worker tier entirely (every window
+    /** Fleet size. 0 disables the worker tier entirely (every job
      *  executes locally, the pre-worker behavior). */
     std::size_t workers = 0;
-    /** Lease deadline: a window not answered this long after dispatch
+    /** Lease deadline: a job not answered this long after dispatch
      *  is revoked and re-dispatched (catches stalled workers and
      *  responses lost in flight). */
     double leaseTimeoutMs = 60000.0;
@@ -222,7 +200,7 @@ struct WorkerOptions
     /** A lease whose worker has not heartbeat for this long is
      *  revoked as worker death (the worker is assumed gone). */
     double heartbeatTimeoutMs = 250.0;
-    /** Fleet re-dispatches per window before local fallback. */
+    /** Fleet re-dispatches per job before local fallback. */
     std::size_t workerRetries = 2;
 };
 
@@ -230,23 +208,18 @@ struct WorkerOptions
 struct StreamOptions
 {
     /**
-     * When windows merge. Auto windows jobs sharing a (circuit,
-     * device) pair; Always windows every service-executor job on the
-     * same device; Never dispatches every job on readiness as an
-     * independent session.
-     */
-    MergePolicy mergePolicy = MergePolicy::Auto;
-    /**
-     * How long an open merge window waits for more compatible jobs
-     * before dispatching, from the moment it opened. Priority::High
-     * jobs close their window immediately — they never trade latency
-     * for merging. 0 dispatches every job on readiness.
+     * How long an open merge window holds the jobs sharing a (circuit
+     * skeleton, device) pair before they dispatch, from the moment it
+     * opened. Each member still executes on its own: the window only
+     * delays dispatch, and the shared executor's caches do the
+     * sharing. Priority::High jobs close their window immediately. 0
+     * dispatches every job on readiness.
      */
     double windowMs = 5.0;
     /** Close a window once this many jobs joined it. */
     std::size_t windowMaxJobs = 8;
     /**
-     * Dispatched-but-unfinished window/job cap; further dispatches
+     * Dispatched-but-unfinished job cap; further dispatches
      * queue in priority order. 0 sizes it to the thread pool
      * (parallelThreads()), which is what makes priority meaningful
      * under load — with unbounded dispatch the pool's FIFO queue
@@ -298,19 +271,6 @@ struct StreamOptions
      */
     std::size_t resultRetention = 0;
     /**
-     * Burst detector ceiling for the grow direction of adaptive
-     * windows, as a multiple of windowMs. Shrink-under-overload
-     * scales the effective merge window down when the backlog nears
-     * maxQueuedJobs; the burst detector scales it back up while jobs
-     * arrive faster than they drain (EWMA inter-arrival vs drain
-     * rate), because a sustained burst is exactly when wider windows
-     * merge best. 1.0 (default) only counteracts the shrink — the
-     * window never exceeds its configured width; >1 lets bursts grow
-     * it past windowMs up to this factor. Values < 1 are treated
-     * as 1.
-     */
-    double burstGrowMax = 1.0;
-    /**
      * Prometheus metrics endpoint: when >= 0, the scheduler serves
      * the process-wide registry over HTTP/1.0 on 127.0.0.1:<port>
      * for its lifetime (0 picks an ephemeral port; see
@@ -330,8 +290,8 @@ struct StreamOptions
      *  = 0) by default. */
     WorkerOptions worker;
     /**
-     * Execution backend override: when set, merged windows dispatch
-     * over THIS transport (worker.workers is then ignored); when
+     * Execution backend override: when set, jobs dispatch over THIS
+     * transport (worker.workers is then ignored); when
      * null and worker.workers > 0, the scheduler builds its own
      * core::InProcTransport fleet. Tests stub this seam to model
      * arbitrary backend pathologies.
@@ -346,24 +306,22 @@ struct StreamStats
     std::size_t completed = 0;
     std::size_t failed = 0;
     std::size_t cancelled = 0;
-    std::size_t mergedWindows = 0;  ///< Windows dispatched with >= 2 jobs.
-    std::size_t loneDispatches = 0; ///< Jobs dispatched alone.
-    std::size_t mergedJobs = 0;     ///< Jobs that rode a merged window.
-    std::size_t crossProgramGroups = 0;  ///< Sum over merged windows.
-    std::size_t pooledGlobalBatches = 0; ///< Pooled global runBatch calls.
-    std::size_t pooledGlobalPrograms = 0; ///< Jobs with pooled globals.
+    std::size_t mergedWindows = 0;  ///< Windows closed with >= 2 jobs.
+    /** Jobs that dispatched without a window partner: one-job windows
+     *  and window-less jobs. */
+    std::size_t loneDispatches = 0;
+    std::size_t mergedJobs = 0;     ///< Jobs in windows of >= 2 jobs.
+    /** @name Always 0: jobs no longer share an execution. Kept only
+     *  for readers of the old merge counters. @{ */
+    std::size_t crossProgramGroups = 0;
+    std::size_t pooledGlobalPrograms = 0;
+    /** @} */
     /** @name Overload / fault-tolerance counters. @{ */
     std::size_t shed = 0;    ///< Submits rejected by bounded admission.
     std::size_t expired = 0; ///< Jobs that missed their deadlineMs SLO.
     std::size_t retries = 0; ///< Transient-failure pipeline restarts.
-    /** Jobs re-queued solo after their merged window's execution
-     *  threw (window-poisoning quarantine). */
-    std::size_t quarantinedJobs = 0;
     /** Merge windows opened with a backlog-shrunk windowMs. */
     std::size_t windowShrinks = 0;
-    /** Merge windows opened with a burst-grown windowMs (the burst
-     *  detector outweighed any overload shrink). */
-    std::size_t windowGrows = 0;
     std::size_t released = 0; ///< Terminal jobs dropped via release().
     std::size_t evicted = 0;  ///< Delivered results evicted (retention).
     /** Shed submits by priority class (exact, not sampled). */
@@ -375,11 +333,11 @@ struct StreamStats
     std::size_t jobsObserved = 0;
     /** @} */
     /** @name Worker-tier lease counters (all zero without a worker
-     * fleet). A window dispatched to the fleet is covered by exactly
-     * one live lease at a time; a lost lease is re-dispatched
+     * fleet). A job dispatched to the fleet is covered by exactly one
+     * live lease at a time; a lost lease is re-dispatched
      * (redispatches) until workerRetries is exhausted or no worker is
      * alive, then executed locally (localFallbacks) — lost leases
-     * never charge the member jobs' retry budgets. @{ */
+     * never charge the job's retry budget. @{ */
     std::size_t leasesGranted = 0; ///< Requests delivered to the fleet.
     /** Leases revoked at their deadline: a stalled worker or a
      *  response lost in flight (transport.recv). */
@@ -389,13 +347,13 @@ struct StreamStats
      *  request. */
     std::size_t leasesRevoked = 0;
     std::size_t redispatches = 0;  ///< Lost-lease re-sends to the fleet.
-    /** Worker-tier windows executed via the local merged path instead
-     *  (dead fleet or workerRetries exhausted). */
+    /** Worker-tier jobs executed locally instead (dead fleet or
+     *  workerRetries exhausted). */
     std::size_t localFallbacks = 0;
-    /** Late responses of revoked leases, discarded (their window
+    /** Late responses of revoked leases, discarded (their job
      *  already completed another way). */
     std::size_t staleResponses = 0;
-    /** Successful window executions per worker index. */
+    /** Successful job executions per worker index. */
     std::vector<std::size_t> workerCompleted;
     /** @} */
     /** @name Parametric-serving and shared-executor cache counters.
@@ -481,10 +439,9 @@ class JigsawService
 
     /** @name Streaming API (core/scheduler.h does the work).
      *
-     * submit() admits one program and returns immediately; the
-     * scheduler windows compatible jobs for cross-program merged
-     * execution and every job's result stays bitwise-identical to a
-     * sequential runJigsaw with the same inputs. All five calls are
+     * submit() admits one program and returns immediately; every
+     * job's result stays bitwise-identical to a sequential runJigsaw
+     * with the same inputs. All five calls are
      * thread-safe against each other — concurrent submitters are the
      * intended client shape.
      * @{ */
@@ -537,8 +494,8 @@ class JigsawService
      * The process-wide metrics registry rendered as Prometheus text
      * exposition — the same body the optional HTTP endpoint
      * (StreamOptions::metricsPort) serves. Covers the stream
-     * counters (shed/expired/retries/quarantine/eviction/lease),
-     * merge counters, cache hit rates, and SIMD dispatch totals.
+     * counters (shed/expired/retries/eviction/lease), window
+     * counters, cache hit rates, and SIMD dispatch totals.
      */
     std::string metricsText() const;
 

@@ -11,10 +11,10 @@ JigsawSession::JigsawSession(circuit::QuantumCircuit logical,
                              device::DeviceModel dev,
                              sim::Executor &executor,
                              std::uint64_t total_trials,
-                             JigsawOptions options)
+                             JigsawOptions options, Rng *rng)
     : logical_(std::move(logical)), dev_(std::move(dev)),
       executor_(executor), totalTrials_(total_trials),
-      options_(std::move(options))
+      options_(std::move(options)), rng_(rng)
 {
 }
 
@@ -62,8 +62,8 @@ const ExecutionResult &
 JigsawSession::executed()
 {
     if (!execution_) {
-        execution_ =
-            executeSchedule(executor_, compiled(), schedule(), plan());
+        execution_ = executeSchedule(executor_, compiled(), schedule(),
+                                     plan(), rng_);
     }
     return *execution_;
 }
@@ -76,10 +76,10 @@ JigsawSession::adoptExecution(ExecutionResult result)
     schedule(); // run the plan/compile/schedule stages if missing
     fatalIf(result.cpmPmfs.size() != jobs_->cpms.size(),
             "adoptExecution: result does not cover every compiled CPM");
-    // A merged window handing back the wrong slice (an empty
-    // placeholder from a withdrawn source, or another program's
-    // global) would silently poison the reconstruction prior; the
-    // global PMF's width is the cheap invariant that catches it.
+    // An execution of another program (a default-constructed
+    // placeholder, or another job's global) would silently poison the
+    // reconstruction prior; the global PMF's width is the cheap
+    // invariant that catches it.
     fatalIf(result.globalPmf.nQubits() != plan_->nMeasured,
             "adoptExecution: global PMF width does not match the plan");
     execution_ = std::move(result);

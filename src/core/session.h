@@ -16,8 +16,8 @@
  * different pool threads per stage (schedule on one, adoptExecution +
  * reconstruct on another) with its own mutex ordering the handoffs.
  * Stage accessors return references into the session; they stay valid
- * until the session is destroyed, which is what lets a merge window
- * hold MergeSource pointers to many sessions' artifacts.
+ * until the session is destroyed, which is what lets a worker-tier
+ * request point at a session's artifacts (core/transport.h).
  */
 #ifndef JIGSAW_CORE_SESSION_H
 #define JIGSAW_CORE_SESSION_H
@@ -47,11 +47,16 @@ class JigsawSession
     /**
      * The circuit, device, and options are copied so the session can
      * run asynchronously; @p executor is borrowed and must outlive the
-     * session. Validation happens in the planning stage, not here.
+     * session. With @p rng set (also borrowed), the execute stage
+     * samples from that stream instead of the executor's internal
+     * generator (see executeSchedule): how a job on a shared executor
+     * keeps its own deterministic draws. Validation happens in the
+     * planning stage, not here.
      */
     JigsawSession(circuit::QuantumCircuit logical,
                   device::DeviceModel dev, sim::Executor &executor,
-                  std::uint64_t total_trials, JigsawOptions options = {});
+                  std::uint64_t total_trials, JigsawOptions options = {},
+                  Rng *rng = nullptr);
 
     /** Last completed stage. */
     Stage stage() const;
@@ -70,10 +75,10 @@ class JigsawSession
      * @p result as this session's ExecutionResult (advancing through
      * any missing earlier stages first) so reconstruction proceeds
      * without the session's executor ever sampling. This is how the
-     * cross-program merged service hands a session the split-back
-     * slice of a merged execution. The result must cover every
-     * compiled CPM (throws std::invalid_argument otherwise); adopting
-     * over an already-executed session is rejected the same way.
+     * streaming scheduler hands a session the execution a worker ran
+     * for it (core/worker.h). The result must cover every compiled
+     * CPM (throws std::invalid_argument otherwise); adopting over an
+     * already-executed session is rejected the same way.
      */
     void adoptExecution(ExecutionResult result);
 
@@ -92,6 +97,7 @@ class JigsawSession
     sim::Executor &executor_;
     std::uint64_t totalTrials_;
     JigsawOptions options_;
+    Rng *rng_;
 
     std::optional<SubsetPlan> plan_;
     std::optional<CompiledJobs> jobs_;

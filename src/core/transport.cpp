@@ -6,7 +6,7 @@ namespace jigsaw {
 namespace core {
 
 std::exception_ptr
-responseError(const WindowResponse &response)
+responseError(const ExecutionResponse &response)
 {
     // Reconstruct the scheduler-side error taxonomy from the
     // serialized (message, transient) pair: the retry machinery keys
@@ -22,21 +22,13 @@ responseError(const WindowResponse &response)
 }
 
 void
-validateRequest(const WindowRequest &request)
+validateRequest(const ExecutionRequest &request)
 {
     panicIf(request.device == nullptr,
             "transport: request without a device model");
-    panicIf(request.seeds.size() != request.sources.size(),
-            "transport: seeds not parallel to sources");
-    for (const MergeSource &source : request.sources) {
-        if (!source.enabled)
-            continue;
-        panicIf(source.executor != nullptr || source.rng != nullptr,
-                "transport: request sources must arrive unbound");
-        panicIf(source.jobs == nullptr || source.schedule == nullptr ||
-                    source.plan == nullptr,
-                "transport: enabled source without artifacts");
-    }
+    panicIf(request.jobs == nullptr || request.schedule == nullptr ||
+                request.plan == nullptr || request.session == nullptr,
+            "transport: request without its job's artifacts");
 }
 
 } // namespace core

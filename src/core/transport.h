@@ -3,32 +3,31 @@
  * Transport: the typed execution-backend seam of the streaming
  * scheduler's worker tier.
  *
- * ROADMAP item 1's distribution boundary: a merged window is already
- * a self-contained dispatch unit (enabled MergeSources + the
- * incrementally maintained MergedSchedule in, per-job ExecutionResults
- * back into JigsawSession::adoptExecution), so the scheduler can hand
- * it to a remote executor without touching the pipeline. This header
- * models that hand-off as two explicit port/queue edges — modeled on
- * the typed node/port dataflow idiom rather than ad-hoc calls:
+ * A job's execute stage is a self-contained unit: its compiled
+ * artifacts and its executorSeed in, one ExecutionResult back into
+ * JigsawSession::adoptExecution. So the scheduler can hand it to a
+ * remote executor without touching the pipeline. This header models
+ * that hand-off as two explicit port/queue edges, modeled on the typed
+ * node/port dataflow idiom rather than ad-hoc calls:
  *
- *     scheduler --send(WindowRequest)--> [request queue] --> workers
- *     workers --push(WindowResponse)--> [response queue] --tryRecv-->
+ *     scheduler --send(ExecutionRequest)--> [request queue] --> workers
+ *     workers --push(ExecutionResponse)--> [response queue] --tryRecv-->
  *
  * The envelopes are value types: everything a worker needs travels IN
- * the request (the merged schedule, the per-slot executorSeeds it
- * rebuilds draw streams from, the device model executors are built
- * for), and everything the scheduler needs travels back in the
- * response (per-slot ExecutionResults, or a serialized error). A real
- * network transport would serialize exactly these fields; the
- * in-process implementation (core/worker.h) stands in for the wire
- * with shared ownership: MergeSource's artifact pointers stay valid
- * because the request retains the owning sessions, which is the
- * in-proc analogue of the serialized payload owning its bytes.
+ * the request (the job's artifacts, the executorSeed it rebuilds the
+ * draw stream from, the device model executors are built for), and
+ * everything the scheduler needs travels back in the response (the
+ * ExecutionResult, or a serialized error). A real network transport
+ * would serialize exactly these fields; the in-process implementation
+ * (core/worker.h) stands in for the wire with shared ownership: the
+ * artifact pointers stay valid because the request retains the owning
+ * session, which is the in-proc analogue of the serialized payload
+ * owning its bytes.
  *
- * Lease protocol: the scheduler dispatches each window under a lease
+ * Lease protocol: the scheduler dispatches each job under a lease
  * (id, deadline, heartbeat interval) and supervises it — a worker
  * that stops heartbeating (died) or a lease that outlives its
- * deadline (stalled worker, lost response) is revoked and the window
+ * deadline (stalled worker, lost response) is revoked and the job
  * re-dispatched; the transport only promises at-most-once delivery of
  * each response to tryRecv(), never execution. Duplicate executions
  * are harmless by construction: every draw comes from a per-request
@@ -39,7 +38,7 @@
  * Fault points: transport.send fires inside send() (the request never
  * reaches the fleet), transport.recv fires inside tryRecv() AFTER the
  * response left the queue (the response is lost in flight; the lease
- * deadline recovers the window). Both plug into JIGSAW_FAULT_SPEC.
+ * deadline recovers the job). Both plug into JIGSAW_FAULT_SPEC.
  */
 #ifndef JIGSAW_CORE_TRANSPORT_H
 #define JIGSAW_CORE_TRANSPORT_H
@@ -59,39 +58,37 @@ namespace jigsaw {
 namespace core {
 
 /**
- * Request envelope: one merged window dispatched to the worker tier
- * under one lease. sources arrive UNBOUND — executor and rng are
- * null — and the serving worker late-binds its own per-device
- * executor plus a fresh Rng(seeds[slot]) stream per enabled slot, so
- * the job's canonical draw stream on the scheduler side is never
+ * Request envelope: one job's execute stage dispatched to the worker
+ * tier under one lease. It carries no executor and no draw stream:
+ * the serving worker binds its own per-device executor plus a fresh
+ * Rng(seed), so the job's own stream on the scheduler side is never
  * consumed by remote attempts (what makes lost-lease re-dispatch and
  * local fallback replay the identical draws).
  */
-struct WindowRequest
+struct ExecutionRequest
 {
     std::uint64_t leaseId = 0;
     /** Heartbeat interval the lease was granted under: the worker
      *  fleet must beat at least this often to be considered alive. */
     double heartbeatMs = 0.0;
-    /** The window's device (every source shares it); workers build
-     *  their per-device executors from this model. */
+    /** The job's device; workers build their per-device executors
+     *  from this model, keyed by deviceKey. */
     std::shared_ptr<const device::DeviceModel> device;
-    /** The window's source slots, unbound (executor/rng null).
-     *  Disabled slots are withdrawn jobs; workers skip them. */
-    std::vector<MergeSource> sources;
-    /** Per-slot executorSeed (parallel to sources; 0 on disabled
-     *  slots): the worker's draw-stream seed for that job. */
-    std::vector<std::uint64_t> seeds;
-    /** The window's incrementally merged schedule, by value. */
-    MergedSchedule merged;
+    std::uint64_t deviceKey = 0; ///< device::DeviceModel::fingerprint().
+    /** @name The job's immutable artifacts (owned by session). @{ */
+    const CompiledJobs *jobs = nullptr;
+    const ExecutionSchedule *schedule = nullptr;
+    const SubsetPlan *plan = nullptr;
+    /** @} */
+    std::uint64_t seed = 0; ///< The job's executorSeed (draw stream).
     /**
-     * In-process stand-in for payload ownership: the sessions whose
-     * artifacts the MergeSource pointers reference. A revoked lease's
-     * worker may still be reading them when the scheduler finishes
-     * the jobs another way; retaining them here keeps that read valid
-     * until the stale request itself is destroyed.
+     * In-process stand-in for payload ownership: the session the
+     * artifact pointers reference. A revoked lease's worker may still
+     * be reading them when the scheduler finishes the job another
+     * way; retaining the session here keeps that read valid until the
+     * stale request itself is destroyed.
      */
-    std::vector<std::shared_ptr<JigsawSession>> retain;
+    std::shared_ptr<JigsawSession> session;
 };
 
 /**
@@ -100,18 +97,15 @@ struct WindowRequest
  * what a wire format could carry — and the scheduler reconstructs the
  * taxonomy (TransientError vs terminal) on its side.
  */
-struct WindowResponse
+struct ExecutionResponse
 {
     std::uint64_t leaseId = 0;
     std::size_t worker = 0; ///< Index of the worker that served it.
     bool ok = false;
     bool transientError = false; ///< isTransient() of the failure.
     std::string errorMessage;    ///< Non-empty when !ok.
-    /** Per-slot execution results (parallel to the request's sources;
-     *  disabled slots default-constructed). Valid only when ok. */
-    std::vector<ExecutionResult> results;
-    MergedExecutionStats execStats;
-    /** Wall milliseconds the worker spent executing the window —
+    ExecutionResult result;      ///< Valid only when ok.
+    /** Wall milliseconds the worker spent executing the job —
      *  measured at the worker so the scheduler's "execute" trace
      *  spans (obs/trace.h) reflect remote work, not queueing. */
     double executeMs = 0.0;
@@ -138,16 +132,16 @@ class Transport
      * an injected transport.send fault); the caller treats any throw
      * as a lost lease.
      */
-    virtual void send(WindowRequest request) = 0;
+    virtual void send(ExecutionRequest request) = 0;
 
     /**
      * Pop one completed response (the worker->scheduler edge), or
      * std::nullopt when the queue is empty. May throw AFTER removing
      * a response from the queue (an injected transport.recv fault):
      * that response is lost in flight, and the scheduler's lease
-     * deadline recovers the window.
+     * deadline recovers the job.
      */
-    virtual std::optional<WindowResponse> tryRecv() = 0;
+    virtual std::optional<ExecutionResponse> tryRecv() = 0;
 
     /** Install (or clear, with nullptr) the callback invoked whenever
      *  a response becomes available. */
@@ -182,13 +176,13 @@ class Transport
 /** Reconstruct a failed response's error as the exception the
  *  scheduler's retry taxonomy understands (TransientError when the
  *  response says transient, std::runtime_error otherwise). */
-std::exception_ptr responseError(const WindowResponse &response);
+std::exception_ptr responseError(const ExecutionResponse &response);
 
-/** Envelope invariants every implementation may assume: device set,
- *  seeds parallel to sources, enabled sources unbound but complete.
- *  Panics (internal error) on violation — the scheduler builds
- *  requests, so a bad envelope is a bug, not user input. */
-void validateRequest(const WindowRequest &request);
+/** Envelope invariants every implementation may assume: device and
+ *  every artifact set. Panics (internal error) on violation — the
+ *  scheduler builds requests, so a bad envelope is a bug, not user
+ *  input. */
+void validateRequest(const ExecutionRequest &request);
 
 } // namespace core
 } // namespace jigsaw

@@ -83,7 +83,7 @@ WorkerPool::~WorkerPool()
 }
 
 void
-WorkerPool::submit(WindowRequest request)
+WorkerPool::submit(ExecutionRequest request)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -92,13 +92,13 @@ WorkerPool::submit(WindowRequest request)
     cv_.notify_one();
 }
 
-std::optional<WindowResponse>
+std::optional<ExecutionResponse>
 WorkerPool::tryPop()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (outbox_.empty())
         return std::nullopt;
-    WindowResponse response = std::move(outbox_.front());
+    ExecutionResponse response = std::move(outbox_.front());
     outbox_.pop_front();
     return response;
 }
@@ -161,7 +161,7 @@ WorkerPool::workerLoop(std::size_t index)
 {
     WorkerState &state = *workers_[index];
     for (;;) {
-        WindowRequest request;
+        ExecutionRequest request;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait(lock, [this] { return stop_ || !inbox_.empty(); });
@@ -198,7 +198,7 @@ WorkerPool::workerLoop(std::size_t index)
                 return;
             }
         }
-        WindowResponse response = execute(request, index);
+        ExecutionResponse response = execute(request, index);
         std::function<void()> signal;
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -233,44 +233,33 @@ WorkerPool::heartbeatLoop()
     }
 }
 
-WindowResponse
-WorkerPool::execute(WindowRequest &request, std::size_t index)
+ExecutionResponse
+WorkerPool::execute(const ExecutionRequest &request, std::size_t index)
 {
-    WindowResponse response;
+    ExecutionResponse response;
     response.leaseId = request.leaseId;
     response.worker = index;
     const auto execute_start = std::chrono::steady_clock::now();
     try {
         validateRequest(request);
-        WorkerState &state = *workers_[index];
-        // Late-bind the envelope: this worker's own executor for the
-        // window's device, and a fresh per-slot Rng(executorSeed)
-        // stream. The streams replay the exact draws a sequential
-        // runJigsaw would make, so the binding — not the worker —
-        // determines the results.
-        std::vector<std::unique_ptr<Rng>> streams(request.sources.size());
-        for (std::size_t slot = 0; slot < request.sources.size(); ++slot) {
-            MergeSource &source = request.sources[slot];
-            if (!source.enabled)
-                continue;
-            std::shared_ptr<sim::Executor> &executor =
-                state.executors[source.deviceKey];
-            if (!executor) {
-                // The executor's own seed never matters (every merged
-                // draw comes from the per-slot streams), matching the
-                // scheduler's shared-executor convention.
-                executor = std::make_shared<sim::NoisySimulator>(
-                    *request.device,
-                    sim::NoisySimulatorOptions{.seed =
-                                                   request.seeds[slot]});
-            }
-            source.executor = executor.get();
-            streams[slot] = std::make_unique<Rng>(request.seeds[slot]);
-            source.rng = streams[slot].get();
+        // Bind the request: this worker's own executor for the job's
+        // device, and a fresh Rng(executorSeed) stream. The stream
+        // replays the exact draws a sequential runJigsaw would make,
+        // so the binding — not the worker — determines the result.
+        std::shared_ptr<sim::Executor> &executor =
+            workers_[index]->executors[request.deviceKey];
+        if (!executor) {
+            // The executor's own seed never matters (every draw comes
+            // from the request's stream), matching the scheduler's
+            // shared-executor convention.
+            executor = std::make_shared<sim::NoisySimulator>(
+                *request.device,
+                sim::NoisySimulatorOptions{.seed = request.seed});
         }
-        response.results = executeMergedSchedules(request.sources,
-                                                  request.merged,
-                                                  &response.execStats);
+        Rng stream(request.seed);
+        response.result = executeSchedule(*executor, *request.jobs,
+                                          *request.schedule, *request.plan,
+                                          &stream);
         response.ok = true;
     } catch (const std::exception &error) {
         response.ok = false;
@@ -286,7 +275,7 @@ WorkerPool::execute(WindowRequest &request, std::size_t index)
             std::chrono::steady_clock::now() - execute_start)
             .count();
     if (!response.ok)
-        JIGSAW_LOG_WARN(workerLog(), "window execution failed",
+        JIGSAW_LOG_WARN(workerLog(), "job execution failed",
                         log::kv("worker", index),
                         log::kv("lease", request.leaseId),
                         log::kv("transient", response.transientError),
@@ -300,7 +289,7 @@ InProcTransport::InProcTransport(WorkerOptions options)
 }
 
 void
-InProcTransport::send(WindowRequest request)
+InProcTransport::send(ExecutionRequest request)
 {
     // Fires before the request reaches the fleet: a send fault means
     // the lease was never delivered.
@@ -308,12 +297,12 @@ InProcTransport::send(WindowRequest request)
     pool_.submit(std::move(request));
 }
 
-std::optional<WindowResponse>
+std::optional<ExecutionResponse>
 InProcTransport::tryRecv()
 {
-    std::optional<WindowResponse> response = pool_.tryPop();
+    std::optional<ExecutionResponse> response = pool_.tryPop();
     // Fires AFTER the pop: the response is lost in flight, and the
-    // lease deadline recovers the window.
+    // lease deadline recovers the job.
     if (response)
         injectFaultPoint("transport.recv");
     return response;

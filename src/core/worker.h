@@ -4,20 +4,19 @@
  * the Transport seam (core/transport.h).
  *
  * Each worker is one dedicated thread simulating a remote worker
- * process: it pulls WindowRequests off a shared queue, late-binds the
- * envelope's unbound sources — its OWN per-device executor (built
- * from the request's device model, cached per worker so recurring
- * circuits keep warm evolution caches, like the scheduler's shared
- * executors) and a fresh Rng(seeds[slot]) draw stream per enabled
- * slot — then runs the regular executeMergedSchedules path and pushes
- * the per-slot results back as a WindowResponse.
+ * process: it pulls ExecutionRequests off a shared queue, binds the
+ * request to its OWN per-device executor (built from the request's
+ * device model, cached per worker so recurring circuits keep warm
+ * evolution caches, like the scheduler's shared executors) and a
+ * fresh Rng(seed) draw stream, runs the regular executeSchedule path
+ * and pushes the result back as an ExecutionResponse.
  *
  * Bitwise determinism across the fleet: every cached executor entry
  * is a deterministic function of (circuit, device) and every random
- * draw comes from the request's per-slot Rng(executorSeed) streams,
- * so WHICH worker serves a window — or how many times it executes
- * after lost-lease re-dispatch — never changes a job's result. That
- * is the property that lets the worker tier run in CI under the same
+ * draw comes from the request's Rng(executorSeed) stream, so WHICH
+ * worker serves a job — or how many times it executes after
+ * lost-lease re-dispatch — never changes its result. That is the
+ * property that lets the worker tier run in CI under the same
  * bitwise-vs-sequential tests as local execution (tests/
  * test_worker.cpp).
  *
@@ -76,8 +75,8 @@ class WorkerPool
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    void submit(WindowRequest request);
-    std::optional<WindowResponse> tryPop();
+    void submit(ExecutionRequest request);
+    std::optional<ExecutionResponse> tryPop();
     void setResponseSignal(std::function<void()> signal);
     std::size_t workerCount() const;
     std::size_t liveWorkers() const;
@@ -101,7 +100,8 @@ class WorkerPool
 
     void workerLoop(std::size_t index);
     void heartbeatLoop();
-    WindowResponse execute(WindowRequest &request, std::size_t index);
+    ExecutionResponse execute(const ExecutionRequest &request,
+                              std::size_t index);
 
     const WorkerOptions options_;
 
@@ -112,8 +112,8 @@ class WorkerPool
     std::condition_variable cv_;
     std::condition_variable heartbeatCv_; ///< Stop signal only.
     bool stop_ = false;
-    std::deque<WindowRequest> inbox_;
-    std::deque<WindowResponse> outbox_;
+    std::deque<ExecutionRequest> inbox_;
+    std::deque<ExecutionResponse> outbox_;
     /** Which worker holds which lease (erased on completion/revoke). */
     std::unordered_map<std::uint64_t, std::size_t> leaseWorker_;
     std::function<void()> signal_;
@@ -131,8 +131,8 @@ class InProcTransport final : public Transport
   public:
     explicit InProcTransport(WorkerOptions options);
 
-    void send(WindowRequest request) override;
-    std::optional<WindowResponse> tryRecv() override;
+    void send(ExecutionRequest request) override;
+    std::optional<ExecutionResponse> tryRecv() override;
     void setResponseSignal(std::function<void()> signal) override;
     std::size_t workerCount() const override;
     std::size_t liveWorkers() const override;

@@ -42,8 +42,8 @@ class DeviceModel
      * Content hash over the name, coupling graph, and every
      * calibration value (exact double bit patterns). Two devices with
      * equal fingerprints produce identical noise derivations for
-     * identical circuits, which is what the cross-program merge pass
-     * keys executor sharing on.
+     * identical circuits, which is what the streaming scheduler keys
+     * executor sharing on.
      */
     std::uint64_t fingerprint() const;
 

@@ -7,8 +7,8 @@
  * plan -> compile -> window -> dispatch -> execute -> reconstruct.
  * The job id doubles as the trace id (it is unique per scheduler
  * lifetime); `attempt` is the job's trace epoch, bumped on every
- * retry/quarantine requeue, so the spans of a retried job's final
- * successful pass are distinguishable from its failed ones.
+ * retry, so the spans of a retried job's final successful pass are
+ * distinguishable from its failed ones.
  *
  * Spans carry wall-relative times (milliseconds since the recorder's
  * construction) so a timeline across threads and workers lines up on
@@ -44,7 +44,7 @@ struct TraceSpan {
     double startMs = 0.0;
     double durationMs = 0.0;
     std::uint64_t thread = 0;
-    std::uint64_t windowId = 0; ///< 0 = solo (never windowed)
+    std::uint64_t windowId = 0; ///< 0 = never windowed
     std::uint64_t leaseId = 0;  ///< 0 = executed locally
 };
 

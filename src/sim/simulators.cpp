@@ -215,6 +215,14 @@ boundKey(const QuantumCircuit &base, const CpmSpec &spec)
     return h;
 }
 
+/** True when some value occurs twice in @p values. */
+bool
+hasRepeat(std::vector<int> values)
+{
+    std::sort(values.begin(), values.end());
+    return std::adjacent_find(values.begin(), values.end()) != values.end();
+}
+
 /**
  * @p build applied to the circuit a run() entry stands for: @p base
  * itself, or its measurement-subset variant when @p subset is set (an
@@ -322,6 +330,8 @@ class IdealSource
     {
         fatalIf(spec.clbits.size() != spec.qubits.size(),
                 "bound spec: clbits and qubits differ in width");
+        fatalIf(hasRepeat(spec.clbits), "bound spec: repeated clbit");
+        fatalIf(hasRepeat(spec.qubits), "bound spec: repeated qubit");
         const Pmf &full = logicalPmf(*spec.logical);
         for (int c : spec.clbits) {
             fatalIf(c < 0 || c >= full.nQubits(),
@@ -490,7 +500,7 @@ IdealSimulator::run(const QuantumCircuit &physical_circuit,
 {
     // Fault points sit at entry, before any cache or RNG state moves,
     // so a retried call replays the identical draw sequence.
-    injectFaultPoint("executor.run");
+    injectFaultPoint("executor.run", shots);
     return drawShots(circuitEntry(physical_circuit).sampler, shots, nullptr,
                      rng_, rngMutex_);
 }
@@ -499,14 +509,14 @@ Histogram
 IdealSimulator::run(const QuantumCircuit &physical_circuit,
                     std::uint64_t shots, Rng &rng)
 {
-    injectFaultPoint("executor.run");
+    injectFaultPoint("executor.run", shots);
     return circuitEntry(physical_circuit).sampler.draw(shots, rng);
 }
 
 Histogram
 IdealSimulator::run(const QuantumCircuit &base_circuit, const CpmSpec &spec)
 {
-    injectFaultPoint("executor.run");
+    injectFaultPoint("executor.run", spec.shots);
     return drawShots(specEntry(base_circuit, spec).sampler, spec.shots,
                      spec.rng, rng_, rngMutex_);
 }
@@ -596,7 +606,7 @@ Histogram
 NoisySimulator::run(const QuantumCircuit &physical_circuit,
                     std::uint64_t shots)
 {
-    injectFaultPoint("executor.run");
+    injectFaultPoint("executor.run", shots);
     checkDeviceSpace(physical_circuit, dev_);
     if (options_.trajectories > 0) {
         std::lock_guard<std::mutex> lock(rngMutex_);
@@ -610,7 +620,7 @@ Histogram
 NoisySimulator::run(const QuantumCircuit &physical_circuit,
                     std::uint64_t shots, Rng &rng)
 {
-    injectFaultPoint("executor.run");
+    injectFaultPoint("executor.run", shots);
     checkDeviceSpace(physical_circuit, dev_);
     if (options_.trajectories > 0)
         return runTrajectoryMode(physical_circuit, shots, rng);
@@ -622,7 +632,7 @@ NoisySimulator::run(const QuantumCircuit &base_circuit, const CpmSpec &spec)
 {
     if (options_.trajectories > 0)
         return Executor::run(base_circuit, spec);
-    injectFaultPoint("executor.run");
+    injectFaultPoint("executor.run", spec.shots);
     checkDeviceSpace(base_circuit, dev_);
     return drawShots(specEntry(base_circuit, spec).noisy, spec.shots,
                      spec.rng, rng_, rngMutex_);

@@ -59,11 +59,11 @@ struct LogicalProgram
  *
  * A spec may carry a caller-owned RNG stream: when @p rng is set, the
  * executor samples this spec's shots from it instead of its internal
- * generator. Cross-program merged batches use this to give every
- * program its own seeded stream — the draws then match what the
- * program's private executor would have produced, whatever else is in
- * the batch. The caller must guarantee exclusive use of each stream
- * for the duration of the call.
+ * generator. Jobs sharing one executor use this to keep their own
+ * seeded streams — the draws then match what the job's private
+ * executor would have produced, whatever else the executor serves.
+ * The caller must guarantee exclusive use of each stream for the
+ * duration of the call.
  *
  * A spec may also be bound to the logical program it was compiled
  * from: @p logical plus @p clbits, the logical classical bit behind
@@ -139,11 +139,10 @@ class Executor
 
     /**
      * run() sampling from a caller-owned stream instead of the
-     * executor's internal generator: the building block of the merged
-     * cross-program path, where the evolution caches are shared but
-     * every program keeps its own deterministic draw stream. Only
-     * meaningful when supportsExternalSampling(); the default throws.
-     * The caller must hold @p rng exclusively for the call.
+     * executor's internal generator: how jobs share an executor's
+     * evolution caches while each keeps its own deterministic draw
+     * stream. The simulators implement it; the default throws. The
+     * caller must hold @p rng exclusively for the call.
      */
     virtual Histogram run(const circuit::QuantumCircuit &physical_circuit,
                           std::uint64_t shots, Rng &rng);
@@ -187,13 +186,6 @@ class Executor
     /** prepare() for every spec of a batch (see runBatch). */
     virtual void prepareBatch(const circuit::QuantumCircuit &base_circuit,
                               const std::vector<CpmSpec> &specs);
-
-    /**
-     * True when run(circuit, shots, rng) and per-spec CpmSpec::rng
-     * sampling are implemented — a precondition of the cross-program
-     * merged execution path.
-     */
-    virtual bool supportsExternalSampling() const { return false; }
 };
 
 /**
@@ -220,7 +212,7 @@ class Executor
  * mutex so the draw stream stays well-defined. Deterministic
  * per-program results on a shared executor require per-program
  * streams (the run(..., Rng&) overload / CpmSpec::rng — what the
- * merged service path does); sampling from the internal generator
+ * streaming scheduler does); sampling from the internal generator
  * instead interleaves its stream in completion order. batchStats() is
  * safe to read once concurrent runs have completed.
  */
@@ -254,8 +246,6 @@ class IdealSimulator : public Executor
 
     void prepareBatch(const circuit::QuantumCircuit &base_circuit,
                       const std::vector<CpmSpec> &specs) override;
-
-    bool supportsExternalSampling() const override { return true; }
 
     /** Exact output distribution over the circuit's classical bits. */
     Pmf idealPmf(const circuit::QuantumCircuit &physical_circuit);
@@ -386,8 +376,6 @@ class NoisySimulator : public Executor
 
     void prepareBatch(const circuit::QuantumCircuit &base_circuit,
                       const std::vector<CpmSpec> &specs) override;
-
-    bool supportsExternalSampling() const override { return true; }
 
     /** The device this executor models. */
     const device::DeviceModel &device() const { return dev_; }

@@ -34,7 +34,6 @@
 #include "obs/http.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "workloads/bv.h"
 #include "workloads/ghz.h"
 
 namespace jigsaw {
@@ -92,8 +91,8 @@ obsPrograms(const device::DeviceModel &dev, std::uint64_t seed_base)
                           core::JigsawOptions{}, seed_base + 1);
     programs.emplace_back(workloads::Ghz(6).circuit(), dev, 4096,
                           core::JigsawOptions{}, seed_base + 2);
-    programs.emplace_back(workloads::BernsteinVazirani(6).circuit(), dev,
-                          4096, core::JigsawOptions{}, seed_base + 3);
+    programs.emplace_back(workloads::Ghz(6).circuit(), dev, 4096,
+                          core::JigsawOptions{}, seed_base + 3);
     return programs;
 }
 
@@ -463,7 +462,6 @@ TEST(StreamMetrics, SchedulerPublishesIntoProcessRegistry)
     const std::vector<ServiceProgram> programs = obsPrograms(dev, 2000);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 50.0;
     StreamingScheduler scheduler(options);
     std::vector<JobHandle> handles;
@@ -476,9 +474,9 @@ TEST(StreamMetrics, SchedulerPublishesIntoProcessRegistry)
     const std::string body = obs::renderProcessMetrics();
     std::string error;
     ASSERT_TRUE(obs::expositionLooksValid(body, &error)) << error;
-    // Stream lifecycle counters, the merge counters, the per-class
-    // latency histograms, and the adaptive-window gauges all surface
-    // in one scrape.
+    // Stream lifecycle counters, the window counters, the per-class
+    // latency histograms, and the adaptive-window gauge all surface in
+    // one scrape.
     for (const char *needle : {
              "jigsaw_stream_submitted_total",
              "jigsaw_stream_jobs_total{outcome=\"completed\"}",
@@ -490,7 +488,6 @@ TEST(StreamMetrics, SchedulerPublishesIntoProcessRegistry)
              "jigsaw_stream_backlog_jobs",
              "jigsaw_stream_inflight",
              "jigsaw_window_width_ms",
-             "jigsaw_burst_score",
              "jigsaw_executor_cache_events_total",
              "jigsaw_transpile_cache_total",
              "jigsaw_simd_dispatch_total",
@@ -514,7 +511,6 @@ TEST(StreamMetrics, HttpEndpointServesOneScrapePerConnection)
 {
     const device::DeviceModel dev = device::toronto();
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Never;
     options.windowMs = 0.0;
     options.metricsPort = 0; // ephemeral
     StreamingScheduler scheduler(options);
@@ -537,34 +533,12 @@ TEST(StreamMetrics, HttpEndpointServesOneScrapePerConnection)
               std::string::npos);
 }
 
-TEST(StreamMetrics, DefaultBurstGrowNeverWidensTheWindow)
-{
-    // burstGrowMax defaults to 1.0: the burst detector may score
-    // arrivals, but the effective window can only shrink — the
-    // pre-detector semantics, preserved exactly.
-    const device::DeviceModel dev = device::toronto();
-    StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Auto;
-    options.windowMs = 5.0;
-    StreamingScheduler scheduler(options);
-    std::vector<JobHandle> handles;
-    for (int round = 0; round < 3; ++round) {
-        for (const ServiceProgram &program : obsPrograms(dev, 2200))
-            handles.push_back(scheduler.submit(program).handle);
-    }
-    scheduler.drain();
-    for (const JobHandle handle : handles)
-        scheduler.wait(handle);
-    EXPECT_EQ(scheduler.stats().windowGrows, 0u);
-}
-
 // ------------------------------------------------ per-job tracing
 
 TEST(Trace, SoloPipelineSpansAreComplete)
 {
     const device::DeviceModel dev = device::toronto();
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Never;
     options.windowMs = 0.0;
     options.trace = std::make_shared<obs::TraceRecorder>();
     StreamingScheduler scheduler(options);
@@ -589,7 +563,6 @@ TEST(Trace, WindowedSpansCarryTheWindowId)
     const device::DeviceModel dev = device::toronto();
     const std::vector<ServiceProgram> programs = obsPrograms(dev, 2400);
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 50.0;
     options.trace = std::make_shared<obs::TraceRecorder>();
     StreamingScheduler scheduler(options);
@@ -631,7 +604,6 @@ TEST(Trace, RetriedJobsGetAFreshAttemptEpoch)
         parseFaultSpec("executor.run:first=1"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Never;
     options.windowMs = 0.0;
     options.trace = std::make_shared<obs::TraceRecorder>();
     StreamingScheduler scheduler(options);
@@ -659,7 +631,6 @@ TEST(Trace, WorkerTierExecuteSpansCarryLeaseIds)
     const device::DeviceModel dev = device::toronto();
     const std::vector<ServiceProgram> programs = obsPrograms(dev, 2600);
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 50.0;
     options.worker.workers = 2;
     options.trace = std::make_shared<obs::TraceRecorder>();
@@ -693,7 +664,6 @@ TEST(Trace, WorkerCrashRedispatchStillTracesCompletion)
         parseFaultSpec("worker.crash:first=1"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 50.0;
     options.worker.workers = 2;
     options.worker.heartbeatTimeoutMs = 50.0;

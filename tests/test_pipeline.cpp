@@ -5,10 +5,9 @@
  * transpiler, stage-by-stage session runs matching the runJigsaw
  * wrapper bitwise, the logical binding (every spec folds one
  * evolution of the logical program, which matches each routed
- * circuit's marginal and keys apart from unbound runs), and the
- * cross-program merge pass (schedule merging, merged execution vs
- * private executors, resuming sessions from adopted execution
- * results).
+ * circuit's marginal and keys apart from unbound runs), jobs on a
+ * shared executor with their own draw streams vs private executors,
+ * and resuming sessions from adopted execution results.
  */
 #include <algorithm>
 #include <cmath>
@@ -360,274 +359,58 @@ TEST(LogicalBinding, BoundAndUnboundKeysNeverCollide)
     EXPECT_EQ(run_first.cacheMisses(), before + 1);
 }
 
-// ------------------------------------------------- cross-program merge
+// ------------------------------------------------ shared executors
 
-/** One program's pipeline artifacts plus its merge-source plumbing. */
-struct PreparedProgram
+TEST(SharedExecutor, PerJobStreamsMatchPrivateExecutors)
 {
-    PreparedProgram(const circuit::QuantumCircuit &qc,
-                    const device::DeviceModel &dev, std::uint64_t trials,
-                    const JigsawOptions &options, std::uint64_t seed)
-        : plan(core::planSubsets(qc, trials, options)),
-          jobs(core::compileJobs(qc, dev, plan, options)),
-          schedule(core::buildSchedule(jobs)), stream(seed)
+    // The bitwise claim behind the streaming scheduler at the pipeline
+    // level: jobs executing their own schedules against ONE shared
+    // executor, each drawing from its own Rng(seed), reproduce
+    // executeSchedule against private executors seeded the same way —
+    // however the jobs interleave on the shared caches.
+    const device::DeviceModel dev = device::toronto();
+    compiler::clearTranspileCache();
+    struct Job
     {
-    }
-
-    core::SubsetPlan plan;
-    core::CompiledJobs jobs;
-    core::ExecutionSchedule schedule;
-    Rng stream;
-};
-
-/** Every source folded into one MergedSchedule, in source order. */
-core::MergedSchedule
-mergeAll(const std::vector<core::MergeSource> &sources)
-{
-    core::MergedSchedule merged;
-    for (std::size_t s = 0; s < sources.size(); ++s)
-        core::mergeSourceInto(merged, sources, s);
-    return merged;
-}
-
-TEST(MergeSchedules, GroupsByDeviceAndPrefix)
-{
-    const device::DeviceModel dev = device::toronto();
-    compiler::clearTranspileCache();
-    PreparedProgram a(workloads::Ghz(6).circuit(), dev, 8192,
-                      JigsawOptions{}, 1);
-    PreparedProgram b(workloads::Ghz(6).circuit(), dev, 8192,
-                      JigsawOptions{}, 2);
-    PreparedProgram c(workloads::BernsteinVazirani(6).circuit(), dev,
-                      8192, JigsawOptions{}, 3);
-    sim::NoisySimulator shared(dev);
-
-    const std::uint64_t key = dev.fingerprint();
-    const std::vector<core::MergeSource> sources = {
-        {0, &a.jobs, &a.schedule, &a.plan, key, &shared, &a.stream},
-        {1, &b.jobs, &b.schedule, &b.plan, key, &shared, &b.stream},
-        {2, &c.jobs, &c.schedule, &c.plan, key, &shared, &c.stream},
+        circuit::QuantumCircuit circuit;
+        std::uint64_t trials;
+        JigsawOptions options;
+        std::uint64_t seed;
     };
-    const core::MergedSchedule merged = mergeAll(sources);
-
-    // Identical programs a and b merge group-for-group; the distinct
-    // circuit c keeps its own groups.
-    ASSERT_EQ(a.schedule.groups.size(), b.schedule.groups.size());
-    EXPECT_EQ(merged.groups.size(),
-              a.schedule.groups.size() + c.schedule.groups.size());
-    EXPECT_EQ(merged.crossProgramGroups(), a.schedule.groups.size());
-    std::size_t members = 0;
-    for (const core::MergedSchedule::Group &group : merged.groups)
-        members += group.members.size();
-    EXPECT_EQ(members, a.schedule.groups.size() +
-                           b.schedule.groups.size() +
-                           c.schedule.groups.size());
-}
-
-TEST(MergeSchedules, DistinctDevicesNeverMerge)
-{
-    const std::vector<device::DeviceModel> devices =
-        device::evaluationDevices();
-    ASSERT_GE(devices.size(), 2u);
-    compiler::clearTranspileCache();
-    PreparedProgram a(workloads::Ghz(6).circuit(), devices[0], 8192,
-                      JigsawOptions{}, 1);
-    PreparedProgram b(workloads::Ghz(6).circuit(), devices[1], 8192,
-                      JigsawOptions{}, 2);
-    sim::NoisySimulator ex_a(devices[0]);
-    sim::NoisySimulator ex_b(devices[1]);
-    const std::vector<core::MergeSource> sources = {
-        {0, &a.jobs, &a.schedule, &a.plan, devices[0].fingerprint(),
-         &ex_a, &a.stream},
-        {1, &b.jobs, &b.schedule, &b.plan, devices[1].fingerprint(),
-         &ex_b, &b.stream},
+    const std::vector<Job> specs = {
+        {workloads::Ghz(6).circuit(), 8192, JigsawOptions{}, 41},
+        {workloads::Ghz(6).circuit(), 8192, JigsawOptions{}, 42},
+        {workloads::BernsteinVazirani(6).circuit(), 6144,
+         core::jigsawMOptions(), 43},
     };
-    const core::MergedSchedule merged = mergeAll(sources);
-    EXPECT_EQ(merged.crossProgramGroups(), 0u);
-    EXPECT_EQ(merged.groups.size(),
-              a.schedule.groups.size() + b.schedule.groups.size());
-}
+    sim::NoisySimulator shared(dev, sim::NoisySimulatorOptions{.seed = 7});
+    for (const Job &job : specs) {
+        const core::SubsetPlan plan =
+            core::planSubsets(job.circuit, job.trials, job.options);
+        const core::CompiledJobs jobs =
+            core::compileJobs(job.circuit, dev, plan, job.options);
+        const core::ExecutionSchedule schedule = core::buildSchedule(jobs);
 
-TEST(MergeSchedules, MergedExecutionMatchesPrivateExecutors)
-{
-    // The core bitwise claim at the pipeline level: executing merged
-    // schedules against one shared executor with per-program streams
-    // reproduces executeSchedule against private executors seeded the
-    // same way.
-    const device::DeviceModel dev = device::toronto();
-    compiler::clearTranspileCache();
-    std::vector<std::unique_ptr<PreparedProgram>> prepared;
-    prepared.push_back(std::make_unique<PreparedProgram>(
-        workloads::Ghz(6).circuit(), dev, 8192, JigsawOptions{}, 41));
-    prepared.push_back(std::make_unique<PreparedProgram>(
-        workloads::Ghz(6).circuit(), dev, 8192, JigsawOptions{}, 42));
-    prepared.push_back(std::make_unique<PreparedProgram>(
-        workloads::BernsteinVazirani(6).circuit(), dev, 6144,
-        core::jigsawMOptions(), 43));
-
-    sim::NoisySimulator shared(dev);
-    const std::uint64_t key = dev.fingerprint();
-    std::vector<core::MergeSource> sources;
-    for (std::size_t i = 0; i < prepared.size(); ++i) {
-        sources.push_back({i, &prepared[i]->jobs, &prepared[i]->schedule,
-                           &prepared[i]->plan, key, &shared,
-                           &prepared[i]->stream});
-    }
-    const core::MergedSchedule merged = mergeAll(sources);
-    const std::vector<core::ExecutionResult> results =
-        core::executeMergedSchedules(sources, merged);
-    ASSERT_EQ(results.size(), prepared.size());
-
-    const std::uint64_t seeds[] = {41, 42, 43};
-    for (std::size_t i = 0; i < prepared.size(); ++i) {
+        Rng stream(job.seed);
+        const core::ExecutionResult actual =
+            core::executeSchedule(shared, jobs, schedule, plan, &stream);
         sim::NoisySimulator private_executor(
-            dev, sim::NoisySimulatorOptions{.seed = seeds[i]});
+            dev, sim::NoisySimulatorOptions{.seed = job.seed});
         const core::ExecutionResult expected = core::executeSchedule(
-            private_executor, prepared[i]->jobs, prepared[i]->schedule,
-            prepared[i]->plan);
+            private_executor, jobs, schedule, plan);
+
         EXPECT_EQ(totalVariationDistance(expected.globalPmf,
-                                         results[i].globalPmf),
+                                         actual.globalPmf),
                   0.0);
-        ASSERT_EQ(expected.cpmPmfs.size(), results[i].cpmPmfs.size());
+        ASSERT_EQ(expected.cpmPmfs.size(), actual.cpmPmfs.size());
         for (std::size_t c = 0; c < expected.cpmPmfs.size(); ++c) {
             EXPECT_EQ(totalVariationDistance(expected.cpmPmfs[c],
-                                             results[i].cpmPmfs[c]),
+                                             actual.cpmPmfs[c]),
                       0.0);
         }
     }
-}
-
-TEST(MergeSchedules, PooledGlobalsMatchAndAreCounted)
-{
-    // Two programs sharing a (device, global circuit) pair pool their
-    // global sampling into one multi-program runBatch; the stats tick
-    // and the per-program global PMFs still match private executors
-    // (the preceding test checks that; here the counters).
-    const device::DeviceModel dev = device::toronto();
-    compiler::clearTranspileCache();
-    PreparedProgram a(workloads::Ghz(6).circuit(), dev, 8192,
-                      JigsawOptions{}, 61);
-    PreparedProgram b(workloads::Ghz(6).circuit(), dev, 8192,
-                      JigsawOptions{}, 62);
-    sim::NoisySimulator shared(dev);
-    const std::uint64_t key = dev.fingerprint();
-    const std::vector<core::MergeSource> sources = {
-        {0, &a.jobs, &a.schedule, &a.plan, key, &shared, &a.stream},
-        {1, &b.jobs, &b.schedule, &b.plan, key, &shared, &b.stream},
-    };
-    const core::MergedSchedule merged = mergeAll(sources);
-    core::MergedExecutionStats stats;
-    const std::vector<core::ExecutionResult> results =
-        core::executeMergedSchedules(sources, merged, &stats);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(stats.pooledGlobalBatches, 1u);
-    EXPECT_EQ(stats.pooledGlobalPrograms, 2u);
-    EXPECT_EQ(totalVariationDistance(results[0].globalPmf,
-                                     results[1].globalPmf) == 0.0,
-              false)
-        << "distinct seeds must draw distinct global samples";
-}
-
-TEST(MergeSchedules, IncrementalMergeMatchesBatchMerge)
-{
-    // mergeSourceInto applied one source at a time — the streaming
-    // scheduler's window-accretion path — must produce exactly what
-    // the one-shot mergeAll fold does.
-    const device::DeviceModel dev = device::toronto();
-    compiler::clearTranspileCache();
-    PreparedProgram a(workloads::Ghz(6).circuit(), dev, 8192,
-                      JigsawOptions{}, 71);
-    PreparedProgram b(workloads::Ghz(6).circuit(), dev, 8192,
-                      JigsawOptions{}, 72);
-    PreparedProgram c(workloads::BernsteinVazirani(6).circuit(), dev,
-                      6144, core::jigsawMOptions(), 73);
-    sim::NoisySimulator shared(dev);
-    const std::uint64_t key = dev.fingerprint();
-    const std::vector<core::MergeSource> sources = {
-        {0, &a.jobs, &a.schedule, &a.plan, key, &shared, &a.stream},
-        {1, &b.jobs, &b.schedule, &b.plan, key, &shared, &b.stream},
-        {2, &c.jobs, &c.schedule, &c.plan, key, &shared, &c.stream},
-    };
-    const core::MergedSchedule batch = mergeAll(sources);
-    core::MergedSchedule incremental;
-    for (std::size_t s = 0; s < sources.size(); ++s)
-        core::mergeSourceInto(incremental, sources, s);
-
-    ASSERT_EQ(incremental.groups.size(), batch.groups.size());
-    for (std::size_t g = 0; g < batch.groups.size(); ++g) {
-        EXPECT_EQ(incremental.groups[g].deviceKey,
-                  batch.groups[g].deviceKey);
-        EXPECT_EQ(incremental.groups[g].prefixHash,
-                  batch.groups[g].prefixHash);
-        ASSERT_EQ(incremental.groups[g].members.size(),
-                  batch.groups[g].members.size());
-        for (std::size_t m = 0; m < batch.groups[g].members.size();
-             ++m) {
-            EXPECT_EQ(incremental.groups[g].members[m].source,
-                      batch.groups[g].members[m].source);
-            EXPECT_EQ(incremental.groups[g].members[m].group,
-                      batch.groups[g].members[m].group);
-        }
-    }
-}
-
-TEST(MergeSchedules, RemoveSourceUnwindsACancelledJob)
-{
-    // The cancel path: withdraw the middle source from an
-    // incrementally built merge, disable its slot, and execute — the
-    // survivors must still match their private-executor reference and
-    // the withdrawn slot must stay untouched.
-    const device::DeviceModel dev = device::toronto();
-    compiler::clearTranspileCache();
-    std::vector<std::unique_ptr<PreparedProgram>> prepared;
-    prepared.push_back(std::make_unique<PreparedProgram>(
-        workloads::Ghz(6).circuit(), dev, 8192, JigsawOptions{}, 81));
-    prepared.push_back(std::make_unique<PreparedProgram>(
-        workloads::Ghz(6).circuit(), dev, 8192, JigsawOptions{}, 82));
-    prepared.push_back(std::make_unique<PreparedProgram>(
-        workloads::Ghz(6).circuit(), dev, 8192, JigsawOptions{}, 83));
-    sim::NoisySimulator shared(dev);
-    const std::uint64_t key = dev.fingerprint();
-    std::vector<core::MergeSource> sources;
-    for (std::size_t i = 0; i < prepared.size(); ++i) {
-        sources.push_back({i, &prepared[i]->jobs, &prepared[i]->schedule,
-                           &prepared[i]->plan, key, &shared,
-                           &prepared[i]->stream});
-    }
-    core::MergedSchedule merged;
-    for (std::size_t s = 0; s < sources.size(); ++s)
-        core::mergeSourceInto(merged, sources, s);
-
-    const std::size_t removed = core::removeSourceFrom(merged, 1);
-    EXPECT_EQ(removed, prepared[1]->schedule.groups.size());
-    sources[1].enabled = false;
-    for (const core::MergedSchedule::Group &group : merged.groups) {
-        for (const core::MergedSchedule::Member &member : group.members)
-            EXPECT_NE(member.source, 1u);
-    }
-
-    const std::vector<core::ExecutionResult> results =
-        core::executeMergedSchedules(sources, merged);
-    ASSERT_EQ(results.size(), 3u);
-    // The withdrawn slot keeps its placeholder result.
-    EXPECT_TRUE(results[1].cpmPmfs.empty());
-    const std::uint64_t seeds[] = {81, 82, 83};
-    for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-        sim::NoisySimulator private_executor(
-            dev, sim::NoisySimulatorOptions{.seed = seeds[i]});
-        const core::ExecutionResult expected = core::executeSchedule(
-            private_executor, prepared[i]->jobs, prepared[i]->schedule,
-            prepared[i]->plan);
-        EXPECT_EQ(totalVariationDistance(expected.globalPmf,
-                                         results[i].globalPmf),
-                  0.0);
-        ASSERT_EQ(expected.cpmPmfs.size(), results[i].cpmPmfs.size());
-        for (std::size_t c = 0; c < expected.cpmPmfs.size(); ++c) {
-            EXPECT_EQ(totalVariationDistance(expected.cpmPmfs[c],
-                                             results[i].cpmPmfs[c]),
-                      0.0);
-        }
-    }
+    // The two GHZ jobs share one logical program: evolved once.
+    EXPECT_EQ(shared.batchStats().baseEvolutions, 2u);
 }
 
 TEST(Session, AdoptExecutionValidatesAndResumes)

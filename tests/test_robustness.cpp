@@ -43,7 +43,7 @@ struct FaultGuard
 TEST(FaultInjection, ParsesSpecGrammar)
 {
     const std::vector<FaultRule> rules = parseFaultSpec(
-        "executor.run:first=2;merge.execute@2:prob=0.25:seed=7:terminal;"
+        "executor.run:first=2;executor.run@2:prob=0.25:seed=7:terminal;"
         "stage.plan");
     ASSERT_EQ(rules.size(), 3u);
     EXPECT_EQ(rules[0].site, "executor.run");
@@ -51,7 +51,7 @@ TEST(FaultInjection, ParsesSpecGrammar)
     EXPECT_EQ(rules[0].failFirst, 2u);
     EXPECT_EQ(rules[0].probability, 0.0);
     EXPECT_TRUE(rules[0].transient);
-    EXPECT_EQ(rules[1].site, "merge.execute");
+    EXPECT_EQ(rules[1].site, "executor.run");
     EXPECT_EQ(rules[1].detail, "2");
     EXPECT_DOUBLE_EQ(rules[1].probability, 0.25);
     EXPECT_EQ(rules[1].seed, 7u);
@@ -100,16 +100,17 @@ TEST(FaultInjection, DetailMatchingAndTerminalType)
 {
     FaultGuard guard;
     FaultInjector::instance().configure(
-        parseFaultSpec("merge.execute@2:first=2:terminal"));
-    // Wrong or missing detail never matches a detailed rule.
-    EXPECT_NO_THROW(injectFaultPoint("merge.execute", "3"));
-    EXPECT_NO_THROW(injectFaultPoint("merge.execute"));
-    EXPECT_NO_THROW(injectFaultPoint("executor.run", "2"));
+        parseFaultSpec("executor.run@2:first=2:terminal"));
+    // Wrong or missing detail, or the right detail at another site,
+    // never matches a detailed rule.
+    EXPECT_NO_THROW(injectFaultPoint("executor.run", "3"));
+    EXPECT_NO_THROW(injectFaultPoint("executor.run"));
+    EXPECT_NO_THROW(injectFaultPoint("executor.runBatch", "2"));
     // A terminal rule throws plain std::runtime_error, never the
     // retryable TransientError subtype.
     bool threw_terminal = false;
     try {
-        injectFaultPoint("merge.execute", "2");
+        injectFaultPoint("executor.run", std::uint64_t{2});
     } catch (const TransientError &) {
         FAIL() << "terminal rule threw TransientError";
     } catch (const std::runtime_error &) {
@@ -170,9 +171,8 @@ TEST(FaultInjection, KnownSitesCoverEveryInstrumentedPoint)
         FaultInjector::knownSites();
     for (const char *site :
          {"stage.plan", "stage.compile", "stage.reconstruct",
-          "executor.run", "executor.runBatch", "merge.execute",
-          "transport.send", "transport.recv", "worker.crash",
-          "worker.stall"}) {
+          "executor.run", "executor.runBatch", "transport.send",
+          "transport.recv", "worker.crash", "worker.stall"}) {
         EXPECT_NE(std::find(sites.begin(), sites.end(), site),
                   sites.end())
             << site << " missing from knownSites()";
@@ -182,30 +182,29 @@ TEST(FaultInjection, KnownSitesCoverEveryInstrumentedPoint)
         EXPECT_NO_THROW(parseFaultSpec(site + ":first=1"));
 }
 
-TEST(Robustness, DoublePoisonedWindowChargesOnlySoloFailures)
+TEST(Robustness, FaultingJobChargesOnlyItsOwnRetries)
 {
-    // A job quarantined out of a poisoned window pays no retry budget
-    // for the window's failure; when its solo exclusive retry then
-    // fails too, only THOSE failures charge attempts. The "@2" rule
-    // poisons the two-job window once; the "@1" rule fails two solo
-    // executions; total attempts across both jobs must be exactly 2 —
-    // double-charging the window poisoning would make it 4.
+    // Two jobs of one program share a merge window and the shared
+    // executor, but each executes on its own: a fault in one job's
+    // execution is retried against that job's budget alone. The rule
+    // matches the first job's 4096-shot global run (its detail is the
+    // shot count), twice; the second job's global draws 3072 shots.
+    // Attempts must be exactly 2 and 0, and both results bitwise.
     const DeviceModel dev = device::toronto();
     const auto ghz = workloads::makeWorkload("GHZ-6");
     std::vector<core::ServiceProgram> programs;
     programs.emplace_back(ghz->circuit(), dev, 8192,
                           core::JigsawOptions{}, 9101);
-    programs.emplace_back(ghz->circuit(), dev, 8192,
+    programs.emplace_back(ghz->circuit(), dev, 6144,
                           core::JigsawOptions{}, 9102);
     const std::vector<core::JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
     FaultGuard guard;
-    FaultInjector::instance().configure(parseFaultSpec(
-        "merge.execute@2:first=1:terminal;merge.execute@1:first=2"));
+    FaultInjector::instance().configure(
+        parseFaultSpec("executor.run@4096:first=2"));
 
     core::StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0; // held open until both jobs joined
     core::StreamingScheduler scheduler(options);
     const core::JobHandle first = scheduler.submit(programs[0]).handle;
@@ -238,13 +237,15 @@ TEST(Robustness, DoublePoisonedWindowChargesOnlySoloFailures)
     const core::StreamStats stats = scheduler.stats();
     EXPECT_EQ(stats.completed, 2u);
     EXPECT_EQ(stats.failed, 0u);
-    EXPECT_EQ(stats.quarantinedJobs, 2u);
+    EXPECT_EQ(stats.mergedWindows, 1u);
     EXPECT_EQ(stats.retries, 2u);
+    EXPECT_EQ(FaultInjector::instance().injectedAt("executor.run"), 2u);
     const auto first_status = scheduler.poll(first);
     const auto second_status = scheduler.poll(second);
     ASSERT_TRUE(first_status.has_value());
     ASSERT_TRUE(second_status.has_value());
-    EXPECT_EQ(first_status->attempts + second_status->attempts, 2u);
+    EXPECT_EQ(first_status->attempts, 2u);
+    EXPECT_EQ(second_status->attempts, 0u);
 }
 
 TEST(Robustness, ShedHintSeedsFromFirstObservedLatency)
@@ -263,7 +264,6 @@ TEST(Robustness, ShedHintSeedsFromFirstObservedLatency)
     };
 
     core::StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0;
     options.maxQueuedJobs = 4; // Normal sheds at 4, Low at 3
     core::StreamingScheduler scheduler(options);

@@ -342,31 +342,30 @@ TEST(JigsawService, ShedProgramFailsOnlyItself)
     EXPECT_EQ(stats.released, 2u);
 }
 
-// -------------------------------------------- cross-program batching
+// ----------------------------------------------- shared executors
 
 /**
- * Service options for the merge-count assertions below: @p policy,
- * with a merge window long enough that each window closes only when
- * run() flushes it, after every program of the batch has prepared.
- * The default 5 ms window may close before a slow-compiling partner
- * arrives, which changes merge counts but never results.
+ * Service options for the window-count assertions below: a merge
+ * window long enough that each window closes only when run() flushes
+ * it, after every program of the batch has prepared. The default 5 ms
+ * window may close before a slow-compiling partner arrives, which
+ * changes window counts but never results.
  */
 core::ServiceOptions
-batchOptions(core::MergePolicy policy)
+heldWindows()
 {
     core::ServiceOptions options;
-    options.stream.mergePolicy = policy;
     options.stream.windowMs = 60000.0;
     return options;
 }
 
 /**
- * The merge-path acid test: identical programs (same circuit, same
- * options, different seeds), structurally-equal circuits built
+ * The shared-executor acid test: identical programs (same circuit,
+ * same options, different seeds), structurally-equal circuits built
  * independently, and distinct circuits, all in one batch.
  */
 std::vector<ServiceProgram>
-mergeablePrograms(const device::DeviceModel &dev)
+windowedPrograms(const device::DeviceModel &dev)
 {
     std::vector<ServiceProgram> programs;
     // Two identical programs, different seeds: share everything.
@@ -375,89 +374,64 @@ mergeablePrograms(const device::DeviceModel &dev)
     programs.emplace_back(workloads::Ghz(7).circuit(), dev, 8192,
                           core::JigsawOptions{}, 22);
     // Structurally equal circuit, different options: shares the
-    // global prefix, subsets differ.
+    // logical program, subsets differ.
     programs.emplace_back(workloads::Ghz(7).circuit(), dev, 6144,
                           core::jigsawMOptions(), 33);
-    // Distinct circuits: merge pass must keep them apart.
+    // Distinct circuits: windows of their own.
     programs.emplace_back(workloads::BernsteinVazirani(6).circuit(), dev,
                           8192, core::JigsawOptions{}, 44);
     core::JigsawOptions no_recomp;
     no_recomp.recompileCpms = false;
     programs.emplace_back(workloads::QftAdjoint(5).circuit(), dev, 4096,
                           no_recomp, 55);
-    // Same circuit as the BV program under JigSaw-M: shares its
-    // global prefix across differing schedules.
+    // Same circuit as the BV program under JigSaw-M.
     programs.emplace_back(workloads::BernsteinVazirani(6).circuit(), dev,
                           8192, core::jigsawMOptions(), 66);
     return programs;
 }
 
-TEST(CrossProgramBatching, MergedMatchesSequentialBitwise)
+TEST(SharedExecutor, WindowedJobsMatchSequentialBitwise)
 {
     const device::DeviceModel dev = device::toronto();
-    const std::vector<ServiceProgram> programs = mergeablePrograms(dev);
+    const std::vector<ServiceProgram> programs = windowedPrograms(dev);
     ASSERT_GE(programs.size(), 5u);
 
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
-    core::JigsawService service(batchOptions(core::MergePolicy::Always));
-    const std::vector<JigsawResult> merged = service.run(programs);
-    ASSERT_EQ(merged.size(), programs.size());
+    core::JigsawService service(heldWindows());
+    const std::vector<JigsawResult> windowed = service.run(programs);
+    ASSERT_EQ(windowed.size(), programs.size());
 
-    // Every program rode a merged window and the duplicated
-    // (circuit, device) pairs produced genuinely shared batches.
+    // One window per circuit: GHZ-7 x3 and BV-6 x2 merged, QFT alone.
     const core::StreamStats stats = service.streamStats();
-    EXPECT_EQ(stats.mergedJobs, programs.size());
-    EXPECT_GT(stats.mergedWindows, 0u);
-    EXPECT_GT(stats.crossProgramGroups, 0u);
-    // The duplicated (circuit, device) pairs also pooled their global
-    // sampling into multi-program batches (merged-path global
-    // batching), without disturbing the bitwise check below.
-    EXPECT_GT(stats.pooledGlobalBatches, 0u);
-    EXPECT_GE(stats.pooledGlobalPrograms, 2u);
+    EXPECT_EQ(stats.mergedWindows, 2u);
+    EXPECT_EQ(stats.mergedJobs, 5u);
+    EXPECT_EQ(stats.loneDispatches, 1u);
+    EXPECT_EQ(stats.crossProgramGroups, 0u);
+    EXPECT_EQ(stats.pooledGlobalPrograms, 0u);
     EXPECT_EQ(stats.jobsObserved, programs.size());
     EXPECT_GE(stats.latencyPercentileMs(0.95),
               stats.latencyPercentileMs(0.5));
 
     for (std::size_t i = 0; i < programs.size(); ++i) {
-        expectBitwisePmf(sequential[i].output, merged[i].output);
-        expectBitwisePmf(sequential[i].globalPmf, merged[i].globalPmf);
-        ASSERT_EQ(sequential[i].cpms.size(), merged[i].cpms.size());
+        expectBitwisePmf(sequential[i].output, windowed[i].output);
+        expectBitwisePmf(sequential[i].globalPmf, windowed[i].globalPmf);
+        ASSERT_EQ(sequential[i].cpms.size(), windowed[i].cpms.size());
         for (std::size_t c = 0; c < sequential[i].cpms.size(); ++c) {
             expectBitwisePmf(sequential[i].cpms[c].localPmf,
-                             merged[i].cpms[c].localPmf);
+                             windowed[i].cpms[c].localPmf);
         }
     }
 }
 
-TEST(CrossProgramBatching, EveryMergePolicyAgrees)
+TEST(SharedExecutor, CallerSuppliedExecutorStaysWindowless)
 {
+    // A caller-supplied executor is never shared; its program runs
+    // window-less alongside the windowed batch, and both kinds still
+    // match their sequential reference.
     const device::DeviceModel dev = device::toronto();
-    const std::vector<ServiceProgram> programs = mergeablePrograms(dev);
-
-    core::JigsawService never(batchOptions(core::MergePolicy::Never));
-    core::JigsawService automatic(batchOptions(core::MergePolicy::Auto));
-    core::JigsawService always(batchOptions(core::MergePolicy::Always));
-    const std::vector<JigsawResult> a = never.run(programs);
-    const std::vector<JigsawResult> b = automatic.run(programs);
-    const std::vector<JigsawResult> c = always.run(programs);
-
-    EXPECT_EQ(never.streamStats().mergedJobs, 0u);
-    EXPECT_EQ(always.streamStats().mergedJobs, programs.size());
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-        expectBitwisePmf(a[i].output, b[i].output);
-        expectBitwisePmf(a[i].output, c[i].output);
-    }
-}
-
-TEST(CrossProgramBatching, CallerSuppliedExecutorStaysUnmerged)
-{
-    // A caller-supplied executor cannot be merged; its program runs
-    // as an independent session alongside the merged batch, and both
-    // kinds still match their sequential reference.
-    const device::DeviceModel dev = device::toronto();
-    std::vector<ServiceProgram> programs = mergeablePrograms(dev);
+    std::vector<ServiceProgram> programs = windowedPrograms(dev);
     auto executor = std::make_shared<sim::NoisySimulator>(
         dev, sim::NoisySimulatorOptions{.seed = 77});
     programs.emplace_back(workloads::Ghz(6).circuit(), dev, 4096,
@@ -466,20 +440,21 @@ TEST(CrossProgramBatching, CallerSuppliedExecutorStaysUnmerged)
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
-    core::JigsawService service(batchOptions(core::MergePolicy::Always));
-    const std::vector<JigsawResult> merged = service.run(programs);
-    EXPECT_EQ(service.streamStats().mergedJobs, programs.size() - 1);
+    core::JigsawService service(heldWindows());
+    const std::vector<JigsawResult> windowed = service.run(programs);
+    // The QFT window and the caller-executor job dispatch alone.
+    EXPECT_EQ(service.streamStats().mergedJobs, programs.size() - 2);
+    EXPECT_EQ(service.streamStats().loneDispatches, 2u);
     EXPECT_GT(executor->cacheMisses(), 0u);
     for (std::size_t i = 0; i + 1 < programs.size(); ++i)
-        expectBitwisePmf(sequential[i].output, merged[i].output);
+        expectBitwisePmf(sequential[i].output, windowed[i].output);
 }
 
-TEST(CrossProgramBatching, ExecutorCountsCrossProgramBatches)
+TEST(SharedExecutor, PerSpecStreamsMatchPrivateExecutors)
 {
     // runBatch with specs from two programs, each on its own stream:
     // the per-program histograms must match what each program's
-    // private executor would draw. (StreamStats::crossProgramGroups
-    // counts such sharing on the service path.)
+    // private executor would draw.
     const circuit::QuantumCircuit qc = workloads::Ghz(6).circuit();
     const std::vector<std::vector<int>> subsets = {
         {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}};
@@ -513,13 +488,13 @@ TEST(CrossProgramBatching, ExecutorCountsCrossProgramBatches)
     }
 }
 
-TEST(CrossProgramBatching, MergedPathHammersSharedExecutorDeterministically)
+TEST(SharedExecutor, WindowedJobsHammerSharedExecutorDeterministically)
 {
-    // The TSan leg's merge-path case: a larger batch with heavy
-    // duplication, run twice through the merged service — exercises
-    // the shared executor's caches from the warm-up TaskGroup and the
-    // merged sampling concurrently with reconstruction tasks, and the
-    // two runs must agree bitwise.
+    // The TSan leg's shared-executor case: a larger batch with heavy
+    // duplication, run twice through the service — every job executes
+    // against the one shared executor concurrently with other jobs'
+    // executions and reconstructions, and the two runs must agree
+    // bitwise.
     const device::DeviceModel dev = device::toronto();
     std::vector<ServiceProgram> programs;
     for (int i = 0; i < 12; ++i) {
@@ -534,9 +509,9 @@ TEST(CrossProgramBatching, MergedPathHammersSharedExecutorDeterministically)
                                          : core::JigsawOptions{},
                               500 + 13ULL * static_cast<std::uint64_t>(i));
     }
-    core::JigsawService service(batchOptions(core::MergePolicy::Always));
+    core::JigsawService service(heldWindows());
     const std::vector<JigsawResult> first = service.run(programs);
-    EXPECT_GT(service.streamStats().crossProgramGroups, 0u);
+    EXPECT_GT(service.streamStats().mergedJobs, 0u);
     const std::vector<JigsawResult> second = service.run(programs);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)

@@ -6,6 +6,7 @@
  * per-shot channel), and the ideal/noisy executors (including
  * fast-channel vs trajectory-mode agreement).
  */
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -619,6 +620,41 @@ TEST(Simulators, UnboundSpecsRejectMalformedSubsets)
             EXPECT_THROW(executor->runBatch(base, {spec}),
                          std::invalid_argument);
             EXPECT_THROW(executor->run(base, spec), std::invalid_argument);
+        }
+    }
+}
+
+TEST(Simulators, BoundSpecsRejectRepeatedBits)
+{
+    // A bound spec folds its logical program's PMF onto its clbits and
+    // reads them through its physical qubits, so a repeated clbit or
+    // qubit is as malformed as a repeated qubit in an unbound spec:
+    // each is rejected by run(), runBatch() and prepareBatch() of both
+    // simulators instead of drawing correlated copies of one bit.
+    const DeviceModel dev = pairedDevice();
+    const QuantumCircuit base = pairedCircuit();
+    const auto logical = std::make_shared<const LogicalProgram>(base);
+    const auto bound = [&](std::vector<int> qubits,
+                           std::vector<int> clbits) {
+        CpmSpec spec{std::move(qubits), 100};
+        spec.logical = logical;
+        spec.clbits = std::move(clbits);
+        return spec;
+    };
+    IdealSimulator ideal(3);
+    NoisySimulator noisy(dev, {.seed = 3});
+    for (Executor *executor : {static_cast<Executor *>(&ideal),
+                               static_cast<Executor *>(&noisy)}) {
+        EXPECT_EQ(executor->run(base, bound({0, 1}, {0, 1})).totalCount(),
+                  100u);
+        for (const CpmSpec &spec :
+             {bound({1, 1}, {1, 1}), bound({1, 1}, {0, 1}),
+              bound({0, 1}, {1, 1})}) {
+            EXPECT_THROW(executor->run(base, spec), std::invalid_argument);
+            EXPECT_THROW(executor->runBatch(base, {spec}),
+                         std::invalid_argument);
+            EXPECT_THROW(executor->prepareBatch(base, {spec}),
+                         std::invalid_argument);
         }
     }
 }

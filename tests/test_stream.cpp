@@ -2,10 +2,10 @@
  * @file
  * Streaming-scheduler tests: the submit/poll JigsawService must
  * reproduce sequential runJigsaw bitwise under concurrent submitters
- * and arbitrary window composition, cancellation must unwind jobs
- * cleanly out of open merge windows, heterogeneous devices must never
- * merge, and the guarded percentile views must survive degenerate
- * sample sets. This file joins test_service in the CI ThreadSanitizer
+ * and arbitrary window composition, cancellation and expiry must
+ * withdraw only their own job from an open merge window, a faulting
+ * job must fail only itself, and the guarded percentile views must
+ * survive degenerate sample sets. This file joins test_service in the CI ThreadSanitizer
  * leg (run with JIGSAW_THREADS=4 or more to exercise the pool).
  */
 #include <chrono>
@@ -119,7 +119,6 @@ TEST(StreamingScheduler, WindowedJobsMatchSequentialBitwise)
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 50.0;
     StreamingScheduler scheduler(options);
     std::vector<JobHandle> handles;
@@ -157,7 +156,6 @@ TEST(StreamingScheduler, ConcurrentSubmittersMatchSequentialBitwise)
         core::runProgramsSequentially(programs);
 
     core::ServiceOptions service_options;
-    service_options.stream.mergePolicy = core::MergePolicy::Auto;
     service_options.stream.windowMs = 20.0;
     core::JigsawService service(service_options);
 
@@ -197,15 +195,14 @@ TEST(StreamingScheduler, ConcurrentSubmittersMatchSequentialBitwise)
 
 TEST(StreamingScheduler, ImmediateDispatchMatchesSequentialBitwise)
 {
-    // MergePolicy::Never + windowMs 0 is submit-and-run-immediately:
-    // every job an independent session with a private executor.
+    // windowMs 0 is submit-and-run-immediately: every job dispatches
+    // on readiness, window-less, on the shared executor.
     const device::DeviceModel dev = device::toronto();
     const std::vector<ServiceProgram> programs = streamPrograms(dev);
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Never;
     options.windowMs = 0.0;
     StreamingScheduler scheduler(options);
     std::vector<JobHandle> handles;
@@ -219,48 +216,39 @@ TEST(StreamingScheduler, ImmediateDispatchMatchesSequentialBitwise)
     EXPECT_EQ(stats.loneDispatches, programs.size());
 }
 
-// ----------------------------------------------- heterogeneous devices
-
-TEST(StreamingScheduler, AlwaysNeverMergesAcrossDeviceFingerprints)
+TEST(StreamingScheduler, SameProgramJobsShareOneWindowBitwise)
 {
-    // MergePolicy::Always windows aggressively — but only within a
-    // device fingerprint. Identical circuits on two devices must run
-    // in separate windows against separate shared executors, and
-    // every result must still match its own device's sequential run.
-    const device::DeviceModel toronto = device::toronto();
-    const device::DeviceModel paris = device::paris();
-    ASSERT_NE(toronto.fingerprint(), paris.fingerprint());
-
+    // Two jobs of one program collect in one merge window, then each
+    // executes on its own against the shared executor — which evolves
+    // the program once for both — and both stay bitwise-sequential.
+    const device::DeviceModel dev = device::toronto();
     std::vector<ServiceProgram> programs;
-    for (std::uint64_t seed : {201, 202}) {
-        programs.emplace_back(workloads::Ghz(6).circuit(), toronto, 8192,
-                              core::JigsawOptions{}, seed);
-    }
-    for (std::uint64_t seed : {203, 204}) {
-        programs.emplace_back(workloads::Ghz(6).circuit(), paris, 8192,
-                              core::JigsawOptions{}, seed);
-    }
+    programs.emplace_back(workloads::Ghz(6).circuit(), dev, 8192,
+                          core::JigsawOptions{}, 211);
+    programs.emplace_back(workloads::Ghz(6).circuit(), dev, 8192,
+                          core::JigsawOptions{}, 212);
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
-    options.windowMs = 200.0; // plenty for all four to share windows
+    options.windowMs = 60000.0; // held open until drain()
     StreamingScheduler scheduler(options);
     std::vector<JobHandle> handles;
     for (const ServiceProgram &program : programs)
         handles.push_back(scheduler.submit(program).handle);
+    for (const JobHandle handle : handles)
+        pollUntil(scheduler, handle, JobState::Windowed);
     scheduler.drain();
     for (std::size_t i = 0; i < programs.size(); ++i)
         expectBitwiseResult(sequential[i], scheduler.wait(handles[i]));
 
-    // Two same-device pairs: at most one merged window per device,
-    // never one spanning both (a cross-device window would have
-    // produced a single window with all four jobs).
     const core::StreamStats stats = scheduler.stats();
-    EXPECT_EQ(stats.completed, programs.size());
-    EXPECT_LE(stats.mergedWindows, 2u);
-    EXPECT_LE(stats.mergedJobs, 4u);
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.mergedWindows, 1u);
+    EXPECT_EQ(stats.mergedJobs, 2u);
+    EXPECT_EQ(stats.loneDispatches, 0u);
+    // The second job found every PMF the first one built.
+    EXPECT_GT(stats.executorPmfHits, 0u);
 }
 
 // ------------------------------------------------------- cancellation
@@ -277,7 +265,6 @@ TEST(StreamingScheduler, CancelInsideOpenMergeWindow)
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0; // held open until drain()
     options.windowMaxJobs = 8;
     StreamingScheduler scheduler(options);
@@ -329,7 +316,6 @@ TEST(StreamingScheduler, HighPriorityClosesItsWindowImmediately)
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0;
     StreamingScheduler scheduler(options);
     const JobHandle low =
@@ -395,7 +381,6 @@ TEST(StreamingScheduler, ShedsLowBeforeHighWithFiniteHints)
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0; // held open: the backlog cannot drain
     options.windowMaxJobs = 16;
     options.maxQueuedJobs = 5; // shed thresholds: Low 3, Normal 4, High 5
@@ -460,7 +445,6 @@ TEST(StreamingScheduler, DrainClearsSheddingBacklog)
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0;
     // Normal sheds once the backlog hits 3. At half the admission
     // budget the overload shrink stays off, so the held window closes
@@ -510,7 +494,6 @@ TEST(StreamingScheduler, DeadlineExpiresInsideOpenWindow)
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0; // the window outlives the deadline
     StreamingScheduler scheduler(options);
     const JobHandle kept = scheduler.submit(programs[0]).handle;
@@ -547,7 +530,6 @@ TEST(StreamingScheduler, TransientFaultsRetryToBitwiseIdenticalResults)
         parseFaultSpec("stage.compile:first=2;executor.run:first=1"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Never;
     options.windowMs = 0.0;
     StreamingScheduler scheduler(options);
     std::vector<JobHandle> handles;
@@ -566,42 +548,46 @@ TEST(StreamingScheduler, TransientFaultsRetryToBitwiseIdenticalResults)
     EXPECT_EQ(FaultInjector::instance().injected(), 3u);
 }
 
-TEST(StreamingScheduler, PoisonedWindowQuarantinesMembersSolo)
+TEST(StreamingScheduler, FaultingJobFailsOnlyItself)
 {
+    // Two jobs share one merge window; the first one's execution
+    // faults on every attempt (the rule matches its 4096-shot global
+    // run; the partner's draws 3072 shots). It fails after its
+    // maxRetries retries, alone: its window partner stays bitwise.
     const device::DeviceModel dev = device::toronto();
     std::vector<ServiceProgram> programs;
     programs.emplace_back(workloads::Ghz(6).circuit(), dev, 8192,
                           core::JigsawOptions{}, 801);
-    programs.emplace_back(workloads::Ghz(6).circuit(), dev, 8192,
+    programs.emplace_back(workloads::Ghz(6).circuit(), dev, 6144,
                           core::JigsawOptions{}, 802);
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
-    // The detail "@2" arms only merged executions covering exactly two
-    // sources: the poisoned window fails (terminally — quarantine must
-    // not depend on the error being transient), while the members'
-    // solo exclusive-window retries run at detail 1 and pass.
     FaultGuard guard;
     FaultInjector::instance().configure(
-        parseFaultSpec("merge.execute@2:first=1:terminal"));
+        parseFaultSpec("executor.run@4096:first=4"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0;
+    options.maxRetries = 3;
     StreamingScheduler scheduler(options);
-    const JobHandle first = scheduler.submit(programs[0]).handle;
-    const JobHandle second = scheduler.submit(programs[1]).handle;
-    pollUntil(scheduler, first, JobState::Windowed);
-    pollUntil(scheduler, second, JobState::Windowed);
+    const JobHandle failing = scheduler.submit(programs[0]).handle;
+    const JobHandle partner = scheduler.submit(programs[1]).handle;
+    pollUntil(scheduler, failing, JobState::Windowed);
+    pollUntil(scheduler, partner, JobState::Windowed);
 
-    scheduler.drain(); // closes the 2-job window; its execution faults
-    expectBitwiseResult(sequential[0], scheduler.wait(first));
-    expectBitwiseResult(sequential[1], scheduler.wait(second));
+    scheduler.drain(); // closes the 2-job window
+    EXPECT_THROW(scheduler.wait(failing), TransientError);
+    EXPECT_EQ(scheduler.poll(failing)->state, JobState::Failed);
+    EXPECT_EQ(scheduler.poll(failing)->attempts, 3u);
+    expectBitwiseResult(sequential[1], scheduler.wait(partner));
+    EXPECT_EQ(scheduler.poll(partner)->attempts, 0u);
     const core::StreamStats stats = scheduler.stats();
-    EXPECT_EQ(stats.completed, 2u);
-    EXPECT_EQ(stats.failed, 0u);
-    EXPECT_EQ(stats.quarantinedJobs, 2u);
-    EXPECT_EQ(FaultInjector::instance().injectedAt("merge.execute"), 1u);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.retries, 3u);
+    EXPECT_EQ(stats.mergedWindows, 1u);
+    EXPECT_EQ(FaultInjector::instance().injectedAt("executor.run"), 4u);
 }
 
 TEST(StreamingScheduler, CancelInsideWindowUnderFaults)
@@ -617,10 +603,9 @@ TEST(StreamingScheduler, CancelInsideWindowUnderFaults)
 
     FaultGuard guard;
     FaultInjector::instance().configure(
-        parseFaultSpec("merge.execute@2:first=1"));
+        parseFaultSpec("executor.run:first=1"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 60000.0;
     StreamingScheduler scheduler(options);
     std::vector<JobHandle> handles;
@@ -629,9 +614,9 @@ TEST(StreamingScheduler, CancelInsideWindowUnderFaults)
     for (const JobHandle handle : handles)
         pollUntil(scheduler, handle, JobState::Windowed);
 
-    // Cancellation shrinks the open window to two members; the
-    // poisoned two-job execution then quarantines both survivors,
-    // whose solo retries still match sequential bitwise.
+    // Cancellation shrinks the open window to two members; one
+    // survivor's execution then faults and is retried on its own, and
+    // both survivors still match sequential bitwise.
     EXPECT_TRUE(scheduler.cancel(handles[1]));
     scheduler.drain();
     EXPECT_THROW(scheduler.wait(handles[1]), std::runtime_error);
@@ -641,7 +626,8 @@ TEST(StreamingScheduler, CancelInsideWindowUnderFaults)
     EXPECT_EQ(stats.completed, 2u);
     EXPECT_EQ(stats.cancelled, 1u);
     EXPECT_EQ(stats.failed, 0u);
-    EXPECT_EQ(stats.quarantinedJobs, 2u);
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(stats.mergedJobs, 2u);
 }
 
 TEST(StreamingScheduler, ConcurrentSubmittersWithFaultsStayBitwise)
@@ -668,7 +654,6 @@ TEST(StreamingScheduler, ConcurrentSubmittersWithFaultsStayBitwise)
         "stage.reconstruct:first=1"));
 
     core::ServiceOptions service_options;
-    service_options.stream.mergePolicy = core::MergePolicy::Auto;
     service_options.stream.windowMs = 20.0;
     core::JigsawService service(service_options);
 
@@ -697,11 +682,10 @@ TEST(StreamingScheduler, ConcurrentSubmittersWithFaultsStayBitwise)
     const core::StreamStats stats = service.streamStats();
     EXPECT_EQ(stats.completed, programs.size());
     EXPECT_EQ(stats.failed + stats.cancelled + stats.expired, 0u);
-    // The compile and reconstruct rules fire unconditionally (those
-    // stages run for every job); the runBatch rule needs a merged
-    // window to exist, so only bound the total from below.
-    EXPECT_GE(FaultInjector::instance().injected(), 3u);
-    EXPECT_GE(stats.retries + stats.quarantinedJobs, 3u);
+    // Every rule fires (each job compiles, runs batches and
+    // reconstructs), and each fault costs exactly one retry.
+    EXPECT_EQ(FaultInjector::instance().injected(), 4u);
+    EXPECT_EQ(stats.retries, 4u);
 }
 
 // --------------------------------- result retention and stats bounds
@@ -716,7 +700,6 @@ TEST(StreamingScheduler, ReleaseAndRetentionBoundDeliveredResults)
     }
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Never;
     options.windowMs = 0.0;
     options.resultRetention = 2;
     StreamingScheduler scheduler(options);
@@ -746,7 +729,6 @@ TEST(StreamingScheduler, ReleaseAndRetentionBoundDeliveredResults)
     // A live (non-terminal) job cannot be released out from under its
     // waiter — only terminal jobs can.
     StreamOptions held;
-    held.mergePolicy = core::MergePolicy::Always;
     held.windowMs = 60000.0;
     StreamingScheduler held_scheduler(held);
     const JobHandle live = held_scheduler.submit(programs[0]).handle;
@@ -766,7 +748,6 @@ TEST(StreamingScheduler, LatencyHistogramsStayBoundedWithExactCounters)
     }
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Never;
     options.windowMs = 0.0;
     StreamingScheduler scheduler(options);
     for (std::size_t i = 0; i < programs.size(); ++i) {
@@ -815,7 +796,6 @@ TEST(StreamingScheduler, TenantFairShareAvoidsStarvation)
     }
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Never;
     options.windowMs = 0.0;
     options.maxInFlight = 1; // serialize dispatch so order is visible
     StreamingScheduler scheduler(options);
@@ -827,7 +807,7 @@ TEST(StreamingScheduler, TenantFairShareAvoidsStarvation)
     const core::StreamStats stats = scheduler.stats();
     EXPECT_EQ(stats.completed, programs.size());
     // The guest submitted LAST, behind six hog jobs. FIFO would
-    // dispatch it last; deficit round-robin alternates tenants, so the
+    // dispatch it last; round-robin alternates tenants, so the
     // guest rides out after roughly one hog job while the sixth hog
     // job waits behind the rest of its own tenant's queue.
     const auto guest = scheduler.poll(handles[6]);

@@ -1,12 +1,13 @@
 /**
  * @file
- * Worker execution tier tests: merged windows dispatched as leases
- * over the Transport seam must produce results bitwise-identical to
- * sequential runJigsaw whatever the fleet does — healthy workers,
- * workers crashing mid-window, workers stalling past the lease
- * deadline, transport faults on either edge, or a fleet with no live
- * worker at all (graceful local fallback). Lost leases must never
- * charge a job's transient-retry budget. This file joins test_stream
+ * Worker execution tier tests: jobs dispatched as leases over the
+ * Transport seam must produce results bitwise-identical to sequential
+ * runJigsaw whatever the fleet does — healthy workers, workers
+ * crashing mid-job, workers stalling past the lease deadline,
+ * transport faults on either edge, or a fleet with no live worker at
+ * all (graceful local fallback). Lost leases must never charge a
+ * job's transient-retry budget, and a job failing on a worker fails
+ * only itself. This file joins test_stream
  * in the CI ThreadSanitizer leg and the fault-matrix step
  * (AmbientFaultMatrix reruns under JIGSAW_FAULT_SPEC).
  */
@@ -70,7 +71,7 @@ expectBitwiseResult(const JigsawResult &expected,
     }
 }
 
-/** A mixed batch with duplicated (circuit, device) pairs to merge. */
+/** A mixed batch with duplicated (circuit, device) pairs to window. */
 std::vector<ServiceProgram>
 workerPrograms(const device::DeviceModel &dev, std::uint64_t seed_base)
 {
@@ -105,7 +106,6 @@ TEST(WorkerTier, MatchesSequentialBitwise)
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 50.0;
     options.worker.workers = 4;
     StreamingScheduler scheduler(options);
@@ -119,9 +119,9 @@ TEST(WorkerTier, MatchesSequentialBitwise)
     const core::StreamStats stats = scheduler.stats();
     EXPECT_EQ(stats.completed, programs.size());
     EXPECT_EQ(stats.failed, 0u);
-    // Every window rode the fleet: leases were granted, none lost,
-    // nothing fell back to local execution.
-    EXPECT_GE(stats.leasesGranted, 1u);
+    // Every job rode the fleet: one lease each, none lost, nothing
+    // fell back to local execution.
+    EXPECT_EQ(stats.leasesGranted, programs.size());
     EXPECT_EQ(stats.leasesExpired, 0u);
     EXPECT_EQ(stats.leasesRevoked, 0u);
     EXPECT_EQ(stats.localFallbacks, 0u);
@@ -137,7 +137,6 @@ TEST(WorkerTier, WorkersZeroRunsLocallyWithNoLeases)
         core::runProgramsSequentially(programs);
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 50.0;
     options.worker.workers = 0; // tier disabled: the pre-worker path
     StreamingScheduler scheduler(options);
@@ -162,7 +161,7 @@ TEST(WorkerTier, WorkersZeroRunsLocallyWithNoLeases)
 TEST(WorkerTier, FourSubmittersWithWorkerCrashesStayBitwise)
 {
     // The acceptance test: four submitter threads over a 4-worker
-    // fleet with two workers crashing mid-window. The crashed leases
+    // fleet with two workers crashing mid-job. The crashed leases
     // are revoked on heartbeat silence and re-dispatched to surviving
     // workers; every job still completes bitwise-identical to its
     // sequential run, with zero failures.
@@ -181,7 +180,6 @@ TEST(WorkerTier, FourSubmittersWithWorkerCrashesStayBitwise)
         parseFaultSpec("worker.crash:first=2"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Auto;
     options.windowMs = 10.0;
     options.worker.workers = 4;
     options.worker.heartbeatTimeoutMs = 50.0;
@@ -233,7 +231,6 @@ TEST(WorkerTier, StalledWorkerLeaseExpiresAndRecovers)
         parseFaultSpec("worker.stall@400:first=1"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
     options.windowMs = 50.0;
     options.worker.workers = 2;
     options.worker.leaseTimeoutMs = 50.0;
@@ -266,8 +263,8 @@ TEST(WorkerTier, StalledWorkerLeaseExpiresAndRecovers)
 TEST(WorkerTier, AllDeadFleetFallsBackLocally)
 {
     // Graceful degradation floor: both workers crash, the fleet is
-    // empty, and every remaining window must execute locally with
-    // zero job failures.
+    // empty, and every remaining job must execute locally with zero
+    // failures.
     const device::DeviceModel dev = device::toronto();
     const std::vector<ServiceProgram> programs =
         workerPrograms(dev, 5000);
@@ -279,8 +276,7 @@ TEST(WorkerTier, AllDeadFleetFallsBackLocally)
         parseFaultSpec("worker.crash:first=2"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Auto; // several windows
-    options.windowMs = 5.0;
+    options.windowMs = 5.0; // several windows
     options.worker.workers = 2;
     options.worker.heartbeatTimeoutMs = 50.0;
     StreamingScheduler scheduler(options);
@@ -314,7 +310,6 @@ TEST(WorkerTier, TransportFaultsOnBothEdgesRecover)
         parseFaultSpec("transport.send:first=1;transport.recv:first=1"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Auto;
     options.windowMs = 5.0;
     options.worker.workers = 2;
     // The recv-lost response is only recoverable through the lease
@@ -341,47 +336,52 @@ TEST(WorkerTier, TransportFaultsOnBothEdgesRecover)
     EXPECT_EQ(FaultInjector::instance().injectedAt("transport.recv"), 1u);
 }
 
-// -------------------------------------- quarantine composition
+// ----------------------------------------- job faults on a worker
 
-TEST(WorkerTier, WorkerSideWindowFaultStillQuarantinesSolo)
+TEST(WorkerTier, WorkerSideJobFaultFailsOnlyItself)
 {
-    // A window failing ON the worker (a job-level fault inside the
-    // merged execution, not a lost lease) must route through the same
-    // quarantine machinery as a local failure: both members retried
-    // solo, bitwise-identical, no budget charged for the poisoning.
+    // A job failing ON the worker (a job-level fault inside its
+    // execution, not a lost lease) routes through the same retry
+    // machinery as a local failure, and charges only itself: the rule
+    // matches the first job's 4096-shot global run on every attempt,
+    // so it fails after its retries while its window partner (3072
+    // shots) completes bitwise.
     const device::DeviceModel dev = device::toronto();
     std::vector<ServiceProgram> programs;
     programs.emplace_back(workloads::Ghz(6).circuit(), dev, 8192,
                           core::JigsawOptions{}, 7001);
-    programs.emplace_back(workloads::Ghz(6).circuit(), dev, 8192,
+    programs.emplace_back(workloads::Ghz(6).circuit(), dev, 6144,
                           core::JigsawOptions{}, 7002);
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
-    // "@2" arms only merged executions covering exactly two sources:
-    // the two-job window fails on the worker, the solo exclusive
-    // retries (detail 1) pass.
     FaultGuard guard;
     FaultInjector::instance().configure(
-        parseFaultSpec("merge.execute@2:first=1:terminal"));
+        parseFaultSpec("executor.run@4096:first=4"));
 
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Always;
-    options.windowMs = 50.0;
+    options.windowMs = 60000.0; // held open until drain()
+    options.maxRetries = 3;
     options.worker.workers = 2;
     StreamingScheduler scheduler(options);
-    const JobHandle first = scheduler.submit(programs[0]).handle;
-    const JobHandle second = scheduler.submit(programs[1]).handle;
+    const JobHandle failing = scheduler.submit(programs[0]).handle;
+    const JobHandle partner = scheduler.submit(programs[1]).handle;
     scheduler.drain();
 
-    expectBitwiseResult(sequential[0], scheduler.wait(first));
-    expectBitwiseResult(sequential[1], scheduler.wait(second));
+    EXPECT_THROW(scheduler.wait(failing), TransientError);
+    EXPECT_EQ(scheduler.poll(failing)->attempts, 3u);
+    expectBitwiseResult(sequential[1], scheduler.wait(partner));
+    EXPECT_EQ(scheduler.poll(partner)->attempts, 0u);
     const core::StreamStats stats = scheduler.stats();
-    EXPECT_EQ(stats.completed, 2u);
-    EXPECT_EQ(stats.failed, 0u);
-    EXPECT_EQ(stats.quarantinedJobs, 2u);
-    EXPECT_EQ(stats.retries, 0u);
-    EXPECT_EQ(FaultInjector::instance().injectedAt("merge.execute"), 1u);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.retries, 3u);
+    EXPECT_EQ(stats.mergedWindows, 1u);
+    // Every attempt ran on the fleet: 4 for the failing job, 1 for
+    // its partner.
+    EXPECT_EQ(stats.leasesGranted, 5u);
+    EXPECT_EQ(stats.localFallbacks, 0u);
+    EXPECT_EQ(FaultInjector::instance().injectedAt("executor.run"), 4u);
 }
 
 // -------------------------------------------------- fault matrix
@@ -411,7 +411,6 @@ TEST(AmbientFaultMatrix, SurvivorsStayBitwiseUnderEnvSpec)
 
     FaultInjector::instance().configure(parseFaultSpec(spec));
     StreamOptions options;
-    options.mergePolicy = core::MergePolicy::Auto;
     options.windowMs = 10.0;
     options.worker.workers = 4;
     options.worker.leaseTimeoutMs = 250.0;
