@@ -40,9 +40,7 @@ main()
 
     // Steps 1-2: update coefficients = prior mass normalized within
     // each subset-value bucket.
-    std::unordered_map<BasisState, double> bucket;
-    for (const auto &[outcome, p] : global.probabilities())
-        bucket[extractBits(outcome, marginal.qubits)] += p;
+    const Pmf bucket = global.marginal(marginal.qubits);
 
     ConsoleTable steps({"outcome", "prior P", "coeff C",
                         "raw posterior", "paper Ppost"});
@@ -50,7 +48,7 @@ main()
                                   "0.05", "0.04", "0.13", "0.86"};
     for (BasisState s = 0; s < 8; ++s) {
         const BasisState key = extractBits(s, marginal.qubits);
-        const double coeff = global.prob(s) / bucket[key];
+        const double coeff = global.prob(s) / bucket.prob(key);
         const double pry = local.prob(key);
         const double raw = coeff * pry / (1.0 - pry);
         steps.addRow({toBitstring(s, 3),

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -96,12 +97,15 @@ Pmf
 syntheticGlobal(int n_qubits, std::size_t support, Rng &rng)
 {
     const BasisState mask = (1ULL << n_qubits) - 1;
-    Pmf pmf(n_qubits);
     const std::size_t target =
         std::min<std::size_t>(support, (static_cast<std::size_t>(mask) + 1));
-    while (pmf.support() < target)
-        pmf.set(static_cast<BasisState>(rng.word() & mask),
-                rng.uniform(0.01, 1.0));
+    // Random keys arrive out of order: collect them (a repeated key
+    // keeps its last value) and build the flat PMF once.
+    std::unordered_map<BasisState, double> drawn;
+    while (drawn.size() < target)
+        drawn.insert_or_assign(static_cast<BasisState>(rng.word() & mask),
+                               rng.uniform(0.01, 1.0));
+    Pmf pmf(n_qubits, Pmf::Entries(drawn.begin(), drawn.end()));
     pmf.normalize();
     return pmf;
 }

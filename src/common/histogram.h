@@ -1,18 +1,22 @@
 /**
  * @file
- * Sparse histogram (trial counts) and PMF (probabilities) over basis
+ * Flat histogram (trial counts) and PMF (probabilities) over basis
  * states.
  *
  * Both containers store only observed/non-zero outcomes, which is what
  * bounds JigSaw's reconstruction complexity (paper Section 7.1): the
  * number of entries is limited by the number of trials rather than by
- * the 2^n possible outcomes.
+ * the 2^n possible outcomes. Each keeps one vector of (outcome, value)
+ * entries sorted by outcome, so a lookup is a binary search, an insert
+ * above the last outcome is an append, and every consumer reads the
+ * outcomes in ascending order without sorting them. Producers whose
+ * keys arrive out of order build in bulk (the entries constructors,
+ * marginal()) instead of inserting into the middle one at a time.
  */
 #ifndef JIGSAW_COMMON_HISTOGRAM_H
 #define JIGSAW_COMMON_HISTOGRAM_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -29,12 +33,19 @@ class Pmf;
 class Histogram
 {
   public:
-    using Map = std::unordered_map<BasisState, std::uint64_t>;
+    using Entries = std::vector<std::pair<BasisState, std::uint64_t>>;
 
     /** Construct an empty histogram over @p n_qubits qubits. */
     explicit Histogram(int n_qubits);
 
-    /** Record @p count observations of @p outcome. */
+    /**
+     * Construct from (outcome, count) entries in any order; counts of
+     * a repeated outcome add up.
+     */
+    Histogram(int n_qubits, Entries entries);
+
+    /** Record @p count observations of @p outcome (O(1) when
+     *  @p outcome is at or above every recorded outcome). */
     void add(BasisState outcome, std::uint64_t count = 1);
 
     /** Merge all counts of @p other into this histogram. */
@@ -62,13 +73,13 @@ class Histogram
      */
     Histogram marginal(const std::vector<int> &qubits) const;
 
-    /** Underlying map (outcome -> count). */
-    const Map &counts() const { return counts_; }
+    /** (outcome, count) entries in ascending outcome order. */
+    const Entries &counts() const { return counts_; }
 
   private:
     int nQubits_;
     std::uint64_t total_ = 0;
-    Map counts_;
+    Entries counts_;
 };
 
 /**
@@ -77,21 +88,27 @@ class Histogram
 class Pmf
 {
   public:
-    using Map = std::unordered_map<BasisState, double>;
+    using Entries = std::vector<std::pair<BasisState, double>>;
 
     /** Construct an empty PMF over @p n_qubits qubits. */
     explicit Pmf(int n_qubits);
 
-    /** Construct from an explicit (outcome -> probability) map. */
-    Pmf(int n_qubits, Map probabilities);
+    /**
+     * Construct from (outcome, probability) entries in any order; the
+     * probabilities of a repeated outcome are summed in the given
+     * order. Ascending entries are taken as they are.
+     */
+    Pmf(int n_qubits, Entries entries);
 
-    /** Pre-size the hash table for @p n expected outcomes. */
+    /** Reserve room for @p n outcomes. */
     void reserve(std::size_t n) { probs_.reserve(n); }
 
-    /** Set the probability of @p outcome (unnormalized until normalize()). */
+    /** Set the probability of @p outcome (unnormalized until
+     *  normalize(); O(1) above the last stored outcome). */
     void set(BasisState outcome, double probability);
 
-    /** Add @p delta to the probability of @p outcome. */
+    /** Add @p delta to the probability of @p outcome (O(1) at or
+     *  above the last stored outcome). */
     void accumulate(BasisState outcome, double delta);
 
     /** Probability of @p outcome (0 when absent). */
@@ -131,12 +148,12 @@ class Pmf
     /** Convert to a histogram of @p trials samples (multinomial). */
     Histogram sampleHistogram(std::uint64_t trials, Rng &rng) const;
 
-    /** Underlying map (outcome -> probability). */
-    const Map &probabilities() const { return probs_; }
+    /** (outcome, probability) entries in ascending outcome order. */
+    const Entries &probabilities() const { return probs_; }
 
   private:
     int nQubits_;
-    Map probs_;
+    Entries probs_;
 };
 
 /** Total variation distance, (1/2) sum |p - q| over the joint support. */

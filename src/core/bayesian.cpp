@@ -137,13 +137,14 @@ denseKeys(std::size_t k)
 }
 
 /**
- * Compiles marginal @p m against the flat outcome list: writes each
- * outcome's bucket to @p bucket_of and returns each bucket's evidence
- * odds. Valid for every round because reconstruction never grows the
+ * Compiles marginal @p m against the outcomes of the flat entries
+ * @p outcomes (their values are not read): writes each outcome's
+ * bucket to @p bucket_of and returns each bucket's evidence odds.
+ * Valid for every round because reconstruction never grows the
  * support.
  */
 std::vector<double>
-indexMarginal(const std::vector<BasisState> &outcomes, const Marginal &m,
+indexMarginal(const Pmf::Entries &outcomes, const Marginal &m,
               double evidence_threshold, std::uint32_t *bucket_of)
 {
     const std::size_t n = outcomes.size();
@@ -154,12 +155,13 @@ indexMarginal(const std::vector<BasisState> &outcomes, const Marginal &m,
     std::vector<BasisState> bucket_keys;
     if (k <= kMaxDenseKeyBits) {
         for (std::size_t i = 0; i < n; ++i)
-            bucket_of[i] = static_cast<std::uint32_t>(key_of(outcomes[i]));
+            bucket_of[i] =
+                static_cast<std::uint32_t>(key_of(outcomes[i].first));
         bucket_keys = denseKeys(k);
     } else {
         std::vector<BasisState> keys(n);
         for (std::size_t i = 0; i < n; ++i)
-            keys[i] = key_of(outcomes[i]);
+            keys[i] = key_of(outcomes[i].first);
         bucket_keys = keys;
         std::sort(bucket_keys.begin(), bucket_keys.end());
         bucket_keys.erase(
@@ -349,7 +351,7 @@ reweightShard(const double *cur, double *next, const Term *terms,
  */
 void
 reconstructLayer(std::vector<double> &cur, std::vector<double> &next,
-                 const std::vector<BasisState> &outcomes,
+                 const Pmf::Entries &outcomes,
                  const std::vector<const Marginal *> &layer,
                  const ReconstructionOptions &options)
 {
@@ -383,7 +385,8 @@ reconstructLayer(std::vector<double> &cur, std::vector<double> &next,
             bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
             const BitRuns joint_key(bits);
             for (std::size_t i = 0; i < n; ++i)
-                slots[i] = static_cast<std::uint32_t>(joint_key(outcomes[i]));
+                slots[i] = static_cast<std::uint32_t>(
+                    joint_key(outcomes[i].first));
             const std::size_t n_keys = std::size_t{1} << bits.size();
             for (std::size_t mi : packing[g]) {
                 const Marginal &marginal = *layer[mi];
@@ -527,36 +530,29 @@ reconstructLayer(std::vector<double> &cur, std::vector<double> &next,
 }
 
 /**
- * Flattens @p global once (sorted outcomes, so the result does not
- * depend on the hash layout), runs each layer's rounds in order on the
- * same flat vector, and builds the output PMF once.
+ * Runs each layer's rounds in order on one flat copy of @p global's
+ * probabilities, indexing the marginals by its outcomes (ascending, so
+ * the result does not depend on how the PMF was built), and builds the
+ * output PMF once over the same outcomes.
  */
 Pmf
 reconstructLayers(const Pmf &global,
                   const std::vector<std::vector<const Marginal *>> &layers,
                   const ReconstructionOptions &options)
 {
-    const std::size_t n = global.support();
-    std::vector<BasisState> outcomes(n);
+    const Pmf::Entries &support = global.probabilities();
+    const std::size_t n = support.size();
     std::vector<double> cur(n), next(n);
-    {
-        std::vector<std::pair<BasisState, double>> entries(
-            global.probabilities().begin(), global.probabilities().end());
-        std::sort(entries.begin(), entries.end());
-        for (std::size_t i = 0; i < n; ++i) {
-            outcomes[i] = entries[i].first;
-            cur[i] = entries[i].second;
-        }
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        cur[i] = support[i].second;
 
     for (const std::vector<const Marginal *> &layer : layers)
-        reconstructLayer(cur, next, outcomes, layer, options);
+        reconstructLayer(cur, next, support, layer, options);
 
-    Pmf output(global.nQubits());
-    output.reserve(n);
+    Pmf::Entries output(n);
     for (std::size_t i = 0; i < n; ++i)
-        output.set(outcomes[i], cur[i]);
-    return output;
+        output[i] = {support[i].first, cur[i]};
+    return Pmf(global.nQubits(), std::move(output));
 }
 
 } // namespace

@@ -85,6 +85,25 @@ effectiveClass(Priority cls, double waited_ms, double aging_ms)
     return c;
 }
 
+/**
+ * Round-robin across tenants: the candidate of the first tenant in
+ * @p rotation, from @p cursor on, that has one in @p candidate,
+ * advancing @p cursor past it; @p none when no tenant has one.
+ */
+std::size_t
+nextTenantCandidate(
+    const std::vector<std::string> &rotation, std::size_t &cursor,
+    const std::unordered_map<std::string, std::size_t> &candidate,
+    std::size_t none)
+{
+    for (std::size_t step = 0; step < rotation.size(); ++step) {
+        const auto it = candidate.find(rotation[cursor++ % rotation.size()]);
+        if (it != candidate.end())
+            return it->second;
+    }
+    return none;
+}
+
 std::exception_ptr
 deadlineError()
 {
@@ -864,15 +883,8 @@ StreamingScheduler::dispatchNext(Clock::time_point now)
             entry.readySince < readyQueue_[it->second].readySince)
             candidate[entry.tenant] = i;
     }
-    std::size_t pick = readyQueue_.size();
-    for (std::size_t step = 0;
-         step < tenantRotation_.size() && pick == readyQueue_.size();
-         ++step) {
-        const auto it = candidate.find(
-            tenantRotation_[rrCursor_++ % tenantRotation_.size()]);
-        if (it != candidate.end())
-            pick = it->second;
-    }
+    const std::size_t pick = nextTenantCandidate(
+        tenantRotation_, rrCursor_, candidate, readyQueue_.size());
     panicIf(pick == readyQueue_.size(),
             "dispatch: ready job without tenant");
     Job &job = *jobs_.at(readyQueue_[pick].id);
@@ -1385,22 +1397,32 @@ StreamingScheduler::dispatcherLoop()
         // every pass, instead of in the pool queue, which has no
         // notion of priority. High-class jobs bypass the gate: a
         // fresh High submission must reach the pool without queuing
-        // behind the whole backlog's stage work.
+        // behind the whole backlog's stage work. Inside the class,
+        // each tenant's oldest queued job is its candidate and an
+        // admission cursor rotates among tenants, as dispatch does, so
+        // a hog's backlog cannot fill the gate ahead of a later guest.
         while (!admission_.empty()) {
-            std::size_t best = 0;
+            const auto class_of = [&](std::uint64_t id) {
+                const Job &job = *jobs_.at(id);
+                return effectiveClass(job.priority,
+                                      msBetweenImpl(job.submitAt, now),
+                                      options_.agingMs);
+            };
             std::size_t best_class = kPriorityClasses;
-            for (std::size_t i = 0; i < admission_.size(); ++i) {
-                const Job &job = *jobs_.at(admission_[i]);
-                const std::size_t cls = effectiveClass(
-                    job.priority, msBetweenImpl(job.submitAt, now),
-                    options_.agingMs);
-                if (cls < best_class) {
-                    best = i;
-                    best_class = cls;
-                }
-            }
+            for (const std::uint64_t id : admission_)
+                best_class = std::min(best_class, class_of(id));
             if (best_class != 0 && preparing_ >= inFlightCap() + 1)
                 break;
+            std::unordered_map<std::string, std::size_t> candidate;
+            for (std::size_t i = 0; i < admission_.size(); ++i) {
+                if (class_of(admission_[i]) == best_class)
+                    candidate.try_emplace(
+                        jobs_.at(admission_[i])->program.tenant, i);
+            }
+            const std::size_t best = nextTenantCandidate(
+                tenantRotation_, admitCursor_, candidate, admission_.size());
+            panicIf(best == admission_.size(),
+                    "admission: queued job without tenant");
             Job &job = *jobs_.at(admission_[best]);
             admission_.erase(admission_.begin() +
                              static_cast<std::ptrdiff_t>(best));

@@ -399,7 +399,8 @@ class StreamingScheduler
     /** @name Round-robin across tenants. @{ */
     std::unordered_set<std::string> tenants_;
     std::vector<std::string> tenantRotation_; ///< First-seen order.
-    std::size_t rrCursor_ = 0;
+    std::size_t rrCursor_ = 0;     ///< Dispatch's next tenant.
+    std::size_t admitCursor_ = 0;  ///< Admission's next tenant.
     /** @} */
     double drainEwmaMs_ = 0.0; ///< EWMA ms between completions.
     Clock::time_point lastCompletionAt_{};

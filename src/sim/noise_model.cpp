@@ -59,11 +59,22 @@ pairPass(std::vector<double> &v, int a, int b, double e)
 MeasurementChannel::MeasurementChannel(
     const circuit::QuantumCircuit &physical_circuit,
     const device::DeviceModel &dev)
+    : MeasurementChannel(physical_circuit.measuredQubits(),
+                         physical_circuit.countMeasurements(), dev)
+{
+}
+
+MeasurementChannel::MeasurementChannel(const std::vector<int> &measured,
+                                       const device::DeviceModel &dev)
+    : MeasurementChannel(measured, static_cast<int>(measured.size()), dev)
+{
+}
+
+MeasurementChannel::MeasurementChannel(const std::vector<int> &measured,
+                                       int simultaneous,
+                                       const device::DeviceModel &dev)
 {
     const device::Calibration &cal = dev.calibration();
-    const std::vector<int> measured = physical_circuit.measuredQubits();
-    const int simultaneous = physical_circuit.countMeasurements();
-
     flip0_.resize(measured.size(), 0.0);
     flip1_.resize(measured.size(), 0.0);
     for (std::size_t c = 0; c < measured.size(); ++c) {

@@ -45,6 +45,14 @@ class MeasurementChannel
     MeasurementChannel(const circuit::QuantumCircuit &physical_circuit,
                        const device::DeviceModel &dev);
 
+    /**
+     * The channel of measuring physical qubit @p measured[c] into
+     * clbit c, all at once, on @p dev: the channel of any circuit
+     * whose measurements are exactly these, without building it.
+     */
+    MeasurementChannel(const std::vector<int> &measured,
+                       const device::DeviceModel &dev);
+
     /** Corrupt one ideal outcome with readout noise. */
     BasisState apply(BasisState ideal, Rng &rng) const;
 
@@ -64,6 +72,9 @@ class MeasurementChannel
     double correlatedError() const { return correlatedError_; }
 
   private:
+    MeasurementChannel(const std::vector<int> &measured, int simultaneous,
+                       const device::DeviceModel &dev);
+
     std::vector<double> flip0_; ///< P(flip | true bit 0), per clbit.
     std::vector<double> flip1_; ///< P(flip | true bit 1), per clbit.
     std::vector<std::pair<int, int>> correlatedPairs_;

@@ -1,6 +1,7 @@
 #include "sim/reference_kernels.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/bitops.h"
 #include "common/error.h"
@@ -124,13 +125,13 @@ referenceMeasurementPmf(const circuit::QuantumCircuit &qc,
 {
     fatalIf(qubits.empty(), "referenceMeasurementPmf: empty qubit list");
     const std::vector<Amp> amps = referenceEvolve(qc);
-    Pmf pmf(static_cast<int>(qubits.size()));
+    Pmf::Entries entries;
     for (BasisState basis = 0; basis < amps.size(); ++basis) {
         const double p = std::norm(amps[basis]);
-        if (p <= 0.0)
-            continue;
-        pmf.accumulate(extractBits(basis, qubits), p);
+        if (p > 0.0)
+            entries.emplace_back(extractBits(basis, qubits), p);
     }
+    Pmf pmf(static_cast<int>(qubits.size()), std::move(entries));
     pmf.prune(threshold);
     return pmf;
 }

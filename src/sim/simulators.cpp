@@ -667,7 +667,8 @@ NoisySimulator::circuitEntry(const QuantumCircuit &base,
                            return withRunCircuit(
                                base, subset, [&](const QuantumCircuit &c) {
                                    checkDenseWidth(c.nClbits());
-                                   return noisyEntry(c, source_->circuitPmf(c));
+                                   return noisyEntry(c, c.measuredQubits(),
+                                                     source_->circuitPmf(c));
                                });
                        });
 }
@@ -682,25 +683,28 @@ NoisySimulator::specEntry(const QuantumCircuit &base_circuit,
         cache_, cacheMutex_, cacheHits_, cacheMisses_,
         boundKey(base_circuit, spec), [&] {
             checkDenseWidth(static_cast<int>(spec.qubits.size()));
-            const Pmf pmf = source_->boundPmf(spec);
-            // The spec's circuit is only materialized on a miss, for
-            // the noise derivations: the gate-only success probability
-            // ignores measurements, so every spec of one base inherits
-            // its value exactly; the readout channel is per-subset.
-            return noisyEntry(base_circuit.withMeasurementSubset(spec.qubits),
-                              pmf);
+            for (int q : spec.qubits) {
+                fatalIf(q < 0 || q >= base_circuit.nQubits(),
+                        "bound spec: qubit outside the base circuit");
+            }
+            // The gate-only success probability ignores measurements,
+            // so every spec of one base takes the base's value exactly;
+            // the readout channel follows the spec's physical qubits.
+            return noisyEntry(base_circuit, spec.qubits,
+                              source_->boundPmf(spec));
         });
 }
 
 NoisySimulator::Cached
-NoisySimulator::noisyEntry(const QuantumCircuit &circuit,
+NoisySimulator::noisyEntry(const QuantumCircuit &gates,
+                           const std::vector<int> &measured,
                            const Pmf &ideal) const
 {
     const double gate_ok =
-        options_.gateNoise ? gateSuccessProbability(circuit, dev_) : 1.0;
+        options_.gateNoise ? gateSuccessProbability(gates, dev_) : 1.0;
     std::optional<MeasurementChannel> readout;
     if (options_.measurementNoise)
-        readout.emplace(circuit, dev_);
+        readout.emplace(measured, dev_);
     return Cached{MultinomialSampler(
         ideal.nQubits(),
         noisyOutcomeDistribution(ideal, gate_ok, options_.gateNoiseBitFlip,
@@ -803,11 +807,15 @@ NoisySimulator::runTrajectoryMode(const QuantumCircuit &physical,
             continue;
         }
         // Readout noise stays per shot here: this is the reference
-        // the channel-mode P' is validated against.
+        // the channel-mode P' is validated against. The noisy outcomes
+        // arrive out of order, so they are counted in one bulk build.
+        Histogram::Entries noisy;
+        noisy.reserve(traj_shots);
         for (const auto &[outcome, count] : ideal.counts()) {
             for (std::uint64_t t = 0; t < count; ++t)
-                hist.add(channel.apply(outcome, rng));
+                noisy.emplace_back(channel.apply(outcome, rng), 1);
         }
+        hist.merge(Histogram(hist.nQubits(), std::move(noisy)));
     }
     return hist;
 }

@@ -338,10 +338,12 @@ struct NoisySimulatorOptions
  * (a localized depolarizing approximation of accumulated gate error);
  * R and C are the MeasurementChannel's per-clbit and correlated-pair
  * readout flips. Each run() or CpmSpec is then one multinomial draw
- * over P' (MultinomialSampler), so a warm circuit costs O(shots + 2^k)
- * with no per-shot noise work. P' is dense, which caps channel mode at
- * kMaxDenseClbits classical bits; wider circuits throw
- * std::invalid_argument before any evolution.
+ * over P' (MultinomialSampler's binomial splits), so a warm circuit
+ * costs one binomial per split outcome range plus a few lookups per
+ * finished range, about O(min(shots, 2^k) * k), with no per-shot
+ * noise work and no pass over all 2^k outcomes. P' is dense, which
+ * caps channel mode at kMaxDenseClbits classical bits; wider circuits
+ * throw std::invalid_argument before any evolution.
  */
 class NoisySimulator : public Executor
 {
@@ -411,8 +413,13 @@ class NoisySimulator : public Executor
         MultinomialSampler noisy;
     };
 
-    /** P' of @p circuit from its ideal PMF (see the class comment). */
-    Cached noisyEntry(const circuit::QuantumCircuit &circuit,
+    /**
+     * P' from @p ideal (see the class comment), with the gate noise of
+     * @p gates (its measurements play no part) and the readout channel
+     * of measuring physical qubit @p measured[c] into clbit c.
+     */
+    Cached noisyEntry(const circuit::QuantumCircuit &gates,
+                      const std::vector<int> &measured,
                       const Pmf &ideal) const;
 
     /** As in IdealSimulator: run()'s entry, unbound specs included. */

@@ -637,43 +637,64 @@ StateVector::measurementPmf(const std::vector<int> &qubits,
     const double *re = re_.data();
     const double *im = im_.data();
     const std::size_t dim = re_.size();
+    const auto prob = [&](BasisState basis) {
+        return re[basis] * re[basis] + im[basis] * im[basis];
+    };
 
     // Full-register measurement (the exactOutputPmf case): every basis
-    // state is its own outcome, so skip the extractBits remap and the
-    // hash-accumulate — count the support, size the table once, and
-    // insert each entry exactly once.
+    // state is its own outcome, in ascending order, so each surviving
+    // entry appends once. Entries cannot accumulate here, so the
+    // threshold filters at insert time and no prune() pass is needed.
     bool identity = static_cast<int>(qubits.size()) == nQubits_;
     for (std::size_t j = 0; identity && j < qubits.size(); ++j)
         identity = qubits[j] == static_cast<int>(j);
     if (identity) {
-        // Size the table for the exact surviving support (a GHZ state
-        // keeps 2 entries out of 2^n — reserving dim would zero-fill
-        // megabytes of buckets), and filter below threshold at insert
-        // time: entries cannot accumulate here because each basis
-        // state is its own outcome, so no prune() pass is needed.
+        // Size the entries for the exact surviving support (a GHZ
+        // state keeps 2 of 2^n).
         std::size_t support = 0;
-        for (BasisState basis = 0; basis < dim; ++basis) {
-            support +=
-                re[basis] * re[basis] + im[basis] * im[basis] >=
-                threshold;
-        }
+        for (BasisState basis = 0; basis < dim; ++basis)
+            support += prob(basis) >= threshold;
         pmf.reserve(support);
         for (BasisState basis = 0; basis < dim; ++basis) {
-            const double p =
-                re[basis] * re[basis] + im[basis] * im[basis];
+            const double p = prob(basis);
             if (p >= threshold)
                 pmf.set(basis, p);
         }
         return pmf;
     }
 
-    for (BasisState basis = 0; basis < dim; ++basis) {
-        const double p = re[basis] * re[basis] + im[basis] * im[basis];
-        if (p <= 0.0)
-            continue;
-        pmf.accumulate(extractBits(basis, qubits), p);
+    // A subset (or permutation): each key sums its terms in basis
+    // order, as the reference does. A state with many non-zero
+    // amplitudes per key folds into a dense 2^k scratch (2^k <= dim
+    // with distinct qubits); a sparse one collects its terms and sorts
+    // once, so the scratch never outgrows the terms.
+    fatalIf(qubits.size() > static_cast<std::size_t>(nQubits_),
+            "measurementPmf: more qubits than the register");
+    std::size_t terms = 0;
+    for (BasisState basis = 0; basis < dim; ++basis)
+        terms += prob(basis) > 0.0;
+    const std::size_t slots = std::size_t{1} << qubits.size();
+    if (slots > std::max<std::size_t>(4 * terms, 1024)) {
+        Pmf::Entries entries;
+        entries.reserve(terms);
+        for (BasisState basis = 0; basis < dim; ++basis) {
+            const double p = prob(basis);
+            if (p > 0.0)
+                entries.emplace_back(extractBits(basis, qubits), p);
+        }
+        Pmf sparse(static_cast<int>(qubits.size()), std::move(entries));
+        sparse.prune(threshold);
+        return sparse;
     }
-    pmf.prune(threshold);
+    std::vector<double> sum(slots, 0.0);
+    for (BasisState basis = 0; basis < dim; ++basis) {
+        const double p = prob(basis);
+        if (p > 0.0)
+            sum[extractBits(basis, qubits)] += p;
+    }
+    for (std::size_t key = 0; key < slots; ++key)
+        if (sum[key] > 0.0 && sum[key] >= threshold)
+            pmf.set(key, sum[key]);
     return pmf;
 }
 

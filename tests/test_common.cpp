@@ -3,6 +3,7 @@
  * Unit tests for src/common: bit ops, RNG, statistics, histogram/PMF,
  * distance measures, table printer, and the Nelder-Mead optimizer.
  */
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -365,17 +366,30 @@ TEST(MultinomialSampler, ZeroShotsDrawNothingAndConsumeNothing)
     EXPECT_TRUE(sameStreamState(rng, Rng(3)));
 }
 
-TEST(MultinomialSampler, OneShotConsumesTwoUniforms)
+TEST(MultinomialSampler, RngUseDependsOnlyOnWeightsAndShots)
 {
-    const MultinomialSampler sampler(2, {0.1, 0.2, 0.3, 0.4});
-    Rng rng(4);
-    const Histogram h = sampler.draw(1, rng);
-    EXPECT_EQ(h.totalCount(), 1u);
-    EXPECT_EQ(h.uniqueOutcomes(), 1u);
-    Rng reference(4);
-    reference.uniform();
-    reference.uniform();
-    EXPECT_TRUE(sameStreamState(rng, reference));
+    // One distribution with zero-mass runs, dense (every outcome
+    // stored) and sparse (only the positive ones): both split the same
+    // dyadic outcome ranges, so they draw the same histogram and leave
+    // the stream at the same point.
+    std::vector<double> weights(64, 0.0);
+    Pmf p(6);
+    for (BasisState o : {3u, 4u, 5u, 17u, 18u, 40u, 41u, 42u, 60u}) {
+        weights[o] = 1.0 + static_cast<double>(o % 7);
+        p.set(o, weights[o]);
+    }
+    const MultinomialSampler dense(6, weights);
+    const MultinomialSampler sparse(p);
+    const std::uint64_t k = MultinomialSampler::kLeafShots;
+    for (const std::uint64_t shots :
+         {std::uint64_t{1}, k - 1, k, k + 1, std::uint64_t{1000}}) {
+        Rng a(4), b(4);
+        const Histogram hd = dense.draw(shots, a);
+        const Histogram hs = sparse.draw(shots, b);
+        EXPECT_EQ(hd.counts(), hs.counts()) << shots << " shots";
+        EXPECT_TRUE(sameStreamState(a, b)) << shots << " shots";
+        EXPECT_FALSE(sameStreamState(a, Rng(4))) << shots << " shots";
+    }
 }
 
 TEST(MultinomialSampler, SingleOutcomeSupportTakesEveryShot)
@@ -454,6 +468,223 @@ TEST(MultinomialSampler, SameSeedSameHistogram)
     ASSERT_EQ(ha.uniqueOutcomes(), hb.uniqueOutcomes());
     for (const auto &[outcome, count] : ha.counts())
         EXPECT_EQ(count, hb.count(outcome));
+}
+
+/** True when @p entries are in strictly ascending outcome order. */
+template <class Entries>
+bool
+strictlyAscending(const Entries &entries)
+{
+    for (std::size_t i = 1; i < entries.size(); ++i)
+        if (!(entries[i - 1].first < entries[i].first))
+            return false;
+    return true;
+}
+
+TEST(MultinomialSampler, DenseZeroRunsFollowTheDistribution)
+{
+    // 2^10 outcomes with zero-mass runs at the start, the middle and
+    // the end; 10^6 shots.
+    std::vector<double> weights(1024, 0.0);
+    Pmf p(10);
+    Rng gen(21);
+    for (std::size_t o = 0; o < weights.size(); ++o) {
+        if (o < 100 || (o >= 400 && o < 600) || o >= 900)
+            continue;
+        weights[o] = gen.uniform();
+        p.set(o, weights[o]);
+    }
+    p.normalize();
+    const MultinomialSampler sampler(10, weights);
+    Rng rng(22);
+    const Histogram h = sampler.draw(1000000, rng);
+    EXPECT_EQ(h.totalCount(), 1000000u);
+    EXPECT_TRUE(strictlyAscending(h.counts()));
+    for (const auto &[outcome, count] : h.counts())
+        EXPECT_GT(weights[outcome], 0.0) << outcome;
+    EXPECT_LT(totalVariationDistance(h.toPmf(), p), 0.02);
+}
+
+TEST(MultinomialSampler, CountsMatchBinomialMeanAndVariance)
+{
+    // Each outcome's count over many seeds is Binomial(n, p_i): a
+    // biased split would move the means, a dependent one the
+    // variances. n = 200 splits mostly by inversion, n = 5000 by
+    // rejection.
+    const std::vector<double> weights = {0.5, 3.0, 0.0, 1.0, 7.0, 0.25,
+                                         2.0, 0.0, 4.0, 1.5, 0.75, 6.0,
+                                         0.0, 0.1, 2.5, 1.0};
+    double total = 0.0;
+    for (double w : weights)
+        total += w;
+    const MultinomialSampler sampler(4, weights);
+    constexpr int kSeeds = 4000;
+    for (const std::uint64_t n : {std::uint64_t{200}, std::uint64_t{5000}}) {
+        std::vector<double> sum(weights.size()), sum_sq(weights.size());
+        for (int seed = 0; seed < kSeeds; ++seed) {
+            Rng rng(1000 + static_cast<std::uint64_t>(seed));
+            const Histogram h = sampler.draw(n, rng);
+            for (std::size_t o = 0; o < weights.size(); ++o) {
+                const double c = static_cast<double>(h.count(o));
+                sum[o] += c;
+                sum_sq[o] += c * c;
+            }
+        }
+        for (std::size_t o = 0; o < weights.size(); ++o) {
+            const double pi = weights[o] / total;
+            const double var = static_cast<double>(n) * pi * (1.0 - pi);
+            const double mean = sum[o] / kSeeds;
+            const double sample_var =
+                (sum_sq[o] - kSeeds * mean * mean) / (kSeeds - 1);
+            if (pi == 0.0) {
+                EXPECT_EQ(sum[o], 0.0);
+                continue;
+            }
+            // Five standard errors of the mean and of the variance.
+            EXPECT_NEAR(mean, static_cast<double>(n) * pi,
+                        5.0 * std::sqrt(var / kSeeds))
+                << "n " << n << " outcome " << o;
+            EXPECT_NEAR(sample_var, var, 5.0 * var * std::sqrt(2.0 / kSeeds))
+                << "n " << n << " outcome " << o;
+        }
+    }
+}
+
+TEST(MultinomialSampler, DeepZeroMassLeavesAreNeverDrawn)
+{
+    // Isolated positive outcomes inside long zero runs, drawn with
+    // shot counts just below, at and just above the per-shot
+    // constant, where the last splits hand over to lookups.
+    std::vector<double> weights(4096, 0.0);
+    const std::vector<BasisState> positive = {5, 6, 1000, 2049, 4095};
+    Pmf p(12);
+    for (BasisState o : positive) {
+        weights[o] = 1.0 + static_cast<double>(o % 3);
+        p.set(o, weights[o]);
+    }
+    p.set(7, 0.0); // a stored zero-mass entry (sparse form)
+    const MultinomialSampler dense(12, weights);
+    const MultinomialSampler sparse(p);
+    const std::uint64_t k = MultinomialSampler::kLeafShots;
+    Rng rng(23);
+    for (const std::uint64_t shots : {k - 1, k, k + 1, 2 * k + 1}) {
+        for (int rep = 0; rep < 500; ++rep) {
+            for (const MultinomialSampler *s : {&dense, &sparse}) {
+                const Histogram h = s->draw(shots, rng);
+                EXPECT_EQ(h.totalCount(), shots);
+                for (const auto &[outcome, count] : h.counts()) {
+                    EXPECT_NE(std::find(positive.begin(), positive.end(),
+                                        outcome),
+                              positive.end())
+                        << outcome << " at " << shots << " shots";
+                }
+            }
+        }
+    }
+}
+
+TEST(MultinomialSampler, OneShotAndTwoToTheTwentyShots)
+{
+    std::vector<double> weights(256);
+    Rng gen(24);
+    for (double &w : weights)
+        w = gen.uniform() < 0.3 ? 0.0 : gen.uniform();
+    const MultinomialSampler sampler(8, weights);
+    Pmf p(8);
+    for (std::size_t o = 0; o < weights.size(); ++o)
+        if (weights[o] > 0.0)
+            p.set(o, weights[o]);
+    p.normalize();
+
+    Rng rng(25);
+    for (int rep = 0; rep < 200; ++rep) {
+        const Histogram one = sampler.draw(1, rng);
+        ASSERT_EQ(one.uniqueOutcomes(), 1u);
+        EXPECT_EQ(one.totalCount(), 1u);
+        EXPECT_GT(weights[one.counts().front().first], 0.0);
+    }
+    const Histogram many = sampler.draw(std::uint64_t{1} << 20, rng);
+    EXPECT_EQ(many.totalCount(), std::uint64_t{1} << 20);
+    EXPECT_TRUE(strictlyAscending(many.counts()));
+    EXPECT_LT(totalVariationDistance(many.toPmf(), p), 0.01);
+}
+
+TEST(FlatContainers, EntriesStayAscendingAndUnique)
+{
+    Pmf p(4);
+    for (BasisState o : {9u, 2u, 14u, 2u, 0u, 7u, 14u})
+        p.accumulate(o, 0.1);
+    p.set(5, 0.2);
+    p.set(1, 0.05);
+    p.set(9, 0.3);
+    EXPECT_TRUE(strictlyAscending(p.probabilities()));
+    EXPECT_EQ(p.support(), 7u);
+    EXPECT_DOUBLE_EQ(p.prob(2), 0.2);
+    EXPECT_DOUBLE_EQ(p.prob(9), 0.3);
+
+    p.normalize();
+    EXPECT_TRUE(strictlyAscending(p.probabilities()));
+    p.prune(0.1);
+    EXPECT_TRUE(strictlyAscending(p.probabilities()));
+    EXPECT_EQ(p.prob(1), 0.0);
+
+    const Pmf m = p.marginal({3, 0, 2});
+    EXPECT_TRUE(strictlyAscending(m.probabilities()));
+    EXPECT_NEAR(m.totalMass(), p.totalMass(), 1e-15);
+
+    Histogram h(4), g(4);
+    for (BasisState o : {12u, 3u, 12u, 0u, 8u})
+        h.add(o, 2);
+    for (BasisState o : {15u, 3u, 1u})
+        g.add(o);
+    EXPECT_TRUE(strictlyAscending(h.counts()));
+    h.merge(g);
+    EXPECT_TRUE(strictlyAscending(h.counts()));
+    EXPECT_EQ(h.count(3), 3u);
+    EXPECT_EQ(h.totalCount(), 13u);
+    const Histogram hm = h.marginal({2, 3, 0});
+    EXPECT_TRUE(strictlyAscending(hm.counts()));
+    EXPECT_EQ(hm.totalCount(), h.totalCount());
+}
+
+TEST(FlatContainers, BulkBuildsSumRepeatsInTheirGivenOrder)
+{
+    // The entries constructors equal inserting one entry at a time.
+    const Pmf::Entries entries = {{6, 0.1}, {2, 0.3}, {6, 1e-17},
+                                  {6, 0.2}, {0, 0.4}, {2, 1e-16}};
+    Pmf incremental(3);
+    for (const auto &[outcome, p] : entries)
+        incremental.accumulate(outcome, p);
+    const Pmf bulk(3, entries);
+    EXPECT_EQ(bulk.probabilities(), incremental.probabilities());
+    EXPECT_TRUE(strictlyAscending(bulk.probabilities()));
+
+    const Histogram h(3, {{5, 1}, {1, 2}, {5, 3}});
+    EXPECT_TRUE(strictlyAscending(h.counts()));
+    EXPECT_EQ(h.count(5), 4u);
+    EXPECT_EQ(h.totalCount(), 6u);
+}
+
+TEST(FlatContainers, WideAndNarrowMarginalsAgreeBitForBit)
+{
+    // A narrow fold goes through a dense scratch, a wide one (2^k far
+    // above the support) through one sort; both sum a key's terms in
+    // outcome order.
+    Pmf p(40);
+    Rng gen(26);
+    for (int i = 0; i < 300; ++i)
+        p.accumulate(gen.word() >> 24, gen.uniform());
+    const std::vector<int> narrow = {39, 3, 17, 8};
+    const std::vector<int> wide = {30, 1,  2,  33, 4,  5,  36, 7,
+                                   8,  9,  10, 11, 12, 13, 14, 15,
+                                   16, 17, 18, 19, 20, 21, 22};
+    for (const std::vector<int> *qubits : {&narrow, &wide}) {
+        Pmf expected(static_cast<int>(qubits->size()));
+        for (const auto &[outcome, prob] : p.probabilities())
+            expected.accumulate(extractBits(outcome, *qubits), prob);
+        const Pmf m = p.marginal(*qubits);
+        EXPECT_EQ(m.probabilities(), expected.probabilities());
+    }
 }
 
 TEST(MultinomialSampler, RejectsBadWeights)

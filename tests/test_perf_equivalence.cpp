@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +94,46 @@ randomU3CxCircuit(int n_qubits, int depth, std::uint64_t seed)
 }
 
 // ------------------------------------------------- kernel equivalence
+
+TEST(KernelEquivalence, SubsetMeasurementPmfMatchesTheReferenceFold)
+{
+    // The subset path folds a dense state into a 2^k scratch in basis
+    // order and a sparse one (GHZ) by collecting its terms and sorting
+    // once; the reference fold collects every term and sorts once.
+    // Over the same amplitudes each key sums the same terms in the
+    // same order, so the PMFs are equal bit for bit (and match the
+    // reference kernels' own evolution up to floating-point noise).
+    const std::vector<int> ghz_perm = {11, 0, 10, 1, 9, 2, 8, 3, 7, 4, 6, 5};
+    const std::vector<
+        std::pair<QuantumCircuit, std::vector<std::vector<int>>>>
+        cases = {
+            {randomU3CxCircuit(9, 6, 31),
+             {{0, 1, 2}, {8, 3, 5}, {4}, {7, 0, 1, 2, 3, 4, 5, 6, 8}}},
+            {workloads::Ghz(12).circuit(),
+             {ghz_perm, {3, 1, 4, 0, 5, 9, 2, 6, 8, 7, 10}}},
+        };
+    for (const auto &[qc, subsets] : cases) {
+        sim::StateVector state(qc.nQubits());
+        state.applyCircuit(qc);
+        const std::vector<double> &re = state.reals();
+        const std::vector<double> &im = state.imags();
+        for (const std::vector<int> &qubits : subsets) {
+            Pmf::Entries terms;
+            for (BasisState basis = 0; basis < re.size(); ++basis) {
+                const double p =
+                    re[basis] * re[basis] + im[basis] * im[basis];
+                if (p > 0.0)
+                    terms.emplace_back(extractBits(basis, qubits), p);
+            }
+            Pmf fold(static_cast<int>(qubits.size()), std::move(terms));
+            fold.prune(1e-14);
+            const Pmf optimized = state.measurementPmf(qubits);
+            EXPECT_EQ(optimized.probabilities(), fold.probabilities());
+            expectIdenticalPmf(sim::referenceMeasurementPmf(qc, qubits),
+                               optimized);
+        }
+    }
+}
 
 TEST(KernelEquivalence, GhzUpTo12Qubits)
 {
@@ -276,10 +317,13 @@ Pmf
 randomGlobal(int n_qubits, std::size_t support, Rng &rng)
 {
     const BasisState mask = (1ULL << n_qubits) - 1;
-    Pmf pmf(n_qubits);
-    while (pmf.support() < support)
-        pmf.set(static_cast<BasisState>(rng.word() & mask),
-                rng.uniform(0.01, 1.0));
+    // Random keys arrive out of order: collect them (a repeated key
+    // keeps its last value) and build the flat PMF once.
+    std::unordered_map<BasisState, double> drawn;
+    while (drawn.size() < support)
+        drawn.insert_or_assign(static_cast<BasisState>(rng.word() & mask),
+                               rng.uniform(0.01, 1.0));
+    Pmf pmf(n_qubits, Pmf::Entries(drawn.begin(), drawn.end()));
     pmf.normalize();
     return pmf;
 }

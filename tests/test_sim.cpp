@@ -659,6 +659,48 @@ TEST(Simulators, BoundSpecsRejectRepeatedBits)
     }
 }
 
+TEST(NoisySimulator, BoundSpecNoiseEqualsItsSubsetCircuitsBitForBit)
+{
+    // A bound spec's P' takes the base circuit's gate success and the
+    // readout channel of its physical qubits, without building its
+    // measurement-subset circuit: for one base and several subsets it
+    // equals the P' derived from that circuit bit for bit, and the
+    // executor draws from exactly it.
+    const DeviceModel dev = pairedDevice();
+    const QuantumCircuit base = pairedCircuit();
+    const auto logical = std::make_shared<const LogicalProgram>(base);
+    const NoisySimulatorOptions options{.seed = 3};
+    IdealSimulator ideal(1);
+    const Pmf full = ideal.idealPmf(base);
+    for (const std::vector<int> &qubits : std::vector<std::vector<int>>{
+             {0, 2}, {3, 1, 2}, {1}, {2, 0, 1, 3}}) {
+        const QuantumCircuit subset = base.withMeasurementSubset(qubits);
+        const Pmf pmf = full.marginal(qubits);
+        const MeasurementChannel circuit_channel(subset, dev);
+        const MeasurementChannel qubit_channel(qubits, dev);
+        const std::vector<double> from_circuit = noisyOutcomeDistribution(
+            pmf, gateSuccessProbability(subset, dev),
+            options.gateNoiseBitFlip, &circuit_channel);
+        const std::vector<double> from_qubits = noisyOutcomeDistribution(
+            pmf, gateSuccessProbability(base, dev), options.gateNoiseBitFlip,
+            &qubit_channel);
+        EXPECT_EQ(from_circuit, from_qubits);
+
+        NoisySimulator noisy(dev, options);
+        Rng stream(40);
+        CpmSpec spec{qubits, 5000};
+        spec.logical = logical;
+        spec.clbits = qubits;
+        spec.rng = &stream;
+        const Histogram drawn = noisy.run(base, spec);
+        Rng replay(40);
+        const Histogram expected =
+            MultinomialSampler(static_cast<int>(qubits.size()), from_circuit)
+                .draw(5000, replay);
+        EXPECT_EQ(drawn.counts(), expected.counts());
+    }
+}
+
 TEST(NoisySimulator, ChannelModeRejectsRegistersWiderThanDenseLimit)
 {
     // Measure-only, so nothing would be evolved even without the
