@@ -39,7 +39,9 @@
 #include "sim/statevector.h"
 #include "workloads/bv.h"
 #include "workloads/ghz.h"
+#include "workloads/graycode.h"
 #include "workloads/qft.h"
+#include "workloads/wstate.h"
 
 namespace {
 
@@ -264,6 +266,33 @@ main(int argc, char **argv)
         std::cerr << "  [perf] kernels/qaoa_scattered: " << naive_ms
                   << " ms -> " << opt_ms << " ms (" << active_kt.name
                   << " table, " << bits << "-bit register)\n";
+    }
+
+    // --- 1c. Kernels: sparse state preparation --------------------
+    {
+        // GHZ, W and Graycode preparation from |0...0>: states with at
+        // most n non-zero amplitudes, where the blocked evolution
+        // visits only the occupied blocks. Timing only (median of 5
+        // runs of the three evolutions): no naive side, so
+        // overall_speedup is unaffected.
+        std::vector<QuantumCircuit> programs = {
+            workloads::Ghz(n_qubits).circuit(),
+            workloads::Graycode(n_qubits).circuit()};
+        if (n_qubits <= 20) // WState's range
+            programs.push_back(workloads::WState(n_qubits).circuit());
+        std::vector<double> runs_ms;
+        for (int r = 0; r < 5; ++r) {
+            const auto start = std::chrono::steady_clock::now();
+            for (const QuantumCircuit &qc : programs) {
+                sim::StateVector state(n_qubits);
+                state.applyCircuit(qc);
+            }
+            runs_ms.push_back(msSince(start));
+        }
+        std::sort(runs_ms.begin(), runs_ms.end());
+        report.addTiming("kernels/sparse_state_prep_ms", runs_ms[2]);
+        std::cerr << "  [perf] kernels/sparse_state_prep_ms: " << runs_ms[2]
+                  << " ms (GHZ/Graycode/W-" << n_qubits << ")\n";
     }
 
     // --- 2. Executor: repeated runs of one circuit ----------------

@@ -1,5 +1,6 @@
 #include "sim/noise_model.h"
 
+#include <memory>
 #include <string>
 
 #include "common/error.h"
@@ -10,17 +11,18 @@ namespace sim {
 namespace {
 
 /**
- * Readout-style flip of clbit @p c over a dense distribution: a true 0
- * reads 1 with probability @p f0, a true 1 reads 0 with @p f1.
+ * Readout-style flip of clbit @p c over the dense distribution of
+ * @p size outcomes at @p v: a true 0 reads 1 with probability @p f0,
+ * a true 1 reads 0 with @p f1.
  */
 void
-flipPass(std::vector<double> &v, int c, double f0, double f1)
+flipPass(double *v, std::size_t size, int c, double f0, double f1)
 {
     const std::size_t stride = std::size_t{1} << c;
     const double keep0 = 1.0 - f0;
     const double keep1 = 1.0 - f1;
-    for (std::size_t base = 0; base < v.size(); base += 2 * stride) {
-        double *lo = v.data() + base;
+    for (std::size_t base = 0; base < size; base += 2 * stride) {
+        double *lo = v + base;
         double *hi = lo + stride;
         for (std::size_t j = 0; j < stride; ++j) {
             const double a = lo[j];
@@ -154,16 +156,27 @@ noisyOutcomeDistribution(const Pmf &ideal, double gate_ok,
         p[outcome] = w;
     }
     if (gate_ok < 1.0) {
-        std::vector<double> failed = p;
-        for (int c = 0; c < k; ++c)
-            flipPass(failed, c, gate_bit_flip, gate_bit_flip);
+        // The failed branch is every bit flipped in turn. Bit 0 is
+        // flipped out of place, from P into the branch (flipPass's
+        // expressions at c = 0), so P is never copied.
+        const std::size_t size = p.size();
+        const auto failed = std::make_unique_for_overwrite<double[]>(size);
+        const double keep = 1.0 - gate_bit_flip;
+        for (std::size_t x = 0; x < size; x += 2) {
+            const double a = p[x];
+            const double b = p[x + 1];
+            failed[x] = keep * a + gate_bit_flip * b;
+            failed[x + 1] = gate_bit_flip * a + keep * b;
+        }
+        for (int c = 1; c < k; ++c)
+            flipPass(failed.get(), size, c, gate_bit_flip, gate_bit_flip);
         const double fail = 1.0 - gate_ok;
         for (std::size_t i = 0; i < p.size(); ++i)
             p[i] = gate_ok * p[i] + fail * failed[i];
     }
     if (readout != nullptr) {
         for (int c = 0; c < k; ++c) {
-            flipPass(p, c, readout->flipProbability(c, 0),
+            flipPass(p.data(), p.size(), c, readout->flipProbability(c, 0),
                      readout->flipProbability(c, 1));
         }
         if (readout->correlatedError() > 0.0) {

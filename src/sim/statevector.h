@@ -8,72 +8,38 @@
  *
  * Amplitudes are stored split (structure-of-arrays: one real and one
  * imaginary double array) so the hot loops run through the SIMD
- * kernel table in common/simd.h — AVX2+FMA when the build and CPU
- * support it, a portable scalar fallback otherwise. The kernels
- * iterate strided amplitude pairs/quads so each amplitude is touched
- * exactly once per gate (no full-space scan-and-skip), dispatch
- * diagonal gates (Z/S/T/RZ/CZ/CP/RZZ) to in-place phase multiplies
- * and permutation gates (CX/SWAP) to index-mapped swaps, and split
- * large amplitude ranges across the parallel.h thread pool.
- * applyCircuit() additionally fuses runs of single-qubit gates on the
- * same qubit into one 2x2 matrix, runs of CP/CZ gates sharing a qubit
- * into one stratum phase-table pass, and general diagonal runs
- * (RZ/RZZ mixed with CP/CZ — the QAOA and Ising layer shape) into one
- * full-register phase-table pass before touching the state.
+ * kernel table in common/simd.h. Gates reach the state as KernelOps
+ * (sim/kernel_ops.h), which also holds the gate fusion.
+ *
+ * The register is evolved in blocks of 2^kBlockBits amplitudes and
+ * a per-block occupancy bitmap marks the blocks that may hold a
+ * non-zero amplitude (block 0 only, at |0...0>). An op whose strides
+ * all lie inside a block is queued; a run of such ops is then applied
+ * block by block, to occupied blocks only, so each block goes through
+ * the whole run while it is in cache. An op striding across blocks
+ * (a gate on a high qubit) runs per group of blocks that differ only
+ * in its high bits, skips groups with no occupied block, and moves
+ * occupancy: a mixing op ORs it over the group, a block permutation
+ * (X/Y on a high qubit, CX/SWAP on high qubits only) permutes it, and
+ * a diagonal op leaves it. Reads visit occupied blocks only. Every
+ * amplitude goes through the same kernels in the same order as one
+ * full-register call per op, so the non-zero amplitudes are bit for
+ * bit those of an unblocked evolution; block-aligned ranges also make
+ * them independent of the thread-pool size.
  */
 #ifndef JIGSAW_SIM_STATEVECTOR_H
 #define JIGSAW_SIM_STATEVECTOR_H
 
 #include <complex>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "common/histogram.h"
+#include "sim/kernel_ops.h"
 
 namespace jigsaw {
 namespace sim {
-
-/**
- * Tunables for applyCircuit's gate-fusion decisions. The defaults
- * reproduce the historical constants; simOptions() layers environment
- * overrides on top once per process. Tests and benches construct
- * their own to probe a specific fusion shape.
- */
-struct SimOptions
-{
-    /**
-     * Cap on the qubits one fused phase table may span — both the
-     * CP/CZ common-qubit runs (control count) and the general
-     * diagonal runs (involved-qubit count). The table holds 2^cap
-     * complex entries, so this is the cache-residency knob: 12 keeps
-     * the table at 64 KiB (two 32 KiB component arrays), L2-resident
-     * on everything we target. Environment override:
-     * JIGSAW_PHASE_TABLE_MAX_QUBITS (clamped to [1, 24]).
-     */
-    int phaseTableMaxQubits = 12;
-
-    /** Cap on the gates composed into one diagonal-run table build
-     *  (bounds the build cost, which is serial). */
-    std::size_t maxFusedDiagGates = 64;
-
-    /**
-     * Fuse a general diagonal run only when the unfused sweeps it
-     * replaces cost more than this many full-register passes (RZZ
-     * counts 1.0, CP/CZ 0.25). Raising it biases toward the cheaper
-     * specialized kernels; 0 fuses every eligible run.
-     */
-    double diagFuseCostThreshold = 1.0;
-
-    /** Minimum two-qubit diagonals in a run before fusing pays. */
-    std::size_t diagFuseMinTwoQubit = 2;
-};
-
-/**
- * Process-wide simulation options: the defaults above with
- * environment overrides applied, resolved once at first use.
- */
-const SimOptions &simOptions();
 
 /**
  * The quantum state of an n-qubit register, initialized to |0...0>.
@@ -83,13 +49,21 @@ class StateVector
   public:
     using Amplitude = std::complex<double>;
 
+    /**
+     * log2 of the amplitudes per block (16 KiB of split amplitudes,
+     * L1-resident), chosen by the sweep in docs/performance.md.
+     * A register of at most this many qubits is one block and
+     * applies each op at once.
+     */
+    static constexpr int kBlockBits = 10;
+
     /** Construct |0...0> over @p n_qubits qubits. */
     explicit StateVector(int n_qubits);
 
     /** Number of qubits. */
     int nQubits() const { return nQubits_; }
 
-    /** Apply a unitary gate (MEASURE/BARRIER are rejected). */
+    /** Apply a unitary gate (MEASURE is rejected, BARRIER ignored). */
     void applyGate(const circuit::Gate &gate);
 
     /** Apply every unitary gate of @p qc in order (measures skipped),
@@ -126,35 +100,27 @@ class StateVector
     /** Imaginary amplitude components, indexed by basis state. */
     const std::vector<double> &imags() const { return im_; }
 
-    /**
-     * Apply an arbitrary 2x2 unitary to qubit @p q. Public so circuit
-     * evolution can fuse gate runs into one matrix before applying.
-     */
-    void apply1q(const Amplitude m[2][2], int q);
-
   private:
-    void applyCx(int control, int target);
-    void applyPhasePair(Amplitude even, Amplitude odd, int q0, int q1);
-    void applyControlledPhase(Amplitude phase, int a, int b);
-    void applyControlledPhaseRun(
-        int target,
-        const std::vector<std::pair<int, Amplitude>> &controls);
-    /**
-     * Multiply every amplitude by tab[PEXT(index, mask)]: one pass
-     * applying a fused run of diagonal gates over the masked qubits.
-     */
-    void applyDiagonalRun(BasisState mask,
-                          const std::vector<double> &tab_re,
-                          const std::vector<double> &tab_im);
-    void applySwap(int a, int b);
+    /** Queue @p op on @p run, or flush @p run and apply @p op per
+     *  block group when it strides across blocks (a one-block
+     *  register applies it at once). */
+    void enqueue(KernelOp &&op, std::vector<KernelOp> &run);
+    /** Apply the queued block-local @p run to occupied blocks; clears
+     *  it. */
+    void applyRun(std::vector<KernelOp> &run);
+    /** Apply @p op, which strides across blocks, per block group. */
+    void applyGrouped(const KernelOp &op);
+    /** Call @p fn(lo, hi) on each occupied block's amplitude range
+     *  in ascending order (each block when @p every). */
+    template <typename Fn> void forEachBlock(bool every, Fn &&fn) const;
 
     int nQubits_;
+    int blockBits_; ///< log2 amplitudes per block: min(n, kBlockBits).
     std::vector<double> re_;
     std::vector<double> im_;
+    /** Per block: 1 if it may hold a non-zero amplitude. */
+    std::vector<std::uint8_t> occupied_;
 };
-
-/** Fill @p m with the 2x2 unitary of the single-qubit @p gate. */
-void gateMatrix1q(const circuit::Gate &gate, StateVector::Amplitude m[2][2]);
 
 } // namespace sim
 } // namespace jigsaw

@@ -3,20 +3,34 @@
  * Noise-pipeline tests: circuit compaction, EPS accounting, the
  * measurement channel's statistics, the exact channel-mode output
  * distribution P' (against a brute-force transition matrix and the
- * per-shot channel), and the ideal/noisy executors (including
- * fast-channel vs trajectory-mode agreement).
+ * per-shot channel), the ideal/noisy executors (including
+ * fast-channel vs trajectory-mode agreement), and the blocked,
+ * occupancy-tracked StateVector evolution on registers wider than one
+ * block (against a full-register replay of the same kernel calls, bit
+ * for bit, and against the naive reference kernels).
  */
+#include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
+#include "common/simd.h"
 #include "device/library.h"
 #include "sim/compact.h"
 #include "sim/eps.h"
+#include "sim/kernel_ops.h"
 #include "sim/noise_model.h"
+#include "sim/reference_kernels.h"
 #include "sim/simulators.h"
+#include "sim/statevector.h"
+#include "workloads/ghz.h"
+#include "workloads/graycode.h"
+#include "workloads/wstate.h"
 
 namespace jigsaw {
 namespace sim {
@@ -426,6 +440,45 @@ TEST(NoisyDistribution, PerShotChannelConvergesToIt)
     EXPECT_LT(totalVariationDistance(drawn, exact), bound);
 }
 
+TEST(NoisyDistribution, GateFailureBranchMatchesCopyThenPassBitForBit)
+{
+    // The failed branch flips bit 0 out of place, from P into the
+    // branch; a copy of P flipped in place evaluates the same
+    // expressions on the same operands, so P' agrees bit for bit.
+    Rng rng(31);
+    const double gate_ok = 0.83;
+    const double flip = 0.15;
+    for (const int k : {1, 5, 12}) {
+        Pmf ideal(k);
+        for (BasisState x = 0; x < (BasisState{1} << k); x += 3)
+            ideal.set(x, rng.uniform(0.0, 1.0));
+        ideal.normalize();
+
+        std::vector<double> p(std::size_t{1} << k, 0.0);
+        for (const auto &[x, w] : ideal.probabilities())
+            p[x] = w;
+        std::vector<double> failed = p;
+        for (int c = 0; c < k; ++c) {
+            const std::size_t stride = std::size_t{1} << c;
+            for (std::size_t base = 0; base < failed.size();
+                 base += 2 * stride) {
+                for (std::size_t j = base; j < base + stride; ++j) {
+                    const double a = failed[j];
+                    const double b = failed[j + stride];
+                    failed[j] = (1.0 - flip) * a + flip * b;
+                    failed[j + stride] = flip * a + (1.0 - flip) * b;
+                }
+            }
+        }
+        for (std::size_t i = 0; i < p.size(); ++i)
+            p[i] = gate_ok * p[i] + (1.0 - gate_ok) * failed[i];
+
+        EXPECT_EQ(noisyOutcomeDistribution(ideal, gate_ok, flip, nullptr),
+                  p)
+            << "k=" << k;
+    }
+}
+
 TEST(NoisyDistribution, RejectsRegistersWiderThanTheDenseLimit)
 {
     EXPECT_THROW(noisyOutcomeDistribution(Pmf(kMaxDenseClbits + 1), 1.0,
@@ -738,6 +791,337 @@ TEST(NoisySimulator, DeterministicWithSameSeed)
     const Histogram hb = b.run(qc, 5000);
     for (const auto &[outcome, count] : ha.counts())
         EXPECT_EQ(count, hb.count(outcome));
+}
+
+// ------------------------------------------------- blocked evolution
+
+constexpr int kB = StateVector::kBlockBits;
+
+/** Amplitudes of a register evolved outside StateVector. */
+struct Register
+{
+    explicit Register(int n)
+        : n(n), re(std::size_t{1} << n, 0.0), im(std::size_t{1} << n, 0.0)
+    {
+        re[0] = 1.0;
+    }
+
+    int n;
+    std::vector<double> re;
+    std::vector<double> im;
+};
+
+/**
+ * The full-register replay: each op as one kernel call over the whole
+ * register, in order — the unblocked evolution.
+ */
+void
+replay(Register &reg, const std::vector<KernelOp> &ops)
+{
+    const simd::KernelTable &K = simd::activeKernels();
+    for (const KernelOp &op : ops)
+        runKernel(op, K, reg.re.data(), reg.im.data(), 0,
+                  kernelExtent(op, reg.n));
+}
+
+std::vector<KernelOp>
+lowered(const QuantumCircuit &qc)
+{
+    std::vector<KernelOp> ops;
+    lowerCircuit(qc, simOptions(),
+                 [&](KernelOp &&op) { ops.push_back(std::move(op)); });
+    return ops;
+}
+
+std::vector<KernelOp>
+loweredGate(const circuit::Gate &gate)
+{
+    std::vector<KernelOp> ops;
+    lowerGate(gate, [&](KernelOp &&op) { ops.push_back(std::move(op)); });
+    return ops;
+}
+
+/**
+ * Every amplitude of @p sv equals the replay's. A skipped zero block
+ * differs from a replayed one at most in the sign of its zeros, so
+ * the comparison is ==, which is exact for every non-zero value.
+ */
+void
+expectSameAmplitudes(const StateVector &sv, const Register &reg,
+                     const std::string &what)
+{
+    ASSERT_EQ(sv.reals().size(), reg.re.size()) << what;
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < reg.re.size(); ++i)
+        differ += sv.reals()[i] != reg.re[i] || sv.imags()[i] != reg.im[i];
+    EXPECT_EQ(differ, 0u) << what;
+}
+
+/** The reference kernels' amplitudes agree to round-off. */
+void
+expectNearReference(const StateVector &sv, const QuantumCircuit &qc,
+                    const std::string &what)
+{
+    const std::vector<std::complex<double>> ref = referenceEvolve(qc);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        worst = std::max(worst, std::abs(ref[i] - sv.amplitude(i)));
+    EXPECT_LT(worst, 1e-10) << what;
+}
+
+/** applyCircuit against both oracles. */
+void
+expectBlockedEvolution(const QuantumCircuit &qc, const std::string &what)
+{
+    StateVector sv(qc.nQubits());
+    sv.applyCircuit(qc);
+    Register reg(qc.nQubits());
+    replay(reg, lowered(qc));
+    expectSameAmplitudes(sv, reg, what);
+    expectNearReference(sv, qc, what);
+}
+
+TEST(BlockedEvolution, EveryGateKindAcrossTheBlockBoundary)
+{
+    // Qubits on both sides of the block boundary, from a sparse start
+    // (two occupied blocks, one moved off block 0) and a spread one.
+    const int n = kB + 4;
+    const int l0 = 1;
+    const int l1 = kB - 1;
+    const int h0 = kB;
+    const int h1 = kB + 3;
+    using Build = std::function<void(QuantumCircuit &)>;
+    const std::vector<std::pair<std::string, Build>> preps = {
+        {"sparse", [&](QuantumCircuit &qc) { qc.x(h1).h(l0); }},
+        {"spread",
+         [&](QuantumCircuit &qc) {
+             qc.h(0).h(l1).h(h0).h(n - 1).u3(0.4, 0.1, 1.2, kB + 2);
+         }},
+    };
+    const std::vector<std::pair<std::string, Build>> snippets = {
+        {"u3 low", [&](QuantumCircuit &qc) { qc.u3(0.3, 0.5, 0.7, l1); }},
+        {"u3 high", [&](QuantumCircuit &qc) { qc.u3(0.3, 0.5, 0.7, h0); }},
+        {"h high", [&](QuantumCircuit &qc) { qc.h(h1); }},
+        {"rz high", [&](QuantumCircuit &qc) { qc.rz(0.4, h0); }},
+        {"t high", [&](QuantumCircuit &qc) { qc.t(h1); }},
+        {"x high", [&](QuantumCircuit &qc) { qc.x(h0); }},
+        {"y high", [&](QuantumCircuit &qc) { qc.y(h1); }},
+        {"xz high", [&](QuantumCircuit &qc) { qc.x(h0).z(h0); }},
+        {"cx low-low", [&](QuantumCircuit &qc) { qc.cx(l0, l1); }},
+        {"cx low-high", [&](QuantumCircuit &qc) { qc.cx(l1, h0); }},
+        {"cx high-low", [&](QuantumCircuit &qc) { qc.cx(h0, l0); }},
+        {"cx high-high", [&](QuantumCircuit &qc) { qc.cx(h0, h1); }},
+        {"cx high-high down", [&](QuantumCircuit &qc) { qc.cx(h1, h0); }},
+        {"swap low-low", [&](QuantumCircuit &qc) { qc.swap(l0, l1); }},
+        {"swap low-high", [&](QuantumCircuit &qc) { qc.swap(l0, h1); }},
+        {"swap high-high", [&](QuantumCircuit &qc) { qc.swap(h0, h1); }},
+        {"cp low-high", [&](QuantumCircuit &qc) { qc.cp(0.3, l0, h0); }},
+        {"cz high-high", [&](QuantumCircuit &qc) { qc.cz(h0, h1); }},
+        {"cp run, high target",
+         [&](QuantumCircuit &qc) {
+             qc.cp(0.1, l0, h1).cp(0.2, l1, h1).cz(h0, h1);
+         }},
+        {"cp run, low target",
+         [&](QuantumCircuit &qc) {
+             qc.cp(0.1, h0, l1).cp(0.2, h1, l1).cz(l0, l1);
+         }},
+        {"rzz low-high", [&](QuantumCircuit &qc) { qc.rzz(0.7, l1, h0); }},
+        {"diagonal run",
+         [&](QuantumCircuit &qc) {
+             qc.rzz(0.3, l0, h0).rzz(0.5, h0, h1).rz(0.2, h1).cp(0.4, l1,
+                                                                 h1);
+         }},
+    };
+    for (const auto &[prep_name, prep] : preps) {
+        QuantumCircuit all(n, n);
+        prep(all);
+        for (const auto &[name, snippet] : snippets) {
+            QuantumCircuit qc(n, n);
+            prep(qc);
+            snippet(qc);
+            // Mix afterwards so a wrongly skipped block shows.
+            qc.h(h0).h(h1).cx(l1, h0);
+            expectBlockedEvolution(qc, prep_name + ": " + name);
+            snippet(all);
+        }
+        expectBlockedEvolution(all, prep_name + ": every snippet");
+    }
+}
+
+/** Random U3 layers over CX ladders (the KernelEquivalence shape). */
+QuantumCircuit
+randomU3Cx(int n, int depth, std::uint64_t seed)
+{
+    Rng rng(seed);
+    QuantumCircuit qc(n, n);
+    for (int layer = 0; layer < depth; ++layer) {
+        for (int q = 0; q < n; ++q) {
+            qc.u3(rng.uniform(0.0, M_PI), rng.uniform(0.0, 2 * M_PI),
+                  rng.uniform(0.0, 2 * M_PI), q);
+        }
+        for (int q = layer % 2; q + 1 < n; q += 2)
+            qc.cx(q, q + 1);
+    }
+    return qc;
+}
+
+TEST(BlockedEvolution, StatePreparationPrograms)
+{
+    const std::vector<std::pair<std::string, QuantumCircuit>> programs = {
+        {"GHZ-18", workloads::Ghz(18).circuit()},
+        {"W-18", workloads::WState(18).circuit()},
+        {"Graycode-18", workloads::Graycode(18).circuit()},
+        {"random U3+CX-16", randomU3Cx(16, 6, 5)},
+    };
+    const simd::KernelTable &K = simd::activeKernels();
+    for (const auto &[name, qc] : programs) {
+        expectBlockedEvolution(qc, name);
+
+        // The reads visit occupied blocks only, yet match full scans
+        // of the replayed register: norm bit for bit, and the PMFs
+        // over all qubits and over a permuted subset.
+        StateVector sv(qc.nQubits());
+        sv.applyCircuit(qc);
+        Register reg(qc.nQubits());
+        replay(reg, lowered(qc));
+        EXPECT_EQ(sv.norm(),
+                  K.norm2(reg.re.data(), reg.im.data(), 0, reg.re.size()))
+            << name;
+        std::vector<int> all;
+        for (int q = 0; q < qc.nQubits(); ++q)
+            all.push_back(q);
+        const std::vector<int> subset = {qc.nQubits() - 1, 0, kB, 3, kB - 1};
+        for (const std::vector<int> &qubits : {all, subset}) {
+            Pmf::Entries terms;
+            for (BasisState b = 0; b < reg.re.size(); ++b) {
+                const double p = reg.re[b] * reg.re[b] + reg.im[b] * reg.im[b];
+                if (p > 0.0)
+                    terms.emplace_back(extractBits(b, qubits), p);
+            }
+            Pmf fold(static_cast<int>(qubits.size()), std::move(terms));
+            fold.prune(1e-14);
+            EXPECT_EQ(sv.measurementPmf(qubits).probabilities(),
+                      fold.probabilities())
+                << name;
+        }
+    }
+    // Graycode's X layer and CX cascade only permute blocks, so its
+    // basis state never leaves one block and the reads stay exact.
+    StateVector gray(18);
+    gray.applyCircuit(workloads::Graycode(18).circuit());
+    EXPECT_EQ(gray.measurementPmf({0}).probabilities().size(), 1u);
+}
+
+TEST(BlockedEvolution, SplitPrefixThenTailMatchesOnePass)
+{
+    // The split-prefix cache evolves a prefix once, copies the state
+    // and applies each tail: occupancy must travel with the copy (a
+    // copy that forgot the high blocks would skip them in the tail).
+    const int n = 16;
+    QuantumCircuit prefix(n, n);
+    prefix.h(0);
+    for (int q = 0; q + 1 < n; ++q)
+        prefix.cx(q, q + 1);
+    prefix.x(kB + 2);
+    QuantumCircuit tail(n, n);
+    tail.u3(0.3, 0.2, 0.1, kB + 1).rz(0.9, n - 1).cx(kB + 1, 2);
+    tail.rzz(0.4, 1, kB + 3).u3(1.1, 0.4, 0.6, 5).cx(5, n - 2);
+    QuantumCircuit whole(n, n);
+    whole.compose(prefix).compose(tail);
+
+    StateVector cached(n);
+    cached.applyCircuit(prefix);
+    StateVector split = cached;
+    split.applyCircuit(tail);
+
+    Register reg(n);
+    replay(reg, lowered(prefix));
+    replay(reg, lowered(tail));
+    expectSameAmplitudes(split, reg, "prefix, then tail");
+    expectNearReference(split, whole, "prefix, then tail");
+
+    StateVector one_pass(n);
+    one_pass.applyCircuit(whole);
+    double worst = 0.0;
+    for (BasisState b = 0; b < reg.re.size(); ++b)
+        worst = std::max(worst,
+                         std::abs(split.amplitude(b) - one_pass.amplitude(b)));
+    EXPECT_LT(worst, 1e-12);
+}
+
+TEST(BlockedEvolution, TrajectoryGateByGateMatchesReplay)
+{
+    // Trajectory mode applies one gate at a time and Paulis between
+    // them, reading the state after each public call.
+    const int n = 16;
+    const QuantumCircuit qc = workloads::WState(n).circuit();
+    StateVector sv(n);
+    Register reg(n);
+    Rng rng(77);
+    for (const circuit::Gate &g : qc.gates()) {
+        if (g.isMeasure())
+            continue;
+        sv.applyGate(g);
+        replay(reg, loweredGate(g));
+        if (rng.bernoulli(0.3) && !g.qubits.empty()) {
+            const int q = g.qubits[0];
+            const int pauli = static_cast<int>(rng.uniformInt(1, 3));
+            sv.applyPauli(pauli, q);
+            static const circuit::GateType types[] = {
+                circuit::GateType::X, circuit::GateType::Y,
+                circuit::GateType::Z};
+            replay(reg, loweredGate({types[pauli - 1], {q}, {}, -1}));
+        }
+    }
+    expectSameAmplitudes(sv, reg, "gate by gate");
+}
+
+TEST(BlockedEvolution, TrajectoryModeOnAMultiBlockRegister)
+{
+    // Noiseless trajectories of GHZ over a 16-qubit line keep exactly
+    // the two GHZ outcomes.
+    const int n = 16;
+    device::Calibration cal(n, n - 1);
+    const DeviceModel dev("line", device::linearTopology(n), std::move(cal));
+    QuantumCircuit qc(n, n);
+    qc.h(0);
+    for (int q = 0; q + 1 < n; ++q)
+        qc.cx(q, q + 1);
+    qc.measureAll();
+    NoisySimulator traj(dev, {.seed = 3, .trajectories = 4,
+                              .gateNoise = false,
+                              .measurementNoise = false});
+    const Pmf pmf = traj.run(qc, 4000).toPmf();
+    const BasisState ones = (BasisState{1} << n) - 1;
+    EXPECT_EQ(pmf.probabilities().size(), 2u);
+    EXPECT_GT(pmf.prob(0), 0.3);
+    EXPECT_GT(pmf.prob(ones), 0.3);
+}
+
+TEST(BlockedEvolution, BitwiseAcrossPoolSizes)
+{
+    // Blocks and groups fix every kernel range, so one thread (inside
+    // a parallelFor chunk, where nested parallelFor runs serially) and
+    // the whole pool write the same bits.
+    const std::vector<QuantumCircuit> programs = {
+        randomU3Cx(16, 6, 9), workloads::WState(18).circuit(),
+        workloads::Ghz(17).circuit()};
+    for (const QuantumCircuit &qc : programs) {
+        StateVector pooled(qc.nQubits());
+        pooled.applyCircuit(qc);
+        StateVector serial(qc.nQubits());
+        parallelFor(0, 2, 1, [&](std::size_t lo, std::size_t) {
+            if (lo == 0)
+                serial.applyCircuit(qc);
+        });
+        const std::size_t bytes = pooled.reals().size() * sizeof(double);
+        EXPECT_EQ(std::memcmp(pooled.reals().data(),
+                              serial.reals().data(), bytes),
+                  0);
+        EXPECT_EQ(std::memcmp(pooled.imags().data(),
+                              serial.imags().data(), bytes),
+                  0);
+    }
 }
 
 } // namespace
