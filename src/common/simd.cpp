@@ -28,6 +28,7 @@ constexpr const char *kKernelNames[kKernelCount] = {
     "stratum_phase_table",
     "phase_table",
     "norm2",
+    "stochastic_pair",
 };
 
 constexpr const char *kBackendNames[kBackendCount] = {
@@ -208,6 +209,27 @@ scalarNorm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
+void
+scalarStochasticPair(double *v, U64 mask, U64 lo, U64 hi, const Mat2Real &m)
+{
+    detail::countDispatch(kStochasticPair, kBackendScalar);
+    // Indices with bit a clear come in runs of s = 2^a, each paired
+    // with the contiguous run at i ^ mask (mask has no bit below a).
+    const U64 s = mask & (~mask + 1);
+    U64 i = (lo & s) != 0 ? (lo | (s - 1)) + 1 : lo;
+    for (; i < hi; i = (i | (s - 1)) + 1 + s) {
+        const U64 n = std::min(hi, (i | (s - 1)) + 1) - i;
+        double *x = v + i;
+        double *y = v + (i ^ mask);
+        for (U64 j = 0; j < n; ++j) {
+            const double a = x[j];
+            const double b = y[j];
+            x[j] = m.m[0] * a + m.m[1] * b;
+            y[j] = m.m[2] * a + m.m[3] * b;
+        }
+    }
+}
+
 const KernelTable scalarTable = {
     "scalar",
     scalarApply1q,
@@ -218,6 +240,7 @@ const KernelTable scalarTable = {
     scalarStratumPhaseTable,
     scalarPhaseTable,
     scalarNorm2,
+    scalarStochasticPair,
 };
 
 bool

@@ -1,13 +1,17 @@
 /**
  * @file
- * Split-complex (structure-of-arrays) amplitude kernels with SIMD
- * dispatch.
+ * Split-complex (structure-of-arrays) amplitude kernels, and the one
+ * real-valued outcome-distribution kernel, with SIMD dispatch.
  *
  * The state vector stores real and imaginary parts in two separate
  * double arrays so 4-wide AVX2 lanes map directly onto amplitude
  * components (no interleaved-complex shuffling in the inner loop).
  * Every hot amplitude loop is expressed as a kernel over a pair/quad
- * index range, with two interchangeable implementations:
+ * index range. The channel-mode outcome distribution P'
+ * (sim::noisyOutcomeDistribution) runs through the same table: its
+ * gate-failure flips, readout flips and correlated-pair flips are all
+ * one stochasticPair kernel over a dense real vector. Each kernel has
+ * interchangeable implementations:
  *
  *  - scalar (src/common/simd.cpp): portable C++, always compiled, the
  *    golden fallback;
@@ -53,7 +57,16 @@ struct Mat2Split
 };
 
 /**
- * One implementation of every amplitude kernel. All kernels operate on
+ * A real 2x2 matrix, row-major m[0]..m[3]: the column-stochastic map
+ * of one outcome-distribution pass.
+ */
+struct Mat2Real
+{
+    double m[4];
+};
+
+/**
+ * One implementation of every kernel. All kernels operate on
  * split real/imaginary arrays and cover the half-open index range
  * [k_lo, k_hi) so callers can shard them across the thread pool;
  * disjoint ranges touch disjoint amplitudes.
@@ -138,6 +151,21 @@ struct KernelTable
     /** Sum of re[i]^2 + im[i]^2 over [lo, hi). */
     double (*norm2)(const double *re, const double *im, std::uint64_t lo,
                     std::uint64_t hi);
+
+    /**
+     * Stochastic 2x2 over the partner pairs of a dense real vector:
+     * for every i in [lo, hi) whose bit a (the lowest set bit of
+     * @p mask) is clear, with j = i ^ mask,
+     *   v[i] = m[0] * v[i] + m[1] * v[j],
+     *   v[j] = m[2] * v[i] + m[3] * v[j]   (both from the old values),
+     * each product and sum rounded on its own, so every table yields
+     * the same bits. A one-bit mask is a bit flip (readout or
+     * gate-failure), a two-bit mask a correlated pair flip. The
+     * partner j may lie outside [lo, hi); pairs are visited once, from
+     * their bit-a-clear end.
+     */
+    void (*stochasticPair)(double *v, std::uint64_t mask, std::uint64_t lo,
+                           std::uint64_t hi, const Mat2Real &m);
 };
 
 /** The portable scalar kernels (always available). */
@@ -189,6 +217,7 @@ enum Kernel : int
     kStratumPhaseTable,
     kPhaseTable,
     kNorm2,
+    kStochasticPair,
     kKernelCount
 };
 

@@ -698,6 +698,121 @@ avx2Norm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
+/** One pair of the stochastic 2x2 with the scalar expressions. */
+inline void
+stochasticPairAt(double *v, U64 i, U64 mask, const Mat2Real &m)
+{
+    const U64 j = i ^ mask;
+    const double a = v[i];
+    const double b = v[j];
+    v[i] = m.m[0] * a + m.m[1] * b;
+    v[j] = m.m[2] * a + m.m[3] * b;
+}
+
+/** Lane l of the result is lane l ^ @p low of @p x (low < 4). */
+inline __m256d
+partnerLanes(__m256d x, U64 low)
+{
+    if ((low & 2) != 0)
+        x = _mm256_permute2f128_pd(x, x, 0x01);
+    if ((low & 1) != 0)
+        x = _mm256_permute_pd(x, 0x5);
+    return x;
+}
+
+void
+avx2StochasticPair(double *v, U64 mask, U64 lo, U64 hi, const Mat2Real &m)
+{
+    detail::countDispatch(kStochasticPair, kBackendAvx2);
+    const U64 s = mask & (~mask + 1);
+    const __m256d m0 = _mm256_set1_pd(m.m[0]);
+    const __m256d m1 = _mm256_set1_pd(m.m[1]);
+    const __m256d m2 = _mm256_set1_pd(m.m[2]);
+    const __m256d m3 = _mm256_set1_pd(m.m[3]);
+    if (s >= 4) {
+        // Runs of s >= 4 indices with bit a clear, each paired with
+        // the contiguous run at i ^ mask.
+        U64 i = (lo & s) != 0 ? (lo | (s - 1)) + 1 : lo;
+        for (; i < hi; i = (i | (s - 1)) + 1 + s) {
+            const U64 n = std::min(hi, (i | (s - 1)) + 1) - i;
+            double *x = v + i;
+            double *y = v + (i ^ mask);
+            U64 j = 0;
+            for (; j + 4 <= n; j += 4) {
+                const __m256d a = _mm256_loadu_pd(x + j);
+                const __m256d b = _mm256_loadu_pd(y + j);
+                _mm256_storeu_pd(x + j, _mm256_add_pd(_mm256_mul_pd(m0, a),
+                                                      _mm256_mul_pd(m1, b)));
+                _mm256_storeu_pd(y + j, _mm256_add_pd(_mm256_mul_pd(m2, a),
+                                                      _mm256_mul_pd(m3, b)));
+            }
+            for (; j < n; ++j)
+                stochasticPairAt(v, i + j, mask, m);
+        }
+        return;
+    }
+    // Strides 1 and 2: index i0 + l of a 4-aligned vector pairs with
+    // lane l ^ low of the vector at i0 ^ high.
+    const U64 low = mask & 3ULL;
+    const U64 high = mask & ~3ULL;
+    alignas(32) long long lanes[4];
+    for (U64 l = 0; l < 4; ++l)
+        lanes[l] = (l & s) == 0 ? -1 : 0;
+    const __m256i clear =
+        _mm256_load_si256(reinterpret_cast<const __m256i *>(lanes));
+    const __m256d clear_pd = _mm256_castsi256_pd(clear);
+    U64 i = lo;
+    for (; i < hi && (i & 3ULL) != 0; ++i)
+        if ((i & s) == 0)
+            stochasticPairAt(v, i, mask, m);
+    // A bit-a-clear lane takes m[0] * self + m[1] * partner, a set
+    // lane m[3] * self + m[2] * partner: the same two products as its
+    // pair's second row, summed.
+    const __m256d self = _mm256_blendv_pd(m3, m0, clear_pd);
+    const __m256d other = _mm256_blendv_pd(m2, m1, clear_pd);
+    const __m256i set = _mm256_xor_si256(clear, _mm256_set1_epi64x(-1));
+    for (; i + 4 <= hi; i += 4) {
+        if (high == 0) {
+            const __m256d x = _mm256_loadu_pd(v + i);
+            // Both ends in one vector.
+            _mm256_storeu_pd(v + i,
+                             _mm256_add_pd(_mm256_mul_pd(self, x),
+                                           _mm256_mul_pd(other,
+                                                         partnerLanes(
+                                                             x, low))));
+            continue;
+        }
+        // With both vectors in range, the one at i & ~high does every
+        // pair between them.
+        const U64 j = i ^ high;
+        const bool both = j >= lo && j + 4 <= hi;
+        if (both && (i & high) != 0)
+            continue;
+        const __m256d x = _mm256_loadu_pd(v + i);
+        const __m256d y = _mm256_loadu_pd(v + j);
+        const __m256d xp = partnerLanes(x, low);
+        const __m256d yp = partnerLanes(y, low);
+        if (both) {
+            _mm256_storeu_pd(v + i, _mm256_add_pd(_mm256_mul_pd(self, x),
+                                                  _mm256_mul_pd(other, yp)));
+            _mm256_storeu_pd(v + j, _mm256_add_pd(_mm256_mul_pd(self, y),
+                                                  _mm256_mul_pd(other, xp)));
+            continue;
+        }
+        // Only x's keyed lanes are in range: its clear lanes pair with
+        // y's set lanes; the other lanes belong to pairs keyed in y.
+        _mm256_maskstore_pd(v + i, clear,
+                            _mm256_add_pd(_mm256_mul_pd(m0, x),
+                                          _mm256_mul_pd(m1, yp)));
+        _mm256_maskstore_pd(v + j, set,
+                            _mm256_add_pd(_mm256_mul_pd(m2, xp),
+                                          _mm256_mul_pd(m3, y)));
+    }
+    for (; i < hi; ++i)
+        if ((i & s) == 0)
+            stochasticPairAt(v, i, mask, m);
+}
+
 const KernelTable avx2Table = {
     "avx2",
     avx2Apply1q,
@@ -708,6 +823,7 @@ const KernelTable avx2Table = {
     avx2StratumPhaseTable,
     avx2PhaseTable,
     avx2Norm2,
+    avx2StochasticPair,
 };
 
 } // namespace

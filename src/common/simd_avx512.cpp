@@ -12,7 +12,10 @@
  * Shorter strides would need in-register deinterleave shuffles that
  * cost more than they save at this width, so those cases defer to the
  * next-widest compiled table (AVX2 when present, scalar otherwise) —
- * legal because any CPU reporting avx512f also reports avx2.
+ * legal because any CPU reporting avx512f also reports avx2. The
+ * real-valued stochasticPair kernel is the exception: one permute per
+ * vector lines up its stride-1, 2 and 4 partners, so it handles every
+ * stride itself.
  */
 #include "common/simd.h"
 
@@ -478,6 +481,126 @@ avx512Norm2(const double *re, const double *im, U64 lo, U64 hi)
     return total;
 }
 
+/**
+ * Lane l of the result is lane idx[l] of @p x. The zero-masking form
+ * with a full mask is the same permute without the undefined
+ * pass-through operand of the unmasked intrinsic (and GCC's
+ * -Wmaybe-uninitialized noise about it).
+ */
+inline __m512d
+permuteLanes(__m512i idx, __m512d x)
+{
+    return _mm512_maskz_permutexvar_pd(0xFF, idx, x);
+}
+
+/** One pair of the stochastic 2x2 with the scalar expressions. */
+inline void
+stochasticPairAt(double *v, U64 i, U64 mask, const Mat2Real &m)
+{
+    const U64 j = i ^ mask;
+    const double a = v[i];
+    const double b = v[j];
+    v[i] = m.m[0] * a + m.m[1] * b;
+    v[j] = m.m[2] * a + m.m[3] * b;
+}
+
+void
+avx512StochasticPair(double *v, U64 mask, U64 lo, U64 hi, const Mat2Real &m)
+{
+    detail::countDispatch(kStochasticPair, kBackendAvx512);
+    const U64 s = mask & (~mask + 1);
+    const __m512d m0 = _mm512_set1_pd(m.m[0]);
+    const __m512d m1 = _mm512_set1_pd(m.m[1]);
+    const __m512d m2 = _mm512_set1_pd(m.m[2]);
+    const __m512d m3 = _mm512_set1_pd(m.m[3]);
+    if (s >= 8) {
+        // Runs of s >= 8 indices with bit a clear, each paired with
+        // the contiguous run at i ^ mask.
+        U64 i = (lo & s) != 0 ? (lo | (s - 1)) + 1 : lo;
+        for (; i < hi; i = (i | (s - 1)) + 1 + s) {
+            const U64 n = std::min(hi, (i | (s - 1)) + 1) - i;
+            double *x = v + i;
+            double *y = v + (i ^ mask);
+            U64 j = 0;
+            for (; j + 8 <= n; j += 8) {
+                const __m512d a = _mm512_loadu_pd(x + j);
+                const __m512d b = _mm512_loadu_pd(y + j);
+                _mm512_storeu_pd(x + j, _mm512_add_pd(_mm512_mul_pd(m0, a),
+                                                      _mm512_mul_pd(m1, b)));
+                _mm512_storeu_pd(y + j, _mm512_add_pd(_mm512_mul_pd(m2, a),
+                                                      _mm512_mul_pd(m3, b)));
+            }
+            for (; j < n; ++j)
+                stochasticPairAt(v, i + j, mask, m);
+        }
+        return;
+    }
+    // Strides 1, 2 and 4: index i0 + l of an 8-aligned vector pairs
+    // with lane l ^ low of the vector at i0 ^ high, so one in-register
+    // permute lines every partner up.
+    const U64 low = mask & 7ULL;
+    const U64 high = mask & ~7ULL;
+    const __m512i partner = _mm512_set_epi64(
+        static_cast<long long>(7 ^ low), static_cast<long long>(6 ^ low),
+        static_cast<long long>(5 ^ low), static_cast<long long>(4 ^ low),
+        static_cast<long long>(3 ^ low), static_cast<long long>(2 ^ low),
+        static_cast<long long>(1 ^ low), static_cast<long long>(0 ^ low));
+    __mmask8 clear = 0;
+    for (U64 l = 0; l < 8; ++l)
+        if ((l & s) == 0)
+            clear = static_cast<__mmask8>(clear | (1U << l));
+    U64 i = lo;
+    for (; i < hi && (i & 7ULL) != 0; ++i)
+        if ((i & s) == 0)
+            stochasticPairAt(v, i, mask, m);
+    // A bit-a-clear lane takes m[0] * self + m[1] * partner, a set
+    // lane m[3] * self + m[2] * partner: the same two products as its
+    // pair's second row, summed.
+    const __m512d self = _mm512_mask_blend_pd(clear, m3, m0);
+    const __m512d other = _mm512_mask_blend_pd(clear, m2, m1);
+    const __mmask8 set = static_cast<__mmask8>(~clear);
+    for (; i + 8 <= hi; i += 8) {
+        if (high == 0) {
+            const __m512d x = _mm512_loadu_pd(v + i);
+            // Both ends in one vector.
+            _mm512_storeu_pd(v + i,
+                             _mm512_add_pd(_mm512_mul_pd(self, x),
+                                           _mm512_mul_pd(other,
+                                                         permuteLanes(
+                                                             partner, x))));
+            continue;
+        }
+        // With both vectors in range, the one at i & ~high does every
+        // pair between them.
+        const U64 j = i ^ high;
+        const bool both = j >= lo && j + 8 <= hi;
+        if (both && (i & high) != 0)
+            continue;
+        const __m512d x = _mm512_loadu_pd(v + i);
+        const __m512d y = _mm512_loadu_pd(v + j);
+        const __m512d xp = permuteLanes(partner, x);
+        const __m512d yp = permuteLanes(partner, y);
+        if (both) {
+            _mm512_storeu_pd(v + i, _mm512_add_pd(_mm512_mul_pd(self, x),
+                                                  _mm512_mul_pd(other, yp)));
+            _mm512_storeu_pd(v + j, _mm512_add_pd(_mm512_mul_pd(self, y),
+                                                  _mm512_mul_pd(other, xp)));
+            continue;
+        }
+        // Only x's keyed lanes are in range: its clear lanes pair with
+        // y's set lanes; the other lanes belong to pairs keyed in y.
+        _mm512_mask_storeu_pd(v + i, clear,
+                              _mm512_add_pd(_mm512_mul_pd(m0, x),
+                                            _mm512_mul_pd(m1, yp)));
+        _mm512_mask_storeu_pd(v + j, set,
+                              _mm512_add_pd(_mm512_mul_pd(m2, xp),
+                                            _mm512_mul_pd(m3, y)));
+    }
+    for (; i < hi; ++i)
+        if ((i & s) == 0)
+            stochasticPairAt(v, i, mask, m);
+}
+
 const KernelTable avx512Table = {
     "avx512",
     avx512Apply1q,
@@ -488,6 +611,7 @@ const KernelTable avx512Table = {
     avx512StratumPhaseTable,
     avx512PhaseTable,
     avx512Norm2,
+    avx512StochasticPair,
 };
 
 } // namespace

@@ -1,58 +1,172 @@
 #include "sim/noise_model.h"
 
-#include <memory>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <variant>
 
 #include "common/error.h"
+#include "common/simd.h"
+#include "sim/block_groups.h"
 
 namespace jigsaw {
 namespace sim {
 
 namespace {
 
+using U64 = std::uint64_t;
+
 /**
- * Readout-style flip of clbit @p c over the dense distribution of
- * @p size outcomes at @p v: a true 0 reads 1 with probability @p f0,
- * a true 1 reads 0 with @p f1.
+ * log2 of the outcomes in one tile of P' (32 KiB of doubles, L1-
+ * resident), chosen by the sweep in docs/performance.md. A register
+ * of at most this many clbits is one tile.
  */
-void
-flipPass(double *v, std::size_t size, int c, double f0, double f1)
+constexpr int kTileBits = 12;
+
+/**
+ * log2 of the narrowest row a tile takes from each of its blocks:
+ * 4 KiB, one L1 way, so rows that lie 2^kTileBits outcomes apart
+ * spread over every cache set instead of competing for a few.
+ */
+constexpr int kRowBits = 9;
+
+/** One stochasticPair call: the 2x2 @p m over the pairs (i, i ^ mask). */
+struct Pass
 {
-    const std::size_t stride = std::size_t{1} << c;
-    const double keep0 = 1.0 - f0;
-    const double keep1 = 1.0 - f1;
-    for (std::size_t base = 0; base < size; base += 2 * stride) {
-        double *lo = v + base;
-        double *hi = lo + stride;
-        for (std::size_t j = 0; j < stride; ++j) {
-            const double a = lo[j];
-            const double b = hi[j];
-            lo[j] = keep0 * a + f1 * b;
-            hi[j] = f0 * a + keep1 * b;
-        }
-    }
+    U64 mask;
+    simd::Mat2Real m;
+};
+
+/** The gate-failure mix: out[i] = gate_ok * P[i] + fail * out[i]. */
+struct Mix
+{
+    double gate_ok;
+    double fail;
+};
+
+/** One step of P', in the order the steps apply. */
+using Step = std::variant<Pass, Mix>;
+
+/** The outcome a step combines i with is i ^ partnerMask (a mix: i). */
+U64
+partnerMask(const Step &step)
+{
+    const Pass *pass = std::get_if<Pass>(&step);
+    return pass != nullptr ? pass->mask : 0;
 }
 
 /**
- * Correlated flip of clbits @p a < @p b with probability @p e. Outcome
- * x (bit a clear) trades mass with x ^ mask; inside one block of
- * 2^a outcomes neither bit changes, so both sides stay contiguous.
+ * The gate-failure mix over [lo, hi): the flipped branch in @p v
+ * becomes gate_ok * P + fail * branch, with P read from the sorted
+ * @p ideal entries. Outside P's support gate_ok * P is +0, which
+ * leaves fail * branch unchanged, so only the entries add a term.
  */
 void
-pairPass(std::vector<double> &v, int a, int b, double e)
+mixRange(double *v, U64 lo, U64 hi, const Pmf::Entries &ideal,
+         const Mix &mix)
 {
-    const std::size_t stride = std::size_t{1} << a;
-    const std::size_t mask = stride | (std::size_t{1} << b);
-    const double keep = 1.0 - e;
-    for (std::size_t base = 0; base < v.size(); base += 2 * stride) {
-        double *x = v.data() + base;
-        double *y = v.data() + (base ^ mask);
-        for (std::size_t j = 0; j < stride; ++j) {
-            const double p = x[j];
-            const double q = y[j];
-            x[j] = keep * p + e * q;
-            y[j] = e * p + keep * q;
+    auto it = std::lower_bound(
+        ideal.begin(), ideal.end(), lo,
+        [](const auto &entry, U64 x) { return entry.first < x; });
+    U64 i = lo;
+    for (; it != ideal.end() && it->first < hi; ++it) {
+        for (; i < it->first; ++i)
+            v[i] = mix.fail * v[i];
+        v[i] = mix.gate_ok * it->second + mix.fail * v[i];
+        ++i;
+    }
+    for (; i < hi; ++i)
+        v[i] = mix.fail * v[i];
+}
+
+/**
+ * Apply @p steps in order to the 2^k outcomes at @p v, which hold
+ * non-zero values only in the blocks of 2^tile_bits outcomes that
+ * @p occupied marks.
+ *
+ * Steps are taken in runs. A run's high bits H (the partner-mask bits
+ * at or above tile_bits) pick groups of 2^|H| blocks that trade mass
+ * only among themselves; a tile is the same window of W =
+ * 2^tile_bits >> |H| outcomes in each block of a group, and a run
+ * grows while every step's in-block partner stays inside that window
+ * and the rows are at least 2^kRowBits wide. Each tile then goes
+ * through every step of the run while it is in cache. A block pair
+ * that is still all +0 is skipped (a step keeps it +0) and occupancy
+ * spreads as in StateVector. Every outcome goes through the same
+ * operations in the same order as one full pass after another, so the
+ * result is bit for bit the same.
+ */
+void
+applySteps(double *v, int k, int tile_bits,
+           std::vector<std::uint8_t> &occupied,
+           const std::vector<Step> &steps, const Pmf::Entries &ideal)
+{
+    const simd::KernelTable &K = simd::activeKernels();
+    const U64 block = U64{1} << tile_bits;
+    const U64 n_blocks = U64{1} << (k - tile_bits);
+    // A run has at most 2^(tile_bits - kRowBits) rows, or 4 for a
+    // lone pass of two high bits.
+    const std::size_t max_rows =
+        std::size_t{1} << std::max(2, tile_bits - kRowBits);
+    std::vector<U64> rows;
+    rows.reserve(max_rows);
+    std::vector<std::pair<const Step *, U64>> calls;
+    calls.reserve(steps.size() * max_rows);
+    for (std::size_t first = 0; first < steps.size();) {
+        U64 high = partnerMask(steps[first]) >> tile_bits;
+        U64 need = partnerMask(steps[first]) & (block - 1);
+        std::size_t last = first + 1;
+        for (; last < steps.size(); ++last) {
+            const U64 mask = partnerMask(steps[last]);
+            const U64 h = high | (mask >> tile_bits);
+            const U64 n = std::max(need, mask & (block - 1));
+            const U64 width = block >> std::popcount(h);
+            if (width <= n || (h != 0 && width < (U64{1} << kRowBits)))
+                break;
+            high = h;
+            need = n;
         }
+        // A lone pass whose in-block partner lies outside the window
+        // (a pair straddling the block boundary from bit tile_bits -
+        // 1) takes whole blocks.
+        U64 width = block >> std::popcount(high);
+        if (width <= need)
+            width = block;
+
+        for (U64 g = 0; g < (n_blocks >> std::popcount(high)); ++g) {
+            rows.clear();
+            forEachGroupBlock(high, g, [&](U64 b) { rows.push_back(b); });
+
+            calls.clear();
+            for (std::size_t s = first; s < last; ++s) {
+                const U64 mask = partnerMask(steps[s]);
+                const U64 h = mask >> tile_bits;
+                // Blocks with bit a set hold no bit-a-clear index when
+                // bit a is a block bit.
+                const U64 a_high = (mask & (~mask + 1)) >> tile_bits;
+                for (const U64 r : rows) {
+                    if (!shareOccupancy(occupied[r], occupied[r ^ h]))
+                        continue;
+                    if ((r & a_high) == 0)
+                        calls.emplace_back(&steps[s], r << tile_bits);
+                }
+            }
+            if (calls.empty())
+                continue;
+            for (U64 t = 0; t < block; t += width) {
+                for (const auto &[step, row] : calls) {
+                    const U64 lo = row + t;
+                    if (const auto *pass = std::get_if<Pass>(step))
+                        K.stochasticPair(v, pass->mask, lo, lo + width,
+                                         pass->m);
+                    else
+                        mixRange(v, lo, lo + width, ideal,
+                                 std::get<Mix>(*step));
+                }
+            }
+        }
+        first = last;
     }
 }
 
@@ -149,42 +263,48 @@ noisyOutcomeDistribution(const Pmf &ideal, double gate_ok,
     checkDenseWidth(k);
     fatalIf(readout != nullptr && readout->nClbits() != k,
             "noisyOutcomeDistribution: readout channel width mismatch");
-    std::vector<double> p(std::size_t{1} << k, 0.0);
+    const int tile_bits = std::min(k, kTileBits);
+    std::vector<double> out(std::size_t{1} << k, 0.0);
+    std::vector<std::uint8_t> occupied(std::size_t{1} << (k - tile_bits), 0);
     for (const auto &[outcome, w] : ideal.probabilities()) {
-        fatalIf(outcome >= p.size(),
+        fatalIf(outcome >= out.size(),
                 "noisyOutcomeDistribution: outcome out of range");
-        p[outcome] = w;
+        out[outcome] = w;
+        occupied[outcome >> tile_bits] = 1;
     }
+
+    std::vector<Step> steps;
+    steps.reserve(2 * static_cast<std::size_t>(k) + 1 +
+                  (readout != nullptr ? readout->correlatedPairs().size()
+                                      : 0));
     if (gate_ok < 1.0) {
-        // The failed branch is every bit flipped in turn. Bit 0 is
-        // flipped out of place, from P into the branch (flipPass's
-        // expressions at c = 0), so P is never copied.
-        const std::size_t size = p.size();
-        const auto failed = std::make_unique_for_overwrite<double[]>(size);
+        // The failed branch is P with every bit flipped in turn, built
+        // in place; the mix then reads P from the ideal entries.
         const double keep = 1.0 - gate_bit_flip;
-        for (std::size_t x = 0; x < size; x += 2) {
-            const double a = p[x];
-            const double b = p[x + 1];
-            failed[x] = keep * a + gate_bit_flip * b;
-            failed[x + 1] = gate_bit_flip * a + keep * b;
+        for (int c = 0; c < k; ++c) {
+            steps.push_back(Pass{U64{1} << c,
+                                 {{keep, gate_bit_flip, gate_bit_flip, keep}}});
         }
-        for (int c = 1; c < k; ++c)
-            flipPass(failed.get(), size, c, gate_bit_flip, gate_bit_flip);
-        const double fail = 1.0 - gate_ok;
-        for (std::size_t i = 0; i < p.size(); ++i)
-            p[i] = gate_ok * p[i] + fail * failed[i];
+        steps.push_back(Mix{gate_ok, 1.0 - gate_ok});
     }
     if (readout != nullptr) {
+        // A true 0 reads 1 with f0, a true 1 reads 0 with f1.
         for (int c = 0; c < k; ++c) {
-            flipPass(p.data(), p.size(), c, readout->flipProbability(c, 0),
-                     readout->flipProbability(c, 1));
+            const double f0 = readout->flipProbability(c, 0);
+            const double f1 = readout->flipProbability(c, 1);
+            steps.push_back(Pass{U64{1} << c, {{1.0 - f0, f1, f0, 1.0 - f1}}});
         }
-        if (readout->correlatedError() > 0.0) {
-            for (const auto &[a, b] : readout->correlatedPairs())
-                pairPass(p, a, b, readout->correlatedError());
+        const double e = readout->correlatedError();
+        if (e > 0.0) {
+            for (const auto &[a, b] : readout->correlatedPairs()) {
+                steps.push_back(Pass{(U64{1} << a) | (U64{1} << b),
+                                     {{1.0 - e, e, e, 1.0 - e}}});
+            }
         }
     }
-    return p;
+    applySteps(out.data(), k, tile_bits, occupied, steps,
+               ideal.probabilities());
+    return out;
 }
 
 } // namespace sim

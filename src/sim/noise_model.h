@@ -93,8 +93,11 @@ constexpr int kMaxDenseClbits = 24;
  *  - R, the asymmetric per-clbit readout flips of @p readout;
  *  - C, the correlated-pair flips of @p readout.
  * @p gate_ok = 1 skips G and a null @p readout skips R and C. Each
- * factor is a pass over bit or pair blocks, so the cost is
- * O((2k + pairs) * 2^k). Throws std::invalid_argument when k exceeds
+ * bit or pair is one stochasticPair pass over the returned vector,
+ * the only buffer the build allocates, so the cost is
+ * O((2k + pairs) * 2^k); passes run tile by tile in cache and skip
+ * blocks still at +0, with the same bits as one full pass after
+ * another. Throws std::invalid_argument when k exceeds
  * kMaxDenseClbits.
  */
 std::vector<double> noisyOutcomeDistribution(const Pmf &ideal,

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <new>
 #include <utility>
 
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/simd.h"
+#include "sim/block_groups.h"
 
 namespace jigsaw {
 namespace sim {
@@ -27,27 +29,38 @@ constexpr std::size_t kGrain = 1ULL << 14;
 /** Cap on a queued run's length, bounding the phase tables it holds. */
 constexpr std::size_t kMaxRunOps = 64;
 
-/** Spread the bits of @p g over the positions not in @p skip (PDEP). */
-U64
-depositAround(U64 g, U64 skip)
-{
-    for (U64 rest = skip; rest != 0; rest &= rest - 1)
-        g = simd::insertZero(g, rest & (~rest + 1));
-    return g;
-}
-
 } // namespace
+
+StateVector::Storage
+StateVector::zeroedStorage(std::size_t n)
+{
+    Storage storage(static_cast<double *>(std::calloc(n, sizeof(double))));
+    if (storage == nullptr)
+        throw std::bad_alloc();
+    return storage;
+}
 
 StateVector::StateVector(int n_qubits)
     : nQubits_(n_qubits), blockBits_(std::min(n_qubits, kBlockBits))
 {
     fatalIf(n_qubits < 1 || n_qubits > 28,
             "StateVector: qubit count must be in [1, 28]");
-    re_.assign(1ULL << n_qubits, 0.0);
-    im_.assign(1ULL << n_qubits, 0.0);
+    re_ = zeroedStorage(dim());
+    im_ = zeroedStorage(dim());
     re_[0] = 1.0;
     occupied_.assign(1ULL << (n_qubits - blockBits_), 0);
     occupied_[0] = 1;
+}
+
+StateVector::StateVector(const StateVector &other)
+    : nQubits_(other.nQubits_), blockBits_(other.blockBits_),
+      re_(zeroedStorage(other.dim())), im_(zeroedStorage(other.dim())),
+      occupied_(other.occupied_)
+{
+    other.forEachBlock(false, [&](BasisState lo, BasisState hi) {
+        std::copy(other.re_.get() + lo, other.re_.get() + hi, re_.get() + lo);
+        std::copy(other.im_.get() + lo, other.im_.get() + hi, im_.get() + lo);
+    });
 }
 
 void
@@ -55,7 +68,7 @@ StateVector::enqueue(KernelOp &&op, std::vector<KernelOp> &run)
 {
     if (occupied_.size() == 1) {
         // One block: the whole register is the block, so apply now.
-        runKernel(op, simd::activeKernels(), re_.data(), im_.data(), 0,
+        runKernel(op, simd::activeKernels(), re_.get(), im_.get(), 0,
                   kernelExtent(op, nQubits_));
         return;
     }
@@ -85,8 +98,8 @@ StateVector::applyRun(std::vector<KernelOp> &run)
     for (const KernelOp &op : run)
         shifts.push_back(blockBits_ - std::popcount(kernelStrides(op)));
 
-    double *re = re_.data();
-    double *im = im_.data();
+    double *re = re_.get();
+    double *im = im_.get();
     const simd::KernelTable &K = simd::activeKernels();
     // A block is about run.size() * 2^(blockBits_ - 1) kernel indices.
     const std::size_t grain = std::max<std::size_t>(
@@ -114,19 +127,15 @@ StateVector::applyGrouped(const KernelOp &op)
 
     std::vector<U64> groups;
     for (U64 g = 0; g < n_groups; ++g) {
-        const U64 base = depositAround(g, high);
-        U64 sub = 0;
-        do {
-            if (occupied_[base | sub] != 0) {
-                groups.push_back(g);
-                break;
-            }
-            sub = (sub - high) & high;
-        } while (sub != 0);
+        bool any = false;
+        forEachGroupBlock(high, g,
+                          [&](U64 b) { any = any || occupied_[b] != 0; });
+        if (any)
+            groups.push_back(g);
     }
 
-    double *re = re_.data();
-    double *im = im_.data();
+    double *re = re_.get();
+    double *im = im_.get();
     const simd::KernelTable &K = simd::activeKernels();
     const std::size_t grain = std::max<std::size_t>(1, kGrain >> shift);
     parallelFor(0, groups.size(), grain, [&](std::size_t lo, std::size_t hi) {
@@ -140,7 +149,7 @@ StateVector::applyGrouped(const KernelOp &op)
         if (whole)
             std::swap(occupied_[a], occupied_[b]);
         else
-            occupied_[a] = occupied_[b] = occupied_[a] | occupied_[b];
+            shareOccupancy(occupied_[a], occupied_[b]);
     };
     if (const auto *m1 = std::get_if<Matrix1qOp>(&op)) {
         // An anti-diagonal matrix (X, Y) maps each block onto its
@@ -206,7 +215,7 @@ StateVector::applyCircuit(const circuit::QuantumCircuit &qc,
 StateVector::Amplitude
 StateVector::amplitude(BasisState basis) const
 {
-    fatalIf(basis >= re_.size(), "StateVector: basis out of range");
+    fatalIf(basis >= dim(), "StateVector: basis out of range");
     return Amplitude(re_[basis], im_[basis]);
 }
 
@@ -230,7 +239,7 @@ StateVector::norm() const
                           << blockBits_;
     const BasisState hi = static_cast<BasisState>(occupied_.rend() - last)
                           << blockBits_;
-    return simd::activeKernels().norm2(re_.data(), im_.data(), lo, hi);
+    return simd::activeKernels().norm2(re_.get(), im_.get(), lo, hi);
 }
 
 Pmf
@@ -239,8 +248,8 @@ StateVector::measurementPmf(const std::vector<int> &qubits,
 {
     fatalIf(qubits.empty(), "measurementPmf: empty qubit list");
     Pmf pmf(static_cast<int>(qubits.size()));
-    const double *re = re_.data();
-    const double *im = im_.data();
+    const double *re = re_.get();
+    const double *im = im_.get();
     const auto prob = [&](BasisState basis) {
         return re[basis] * re[basis] + im[basis] * im[basis];
     };

@@ -26,12 +26,21 @@
  * full-register call per op, so the non-zero amplitudes are bit for
  * bit those of an unblocked evolution; block-aligned ranges also make
  * them independent of the thread-pool size.
+ *
+ * The amplitude arrays are calloc'd, so pages of blocks the evolution
+ * never occupies are never written and, for an allocation the C
+ * library maps fresh, never faulted in. A copy allocates the same way
+ * and copies the occupied blocks only; the rest are zero on both
+ * sides.
  */
 #ifndef JIGSAW_SIM_STATEVECTOR_H
 #define JIGSAW_SIM_STATEVECTOR_H
 
 #include <complex>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -59,6 +68,11 @@ class StateVector
 
     /** Construct |0...0> over @p n_qubits qubits. */
     explicit StateVector(int n_qubits);
+
+    /** A deep copy: same amplitudes and occupancy. */
+    StateVector(const StateVector &other);
+    StateVector(StateVector &&) noexcept = default;
+    StateVector &operator=(StateVector &&) noexcept = default;
 
     /** Number of qubits. */
     int nQubits() const { return nQubits_; }
@@ -95,12 +109,25 @@ class StateVector
     void applyPauli(int pauli, int q);
 
     /** Real amplitude components, indexed by basis state. */
-    const std::vector<double> &reals() const { return re_; }
+    std::span<const double> reals() const { return {re_.get(), dim()}; }
 
     /** Imaginary amplitude components, indexed by basis state. */
-    const std::vector<double> &imags() const { return im_; }
+    std::span<const double> imags() const { return {im_.get(), dim()}; }
 
   private:
+    struct FreeDeleter
+    {
+        void operator()(double *p) const { std::free(p); }
+    };
+    /** calloc'd doubles: all +0, the pages mapped on first write. */
+    using Storage = std::unique_ptr<double[], FreeDeleter>;
+
+    /** @p n zeroed doubles; throws std::bad_alloc on failure. */
+    static Storage zeroedStorage(std::size_t n);
+
+    /** Number of amplitudes, 2^n. */
+    std::size_t dim() const { return std::size_t{1} << nQubits_; }
+
     /** Queue @p op on @p run, or flush @p run and apply @p op per
      *  block group when it strides across blocks (a one-block
      *  register applies it at once). */
@@ -116,8 +143,8 @@ class StateVector
 
     int nQubits_;
     int blockBits_; ///< log2 amplitudes per block: min(n, kBlockBits).
-    std::vector<double> re_;
-    std::vector<double> im_;
+    Storage re_;
+    Storage im_;
     /** Per block: 1 if it may hold a non-zero amplitude. */
     std::vector<std::uint8_t> occupied_;
 };

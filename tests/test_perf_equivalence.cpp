@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -115,8 +117,8 @@ TEST(KernelEquivalence, SubsetMeasurementPmfMatchesTheReferenceFold)
     for (const auto &[qc, subsets] : cases) {
         sim::StateVector state(qc.nQubits());
         state.applyCircuit(qc);
-        const std::vector<double> &re = state.reals();
-        const std::vector<double> &im = state.imags();
+        const std::span<const double> re = state.reals();
+        const std::span<const double> im = state.imags();
         for (const std::vector<int> &qubits : subsets) {
             Pmf::Entries terms;
             for (BasisState basis = 0; basis < re.size(); ++basis) {
@@ -1103,6 +1105,32 @@ expectMatchesScalar(const simd::KernelTable &active)
     randomAmps(re, im, dim, 600);
     EXPECT_NEAR(active.norm2(re.data(), im.data(), 5, dim - 9),
                 scalar.norm2(re.data(), im.data(), 5, dim - 9), 1e-9);
+
+    // stochasticPair: bit flips at strides 1, 2, 4 (in-register
+    // partners), 8 and above, and pair masks whose low bit is below,
+    // at or above the lane width, over whole, uneven, sub-lane and
+    // mid-register ranges. P' relies on the tables agreeing bit for
+    // bit, so the check is memcmp.
+    const simd::Mat2Real stochastic = {{0.87, 0.06, 0.13, 0.94}};
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = {
+        {0, dim}, {3, dim - 5}, {5, 13}, {dim / 2 + 1, dim / 2 + 37}};
+    for (const std::uint64_t mask :
+         {1ULL, 2ULL, 4ULL, 8ULL, 16ULL, 64ULL, 512ULL, 1ULL | 2ULL,
+          2ULL | 4ULL, 1ULL | 8ULL, 4ULL | 256ULL, 8ULL | 16ULL,
+          8ULL | 512ULL, 64ULL | 128ULL}) {
+        for (const auto &[lo, hi] : ranges) {
+            std::vector<double> v_a, unused;
+            randomAmps(v_a, unused, dim, 1000 + mask + lo);
+            std::vector<double> v_s = v_a;
+            active.stochasticPair(v_a.data(), mask, lo, hi, stochastic);
+            scalar.stochasticPair(v_s.data(), mask, lo, hi, stochastic);
+            EXPECT_EQ(std::memcmp(v_a.data(), v_s.data(),
+                                  dim * sizeof(double)),
+                      0)
+                << active.name << " mask " << mask << " [" << lo << ", "
+                << hi << ")";
+        }
+    }
 }
 
 /**

@@ -442,9 +442,11 @@ TEST(NoisyDistribution, PerShotChannelConvergesToIt)
 
 TEST(NoisyDistribution, GateFailureBranchMatchesCopyThenPassBitForBit)
 {
-    // The failed branch flips bit 0 out of place, from P into the
-    // branch; a copy of P flipped in place evaluates the same
-    // expressions on the same operands, so P' agrees bit for bit.
+    // The build flips every bit of the scattered P in place, then mixes
+    // gate_ok * P + fail * branch reading P from the sorted ideal
+    // entries; a copy of P flipped in place and mixed with the dense P
+    // evaluates the same expressions on the same operands, so P'
+    // agrees bit for bit.
     Rng rng(31);
     const double gate_ok = 0.83;
     const double flip = 0.15;
@@ -476,6 +478,151 @@ TEST(NoisyDistribution, GateFailureBranchMatchesCopyThenPassBitForBit)
         EXPECT_EQ(noisyOutcomeDistribution(ideal, gate_ok, flip, nullptr),
                   p)
             << "k=" << k;
+    }
+}
+
+/**
+ * P' as it was built before the blocked, one-buffer build: a dense P,
+ * the gate-failure branch flipped bit by bit in a second buffer and
+ * mixed in, then one full pass per readout bit and per correlated
+ * pair, each over the whole vector.
+ */
+std::vector<double>
+passByPassNoisy(const Pmf &ideal, double gate_ok, double gate_bit_flip,
+                const MeasurementChannel *readout)
+{
+    const auto flip_pass = [](double *v, std::size_t size, int c, double f0,
+                              double f1) {
+        const std::size_t stride = std::size_t{1} << c;
+        const double keep0 = 1.0 - f0;
+        const double keep1 = 1.0 - f1;
+        for (std::size_t base = 0; base < size; base += 2 * stride) {
+            double *lo = v + base;
+            double *hi = lo + stride;
+            for (std::size_t j = 0; j < stride; ++j) {
+                const double a = lo[j];
+                const double b = hi[j];
+                lo[j] = keep0 * a + f1 * b;
+                hi[j] = f0 * a + keep1 * b;
+            }
+        }
+    };
+    const int k = ideal.nQubits();
+    std::vector<double> p(std::size_t{1} << k, 0.0);
+    for (const auto &[outcome, w] : ideal.probabilities())
+        p[outcome] = w;
+    if (gate_ok < 1.0) {
+        const std::size_t size = p.size();
+        std::vector<double> failed(size);
+        const double keep = 1.0 - gate_bit_flip;
+        for (std::size_t x = 0; x < size; x += 2) {
+            const double a = p[x];
+            const double b = p[x + 1];
+            failed[x] = keep * a + gate_bit_flip * b;
+            failed[x + 1] = gate_bit_flip * a + keep * b;
+        }
+        for (int c = 1; c < k; ++c)
+            flip_pass(failed.data(), size, c, gate_bit_flip, gate_bit_flip);
+        const double fail = 1.0 - gate_ok;
+        for (std::size_t i = 0; i < p.size(); ++i)
+            p[i] = gate_ok * p[i] + fail * failed[i];
+    }
+    if (readout != nullptr) {
+        for (int c = 0; c < k; ++c) {
+            flip_pass(p.data(), p.size(), c, readout->flipProbability(c, 0),
+                      readout->flipProbability(c, 1));
+        }
+        const double e = readout->correlatedError();
+        if (e > 0.0) {
+            for (const auto &[a, b] : readout->correlatedPairs()) {
+                const std::size_t stride = std::size_t{1} << a;
+                const std::size_t mask = stride | (std::size_t{1} << b);
+                const double keep = 1.0 - e;
+                for (std::size_t base = 0; base < p.size();
+                     base += 2 * stride) {
+                    double *x = p.data() + base;
+                    double *y = p.data() + (base ^ mask);
+                    for (std::size_t j = 0; j < stride; ++j) {
+                        const double u = x[j];
+                        const double w = y[j];
+                        x[j] = keep * u + e * w;
+                        y[j] = e * u + keep * w;
+                    }
+                }
+            }
+        }
+    }
+    return p;
+}
+
+TEST(NoisyDistribution, BlockedBuildMatchesPassByPassBitForBit)
+{
+    // An 18-qubit device whose couplings put correlated pairs below
+    // bit 3 (the in-register SIMD strides), inside one tile, and
+    // across the tile boundaries at bits 10 to 13, on asymmetric,
+    // per-qubit readout. Measuring qubits 0..k-1 keeps the pairs of
+    // the first k clbits.
+    const std::vector<device::Edge> edges = {
+        {0, 1},  {1, 2},  {0, 5},  {2, 9},   {3, 4},  {5, 11},
+        {9, 10}, {10, 11}, {11, 12}, {2, 12}, {7, 13}, {12, 13},
+        {11, 17}, {4, 14}, {8, 16}, {13, 17}, {6, 15}, {1, 15}};
+    device::Calibration cal(18, static_cast<int>(edges.size()));
+    Rng cal_rng(29);
+    for (int q = 0; q < 18; ++q) {
+        cal.qubit(q).readoutError01 = cal_rng.uniform(0.005, 0.05);
+        cal.qubit(q).readoutError10 = cal_rng.uniform(0.02, 0.1);
+        cal.qubit(q).crosstalkGamma = 0.002;
+    }
+    cal.setCorrelatedPairError(0.03);
+    const DeviceModel dev("straddle", device::Topology(18, edges),
+                          std::move(cal));
+
+    Rng rng(57);
+    for (int k = 1; k <= 18; ++k) {
+        if (k == 17)
+            continue;
+        std::vector<std::pair<std::string, Pmf>> ideals;
+        const BasisState n = BasisState{1} << k;
+        Pmf ghz(k);
+        ghz.set(0, 0.5);
+        ghz.set(n - 1, 0.5);
+        ideals.emplace_back("ghz", ghz);
+        Pmf w(k);
+        for (int c = 0; c < k; ++c)
+            w.set(BasisState{1} << c, 1.0 / k);
+        ideals.emplace_back("w", w);
+        Pmf one_hot(k);
+        one_hot.set(BasisState{1} << (k / 2), 1.0);
+        ideals.emplace_back("one-hot", one_hot);
+        Pmf dense(k);
+        for (BasisState x = 0; x < n; ++x)
+            dense.set(x, rng.uniform(0.0, 1.0));
+        dense.normalize();
+        ideals.emplace_back("dense", dense);
+
+        std::vector<int> measured(static_cast<std::size_t>(k));
+        for (int c = 0; c < k; ++c)
+            measured[static_cast<std::size_t>(c)] = c;
+        const MeasurementChannel readout(measured, dev);
+        for (const auto &[name, ideal] : ideals) {
+            for (const double gate_ok : {1.0, 0.83}) {
+                for (const MeasurementChannel *r :
+                     {static_cast<const MeasurementChannel *>(nullptr),
+                      &readout}) {
+                    const std::vector<double> blocked =
+                        noisyOutcomeDistribution(ideal, gate_ok, 0.15, r);
+                    const std::vector<double> reference =
+                        passByPassNoisy(ideal, gate_ok, 0.15, r);
+                    ASSERT_EQ(blocked.size(), reference.size());
+                    EXPECT_EQ(std::memcmp(blocked.data(), reference.data(),
+                                          blocked.size() * sizeof(double)),
+                              0)
+                        << "k=" << k << " " << name << " gate_ok=" << gate_ok
+                        << " readout=" << (r != nullptr) << " pairs="
+                        << readout.correlatedPairs().size();
+                }
+            }
+        }
     }
 }
 
